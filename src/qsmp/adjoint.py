@@ -1,10 +1,12 @@
 """Adjoint system along a candidate-optimal trajectory.
 
-Solves the vector backward equation for the costate pair (p, q), the scalar
-auxiliary equation whose time-zero value is the cost derivative, the positive
-exponential weight process, and the Hamiltonian with its control gradient.
-Also verifies the algebraic decoupling between the backward linearisation and
-the costate representation.
+The costate pair (p, q) solves a linear vector backward equation on the
+trajectory and states of the quadratic pair (Y, Z), with coefficients taken
+at (Y, Z): :func:`solve_state_and_costate` runs both in one backward sweep
+(one regression per step). Also: the scalar auxiliary equation whose
+time-zero value is the cost derivative, the positive exponential weight
+process, the Hamiltonian and its control gradient (:func:`control_gradient`),
+and the decoupling between the backward linearisation and the costate.
 """
 
 from __future__ import annotations
@@ -14,11 +16,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import BackwardSolution, LinearBSDEData, solve_linear_bsde
+from .bsde import (
+    BackwardEquation,
+    BackwardSolution,
+    LinearBSDEData,
+    backward_sweep,
+    quadratic_defaults,
+    quadratic_equation,
+    solve_linear_bsde,
+)
 from .errors import SolverError
 from .model import ProblemSpec
 from .paths import BrownianBatch, ForwardBatch, TimeGrid, VariationalForwardBatch
-from .regression import RegressionBasis, StepRegressor
+from .regression import RegressionBasis
+
+#: Derivatives that take (t, x, u); the others also take (y, z).
+_STATE_DERIVATIVES = frozenset(("b_x", "b_u", "sigma_x", "sigma_u"))
 
 
 @dataclass
@@ -32,75 +45,48 @@ class AdjointSolution:
     q_fits: list = field(default_factory=list)
 
 
-def _step_coefficients(spec: ProblemSpec, t, forward, backward, i):
-    """Evaluate all linearisation coefficients along the trajectory at step i."""
+def _coefficients(spec: ProblemSpec, t, x, u, y, z, *names):
+    """The named coefficient derivatives at a batch of points, in order."""
     co = spec.coeffs
-    x_i = forward.states[:, i]
-    u_i = forward.controls[:, i]
-    y_i = backward.Y[:, i]
-    z_i = backward.Z[:, i]
-    return {
-        "x": x_i,
-        "u": u_i,
-        "f_x": np.asarray(co.f_x(t, x_i, y_i, z_i, u_i), dtype=np.float64),
-        "f_y": np.asarray(co.f_y(t, x_i, y_i, z_i, u_i), dtype=np.float64),
-        "f_z": np.asarray(co.f_z(t, x_i, y_i, z_i, u_i), dtype=np.float64),
-        "f_u": np.asarray(co.f_u(t, x_i, y_i, z_i, u_i), dtype=np.float64),
-        "b_x": np.asarray(co.b_x(t, x_i, u_i), dtype=np.float64),
-        "b_u": np.asarray(co.b_u(t, x_i, u_i), dtype=np.float64),
-        "sigma_x": np.asarray(co.sigma_x(t, x_i, u_i), dtype=np.float64),
-        "sigma_u": np.asarray(co.sigma_u(t, x_i, u_i), dtype=np.float64),
-    }
+    out = []
+    for name in names:
+        fn = getattr(co, name)
+        value = fn(t, x, u) if name in _STATE_DERIVATIVES else fn(t, x, y, z, u)
+        out.append(np.asarray(value, dtype=np.float64))
+    return out
 
 
-def solve_adjoint(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-    basis: RegressionBasis | None = None,
-    ridge: float | None = None,
-) -> AdjointSolution:
-    """Componentwise backward regression scheme for the costate system.
+def _along(forward: ForwardBatch, backward: BackwardSolution, i: int):
+    """(x, u, y, z) of the trajectory at step i."""
+    return forward.states[:, i], forward.controls[:, i], backward.Y[:, i], backward.Z[:, i]
+
+
+def costate_equation(spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y_vals, z_vals) -> BackwardEquation:
+    """The costate equation along ``forward`` and the backward pair
+    ``y_vals`` (M, N+1), ``z_vals`` (M, N+1, d), read at step i only.
 
     Each q-column is recovered from the martingale increment of p against the
     matching Brownian component; the drift couples p and q through the
     state-sensitivity and generator-slope terms and is resolved implicitly in
     p (an (n x n) solve per path, scalar division when n = 1).
     """
-    if basis is None:
-        basis = RegressionBasis("polynomial", 3)
-    m_paths, n_steps = noise.M, grid.N
-    n, d = spec.n, spec.d
-    dt = grid.dt
-    times = grid.times
-
-    p_vals = np.empty((m_paths, n_steps + 1, n))
-    q_vals = np.zeros((m_paths, n_steps + 1, n, d))
-    p_vals[:, n_steps] = np.asarray(spec.coeffs.Phi_x(forward.states[:, n_steps]), dtype=np.float64)
-
-    p_fits = [None] * n_steps
-    q_fits = [None] * n_steps
+    n = spec.n
+    dt, times = grid.dt, grid.times
     eye = np.eye(n)
-    for i in range(n_steps - 1, -1, -1):
-        reg = StepRegressor(basis, forward.states[:, i], ridge)
-        flat_next = p_vals[:, i + 1].reshape(m_paths, n)
-        cond_p, p_fits[i] = reg.fit(flat_next)
-        resid = flat_next - cond_p
-        q_target = (resid[:, :, None] * noise.increments[:, i, None, :] / dt).reshape(m_paths, n * d)
-        q_flat, q_fits[i] = reg.fit(q_target)
-        q_i = q_flat.reshape(m_paths, n, d)
 
-        c = _step_coefficients(spec, times[i], forward, backward, i)
+    def step(i, cond_p, q_i):
+        x_i, u_i = forward.states[:, i], forward.controls[:, i]
+        f_x, f_y, f_z, b_x, sigma_x = _coefficients(
+            spec, times[i], x_i, u_i, y_vals[:, i], z_vals[:, i], "f_x", "f_y", "f_z", "b_x", "sigma_x"
+        )
         # drift matrix acting on p:  sum_i f_{z_i} (sigma_x^i)^T + f_y I + b_x^T
-        mat = np.einsum("mi,miba->mab", c["f_z"], c["sigma_x"])
-        mat += c["f_y"][:, None, None] * eye
-        mat += np.swapaxes(c["b_x"], 1, 2)
+        mat = np.einsum("mi,miba->mab", f_z, sigma_x)
+        mat += f_y[:, None, None] * eye
+        mat += np.swapaxes(b_x, 1, 2)
         # q-coupling and driver:  sum_i [f_{z_i} I + (sigma_x^i)^T] q^i + f_x
-        rest = np.einsum("mi,mai->ma", c["f_z"], q_i)
-        rest += np.einsum("miba,mbi->ma", c["sigma_x"], q_i)
-        rest += c["f_x"]
+        rest = np.einsum("mi,mai->ma", f_z, q_i)
+        rest += np.einsum("miba,mbi->ma", sigma_x, q_i)
+        rest += f_x
 
         rhs = cond_p + dt * rest
         if n == 1:
@@ -112,10 +98,45 @@ def solve_adjoint(
             p_i = np.linalg.solve(eye[None, :, :] - dt * mat, rhs[:, :, None])[:, :, 0]
         if not np.all(np.isfinite(p_i)):
             raise SolverError("costate turned non-finite", step=i)
-        p_vals[:, i] = p_i
-        q_vals[:, i] = q_i
+        return p_i, q_i
 
-    return AdjointSolution(p_vals, q_vals, basis, p_fits, q_fits)
+    terminal = np.asarray(spec.coeffs.Phi_x(forward.states[:, grid.N]), dtype=np.float64)
+    return BackwardEquation(terminal, grid.N, spec.d, step)
+
+
+def solve_adjoint(
+    spec: ProblemSpec,
+    grid: TimeGrid,
+    noise: BrownianBatch,
+    forward: ForwardBatch,
+    backward: BackwardSolution,
+    basis: RegressionBasis | None = None,
+    ridge: float | None = None,
+) -> AdjointSolution:
+    """Costate pair along a solved backward pair (see :func:`costate_equation`)."""
+    basis = basis or RegressionBasis("polynomial", 3)
+    eq = costate_equation(spec, grid, forward, backward.Y, backward.Z)
+    backward_sweep(grid, noise, forward.states, [eq], basis, ridge)
+    return AdjointSolution(eq.values, eq.integrands, basis, eq.value_fits, eq.integrand_fits)
+
+
+def solve_state_and_costate(
+    spec: ProblemSpec,
+    grid: TimeGrid,
+    noise: BrownianBatch,
+    forward: ForwardBatch,
+    basis: RegressionBasis | None = None,
+    ridge: float | None = None,
+    truncation_radius: float | None = None,
+) -> tuple[BackwardSolution, AdjointSolution]:
+    """``solve_quadratic_bsde`` then ``solve_adjoint`` on the same forward
+    batch, with the same results, in one sweep with one regression per step."""
+    basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius)
+    quad = quadratic_equation(spec, grid, forward, truncation_radius, constants)
+    costate = costate_equation(spec, grid, forward, quad.values[:, :, 0], quad.integrands[:, :, 0])
+    backward_sweep(grid, noise, forward.states, [quad, costate], basis, ridge)
+    adj = AdjointSolution(costate.values, costate.integrands, basis, costate.value_fits, costate.integrand_fits)
+    return quad.scalar_solution(basis, truncation_radius), adj
 
 
 @dataclass(frozen=True)
@@ -137,19 +158,29 @@ def gamma_process(
     m_paths, n_steps = noise.M, grid.N
     dt = grid.dt
     times = grid.times
-    co = spec.coeffs
     log_gamma = np.zeros((m_paths, n_steps + 1))
     for i in range(n_steps):
-        x_i, u_i = forward.states[:, i], forward.controls[:, i]
-        y_i, z_i = backward.Y[:, i], backward.Z[:, i]
-        fy = np.asarray(co.f_y(times[i], x_i, y_i, z_i, u_i), dtype=np.float64)
-        fz = np.asarray(co.f_z(times[i], x_i, y_i, z_i, u_i), dtype=np.float64)
+        fy, fz = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
         step = fy * dt + np.einsum("md,md->m", fz, noise.increments[:, i])
         step -= 0.5 * np.einsum("md,md->m", fz, fz) * dt
         log_gamma[:, i + 1] = log_gamma[:, i] + step
         if np.abs(log_gamma[:, i + 1]).max() > 700.0:
             raise SolverError("exponential weight exponent overflow", step=i)
     return GammaPath(np.exp(log_gamma))
+
+
+def control_gradient(spec: ProblemSpec, t, x, u, y, z, p, q) -> np.ndarray:
+    """Control gradient of the Hamiltonian at S points, shape (S, k):
+    b_u^T p + sum_i (sigma_u^i)^T q^i + sum_i f_{z_i} (sigma_u^i)^T p + f_u.
+
+    x (S, n), u (S, k), y (S,), z (S, d), p (S, n), q (S, n, d).
+    """
+    b_u, sigma_u, f_u, f_z = _coefficients(spec, t, x, u, y, z, "b_u", "sigma_u", "f_u", "f_z")
+    grad = np.einsum("sak,sa->sk", b_u, p)
+    grad += np.einsum("sai,siak->sk", q, sigma_u)
+    grad += np.einsum("si,siak,sa->sk", f_z, sigma_u, p)
+    grad += f_u
+    return grad
 
 
 def optimality_weight(
@@ -159,20 +190,14 @@ def optimality_weight(
     backward: BackwardSolution,
     adjoint: AdjointSolution,
 ) -> np.ndarray:
-    """Control gradient of the Hamiltonian along the trajectory, shape (M, N, k):
-    b_u^T p + sum_i (sigma_u^i)^T q^i + sum_i f_{z_i} (sigma_u^i)^T p + f_u."""
+    """:func:`control_gradient` along the trajectory, shape (M, N, k)."""
     m_paths = forward.states.shape[0]
     out = np.empty((m_paths, grid.N, spec.k))
     times = grid.times
     for i in range(grid.N):
-        c = _step_coefficients(spec, times[i], forward, backward, i)
-        p_i = adjoint.p[:, i]
-        q_i = adjoint.q[:, i]
-        w = np.einsum("mak,ma->mk", c["b_u"], p_i)
-        w += np.einsum("mai,miak->mk", q_i, c["sigma_u"])
-        w += np.einsum("mi,miak,ma->mk", c["f_z"], c["sigma_u"], p_i)
-        w += c["f_u"]
-        out[:, i] = w
+        out[:, i] = control_gradient(
+            spec, times[i], *_along(forward, backward, i), adjoint.p[:, i], adjoint.q[:, i]
+        )
     return out
 
 
@@ -196,9 +221,7 @@ def solve_auxiliary(
     phi = np.empty((m_paths, n_steps))
     weight = optimality_weight(spec, grid, forward, backward, adjoint)
     for i in range(n_steps):
-        c = _step_coefficients(spec, times[i], forward, backward, i)
-        lam[:, i] = c["f_y"]
-        mu[:, i] = c["f_z"]
+        lam[:, i], mu[:, i] = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
         phi[:, i] = np.einsum("mk,mk->m", weight[:, i], uhat[:, i])
     data = LinearBSDEData(np.zeros(m_paths), lam, mu, phi)
     return solve_linear_bsde(data, grid, noise, forward.states, basis=basis, ridge=ridge)
@@ -252,11 +275,11 @@ def solve_variational_bsde(
     mu = np.empty((m_paths, n_steps, spec.d))
     phi = np.empty((m_paths, n_steps))
     for i in range(n_steps):
-        c = _step_coefficients(spec, times[i], forward, backward, i)
-        lam[:, i] = c["f_y"]
-        mu[:, i] = c["f_z"]
-        phi[:, i] = np.einsum("ma,ma->m", c["f_x"], variational.states[:, i])
-        phi[:, i] += np.einsum("mk,mk->m", c["f_u"], uhat[:, i])
+        f_y, f_z, f_x, f_u = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z", "f_x", "f_u")
+        lam[:, i] = f_y
+        mu[:, i] = f_z
+        phi[:, i] = np.einsum("ma,ma->m", f_x, variational.states[:, i])
+        phi[:, i] += np.einsum("mk,mk->m", f_u, uhat[:, i])
     phi_x = np.asarray(spec.coeffs.Phi_x(forward.states[:, n_steps]), dtype=np.float64)
     xi = np.einsum("ma,ma->m", phi_x, variational.states[:, n_steps])
     data = LinearBSDEData(xi, lam, mu, phi)
@@ -284,10 +307,7 @@ def _diffusion_shift(spec: ProblemSpec, inp: HamiltonianInputs) -> np.ndarray:
     """Shift added to the z-argument: per column, (sigma^i(t,x,u) -
     sigma^i(t,x_ref,u_ref))^T p. Vanishes at the reference point."""
     co = spec.coeffs
-    x = np.asarray(inp.x, dtype=np.float64)[None, :]
-    u = np.asarray(inp.u, dtype=np.float64)[None, :]
-    x_ref = np.asarray(inp.x_ref, dtype=np.float64)[None, :]
-    u_ref = np.asarray(inp.u_ref, dtype=np.float64)[None, :]
+    x, u, x_ref, u_ref = (np.asarray(v, dtype=np.float64)[None] for v in (inp.x, inp.u, inp.x_ref, inp.u_ref))
     sig = np.asarray(co.sigma(inp.t, x, u), dtype=np.float64)[0]
     sig_ref = np.asarray(co.sigma(inp.t, x_ref, u_ref), dtype=np.float64)[0]
     return (sig - sig_ref).T @ np.asarray(inp.p, dtype=np.float64)
@@ -308,22 +328,11 @@ def hamiltonian(inp: HamiltonianInputs, spec: ProblemSpec) -> float:
 
 def hamiltonian_u(inp: HamiltonianInputs, spec: ProblemSpec) -> np.ndarray:
     """Control gradient of the Hamiltonian, including the chain-rule term of
-    the diffusion shift against the generator slope."""
-    co = spec.coeffs
-    x = np.asarray(inp.x, dtype=np.float64)[None, :]
-    u = np.asarray(inp.u, dtype=np.float64)[None, :]
-    shift = _diffusion_shift(spec, inp)
-    z_arg = (np.asarray(inp.z, dtype=np.float64) + shift)[None, :]
-    y_arg = np.array([inp.y])
-    b_u = np.asarray(co.b_u(inp.t, x, u), dtype=np.float64)[0]
-    sig_u = np.asarray(co.sigma_u(inp.t, x, u), dtype=np.float64)[0]
-    f_u = np.asarray(co.f_u(inp.t, x, y_arg, z_arg, u), dtype=np.float64)[0]
-    f_z = np.asarray(co.f_z(inp.t, x, y_arg, z_arg, u), dtype=np.float64)[0]
-    grad = b_u.T @ inp.p
-    grad += np.einsum("iak,ai->k", sig_u, inp.q)
-    grad += f_u
-    grad += np.einsum("i,iak,a->k", f_z, sig_u, inp.p)
-    return grad
+    the diffusion shift against the generator slope: :func:`control_gradient`
+    at a batch of one, with z shifted."""
+    z_arg = np.asarray(inp.z, dtype=np.float64) + _diffusion_shift(spec, inp)
+    x, u, p, q = (np.asarray(v, dtype=np.float64)[None] for v in (inp.x, inp.u, inp.p, inp.q))
+    return control_gradient(spec, inp.t, x, u, np.array([inp.y]), z_arg[None], p, q)[0]
 
 
 @dataclass
@@ -393,14 +402,14 @@ def check_decoupling(
     for j in range(spec.d):
         res_j = np.empty((noise.M, grid.N))
         for i in range(grid.N):
-            c = _step_coefficients(spec, times[i], forward, backward, i)
+            sigma_u, sigma_x = _coefficients(spec, times[i], *_along(forward, backward, i), "sigma_u", "sigma_x")
             p_i = adjoint.p[:, i]
             expected = auxiliary.Z[:, i, j]
             expected = expected + np.einsum(
-                "ma,mak,mk->m", p_i, c["sigma_u"][:, j], uhat[:, i]
+                "ma,mak,mk->m", p_i, sigma_u[:, j], uhat[:, i]
             )
             expected = expected + np.einsum(
-                "ma,mab,mb->m", p_i, c["sigma_x"][:, j], variational.states[:, i]
+                "ma,mab,mb->m", p_i, sigma_x[:, j], variational.states[:, i]
             )
             expected = expected + np.einsum(
                 "ma,ma->m", adjoint.q[:, i, :, j], variational.states[:, i]

@@ -146,22 +146,13 @@ def estimate_bmo2(
     stand in for arbitrary stopping times and the empirical maximum for the
     essential supremum, so the estimator can only undershoot the true norm.
     """
-    value, _ = _tail_sup_profile(integrand, grid, features, basis, ridge)
-    return value
+    return _tail_sup_profile(integrand, grid, features, basis, ridge)[0]
 
 
-def estimate_bmo2_detailed(
-    integrand: np.ndarray,
-    grid,
-    features: np.ndarray | None = None,
-    basis: RegressionBasis | None = None,
-    ridge: float | None = None,
-) -> tuple[float, float]:
-    """(max-based estimate, 99.9%-quantile variant robust to fit outliers)."""
-    return _tail_sup_profile(integrand, grid, features, basis, ridge)
-
-
-def _tail_sup_profile(integrand, grid, features, basis, ridge):
+def _tail_sup_profile(integrand, grid, features, basis, ridge, quantile=None):
+    """(square root of the largest fitted conditional tail over paths and
+    times, square root of the largest per-time ``quantile`` of the fitted
+    tails, or 0.0 when no quantile is asked for)."""
     integrand = np.asarray(integrand, dtype=np.float64)
     m_paths, n_steps, _ = integrand.shape
     if n_steps != grid.N:
@@ -182,7 +173,8 @@ def _tail_sup_profile(integrand, grid, features, basis, ridge):
             fitted, _ = reg.fit(tails[:, j])
         fitted = np.maximum(fitted, 0.0)
         best_max = max(best_max, float(fitted.max()))
-        best_q = max(best_q, float(np.quantile(fitted, 0.999)))
+        if quantile is not None:
+            best_q = max(best_q, float(np.quantile(fitted, quantile)))
     return math.sqrt(best_max), math.sqrt(best_q)
 
 
@@ -288,11 +280,13 @@ def bmo_report(
     basis: RegressionBasis | None = None,
     n_max: int = 3,
     interior_fraction: float = 0.9,
+    ridge: float | None = None,
 ) -> BmoReport:
-    """Full BMO diagnostic: norm estimate, critical exponents, energy rows,
-    and the reverse Hoelder constant at an interior exponent
-    p = 1 + interior_fraction * (p_M - 1) (p = 2 when p_M is infinite)."""
-    est, est_q = estimate_bmo2_detailed(integrand, grid, features, basis)
+    """Full BMO diagnostic: norm estimate (with its 99.9%-quantile variant,
+    robust to fit outliers), critical exponents, energy rows, and the reverse
+    Hoelder constant at an interior exponent p = 1 + interior_fraction *
+    (p_M - 1) (p = 2 when p_M is infinite)."""
+    est, est_q = _tail_sup_profile(integrand, grid, features, basis, ridge, quantile=0.999)
     offset = psi_inverse_offset(est)
     p_m = P_INFINITE if math.isinf(offset) else 1.0 + offset
     p_star = conjugate_exponent_from_offset(offset)

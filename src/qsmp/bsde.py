@@ -1,10 +1,14 @@
-"""Regression-based backward solvers.
+"""Regression-based backward solvers, all run by one backward sweep.
 
-Scheme: at each step the martingale integrand Z is recovered first by
-regressing Y_{i+1} dW_i / dt on features of the current state, then Y_i is
-resolved from E[Y_{i+1} | state] plus the generator. The quadratic solver
-iterates the implicit y-argument to a fixed point (a contraction while
-dt * |f_y| < 1) and caps |Z| inside the generator; the affine solver inverts
+:func:`backward_sweep` goes from step N-1 down to 0. At each step it builds
+one :class:`StepRegressor` on that step's states; then, for each equation in
+a fixed order, it fits the conditional mean of the next value, recovers the
+integrand Z by regressing the centred increment (Y_{i+1} - E[Y_{i+1} | state])
+dW_i / dt, and calls the equation's implicit step. A scalar equation is the
+K = 1 case of a vector one, and a later equation may read what an earlier
+one wrote at the same step (the costate reads Y_i and Z_i). The quadratic
+step iterates the implicit y-argument to a fixed point (a contraction while
+dt * |f_y| < 1) and caps |Z| inside the generator; the affine step inverts
 its y-dependence exactly.
 """
 
@@ -85,50 +89,80 @@ def _truncate_rows(z: np.ndarray, radius: float) -> np.ndarray:
     return z * factor
 
 
-def solve_quadratic_bsde(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    forward: ForwardBatch,
-    basis: RegressionBasis | None = None,
-    truncation_radius: float | None = None,
-    constants: DerivedConstants | None = None,
-    ridge: float | None = None,
-) -> BackwardSolution:
-    """Backward component of the state system, allowing quadratic z-growth in
-    the generator. Aborts if the fixed-point sub-iteration stalls or |Y|
-    exceeds ten times the theoretical ceiling (both signal misconfiguration).
+class BackwardEquation:
+    """One equation of a backward sweep, with K value components.
+
+    Holds values (M, N+1, K) from the terminal ones (M, K), integrands
+    (M, N+1, K, d), zero at the terminal index, the per-step fits, and
+    ``step(i, cond, z) -> (value, integrand)``, which resolves step i from
+    the conditional mean (M, K) of the next value and the regressed
+    integrand (M, K, d). ``driver_sum`` (M,) is where a scalar equation's
+    step adds its pathwise driver. The step must not refer to the equation:
+    that cycle would keep every solve's arrays alive until the garbage
+    collector runs.
     """
-    if basis is None:
-        basis = RegressionBasis("polynomial", 3)
-    if constants is None:
-        constants = derive_constants(spec)
+
+    def __init__(self, terminal: np.ndarray, n_steps: int, d: int, step, driver_sum=None):
+        m_paths, k = terminal.shape
+        self.values = np.empty((m_paths, n_steps + 1, k))
+        self.values[:, n_steps] = terminal
+        self.integrands = np.zeros((m_paths, n_steps + 1, k, d))
+        self.value_fits = [None] * n_steps
+        self.integrand_fits = [None] * n_steps
+        self.driver_sum = driver_sum
+        self.step = step
+
+    def scalar_solution(self, basis: RegressionBasis, truncation_radius: float) -> BackwardSolution:
+        """The K = 1 equation as a (Y, Z) pair on views of its storage."""
+        y_vals = self.values[:, :, 0]
+        return BackwardSolution(
+            y_vals, self.integrands[:, :, 0], basis, truncation_radius,
+            self.value_fits, self.integrand_fits, y_vals[:, -1] + self.driver_sum,
+        )
+
+
+def backward_sweep(
+    grid: TimeGrid, noise: BrownianBatch, states: np.ndarray, equations: list, basis: RegressionBasis, ridge=None
+) -> None:
+    """Solves the equations in place, sharing one regression on ``states``
+    (M, N+1, m) per step; no regressor outlives its step."""
+    m_paths, n_steps, d, dt = noise.M, grid.N, noise.d, grid.dt
+    for i in range(n_steps - 1, -1, -1):
+        reg = StepRegressor(basis, states[:, i], ridge)
+        for eq in equations:
+            nxt = eq.values[:, i + 1]
+            cond, eq.value_fits[i] = reg.fit(nxt)
+            # Martingale control variate: centering the target leaves the
+            # conditional expectation unchanged but removes the O(1/dt) variance
+            # the conditional mean would otherwise inject into the Z estimate.
+            z_target = ((nxt - cond)[:, :, None] * noise.increments[:, i, None, :] / dt).reshape(m_paths, -1)
+            z_flat, eq.integrand_fits[i] = reg.fit(z_target)
+            eq.values[:, i], eq.integrands[:, i] = eq.step(i, cond, z_flat.reshape(m_paths, -1, d))
+
+
+def quadratic_defaults(spec: ProblemSpec, basis=None, truncation_radius=None, constants=None):
+    """(basis, truncation radius, constants) with the quadratic solver's defaults."""
+    constants = constants or derive_constants(spec)
     if truncation_radius is None:
         truncation_radius = default_truncation_radius(constants, spec.T)
+    return basis or RegressionBasis("polynomial", 3), truncation_radius, constants
+
+
+def quadratic_equation(
+    spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, truncation_radius: float, constants: DerivedConstants
+) -> BackwardEquation:
+    """The backward component of the state system, with quadratic z-growth
+    allowed in the generator. Its step aborts if the fixed-point iteration
+    stalls or |Y| exceeds ten times the theoretical ceiling (both signal
+    misconfiguration)."""
     abort_level = 10.0 * constants.A
+    dt, times, co = grid.dt, grid.times, spec.coeffs
+    driver_sum = np.zeros(forward.states.shape[0])
 
-    m_paths, n_steps = noise.M, grid.N
-    dt = grid.dt
-    times = grid.times
-    co = spec.coeffs
-
-    y_vals = np.empty((m_paths, n_steps + 1))
-    z_vals = np.zeros((m_paths, n_steps + 1, spec.d))
-    y_vals[:, n_steps] = np.asarray(co.Phi(forward.states[:, n_steps]), dtype=np.float64)
-
-    y_fits = [None] * n_steps
-    z_fits = [None] * n_steps
-    driver_sum = np.zeros(m_paths)
-    for i in range(n_steps - 1, -1, -1):
-        reg = StepRegressor(basis, forward.states[:, i], ridge)
-        cond_y, y_fits[i] = reg.fit(y_vals[:, i + 1])
-        # Martingale control variate: centering the target leaves the
-        # conditional expectation unchanged but removes the O(1/dt) variance
-        # the conditional mean would otherwise inject into the Z estimate.
-        z_target = (y_vals[:, i + 1] - cond_y)[:, None] * noise.increments[:, i] / dt
-        z_i, z_fits[i] = reg.fit(z_target)
-        z_i = _truncate_rows(z_i, truncation_radius)
-
+    def step(i, cond, z):
+        nonlocal driver_sum
+        cond_y = cond[:, 0]
+        z_i = _truncate_rows(z[:, 0], truncation_radius)
         x_i = forward.states[:, i]
         u_i = forward.controls[:, i]
         y_i = cond_y.copy()
@@ -150,12 +184,28 @@ def solve_quadratic_bsde(
                 f"|Y| exceeded 10*A = {abort_level:.3g}; bound violation signals misconfiguration",
                 step=i,
             )
-        y_vals[:, i] = y_i
-        z_vals[:, i] = z_i
         driver_sum += drift * dt
+        return y_i[:, None], z_i[:, None]
 
-    targets = y_vals[:, n_steps] + driver_sum
-    return BackwardSolution(y_vals, z_vals, basis, truncation_radius, y_fits, z_fits, targets)
+    terminal = np.asarray(co.Phi(forward.states[:, grid.N]), dtype=np.float64)
+    return BackwardEquation(terminal[:, None], grid.N, spec.d, step, driver_sum)
+
+
+def solve_quadratic_bsde(
+    spec: ProblemSpec,
+    grid: TimeGrid,
+    noise: BrownianBatch,
+    forward: ForwardBatch,
+    basis: RegressionBasis | None = None,
+    truncation_radius: float | None = None,
+    constants: DerivedConstants | None = None,
+    ridge: float | None = None,
+) -> BackwardSolution:
+    """Backward component of the state system (see :func:`quadratic_equation`)."""
+    basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius, constants)
+    eq = quadratic_equation(spec, grid, forward, truncation_radius, constants)
+    backward_sweep(grid, noise, forward.states, [eq], basis, ridge)
+    return eq.scalar_solution(basis, truncation_radius)
 
 
 @dataclass(frozen=True)
@@ -187,46 +237,34 @@ def solve_linear_bsde(
     basis: RegressionBasis | None = None,
     ridge: float | None = None,
 ) -> BackwardSolution:
-    """Same backward scheme with an affine generator lam y + mu . z + phi;
+    """Same backward sweep with an affine generator lam y + mu . z + phi;
     no truncation and no fixed point (the y-dependence is inverted exactly).
 
     ``features`` (M, N+1, m) supplies the regression state per step; pass the
     forward states for Markovian problems, or an augmented state when the
     solution depends on more than the base trajectory.
     """
-    if basis is None:
-        basis = RegressionBasis("polynomial", 3)
-    m_paths, n_steps = noise.M, grid.N
+    basis = basis or RegressionBasis("polynomial", 3)
     dt = grid.dt
-    if data.lam.shape != (m_paths, n_steps):
+    if data.lam.shape != (noise.M, grid.N):
         raise ValueError("lam must have shape (M, N)")
+    driver_sum = np.zeros(noise.M)
 
-    y_vals = np.empty((m_paths, n_steps + 1))
-    z_vals = np.zeros((m_paths, n_steps + 1, noise.d))
-    y_vals[:, n_steps] = data.xi
-
-    y_fits = [None] * n_steps
-    z_fits = [None] * n_steps
-    driver_sum = np.zeros(m_paths)
-    for i in range(n_steps - 1, -1, -1):
-        reg = StepRegressor(basis, features[:, i], ridge)
-        cond_y, y_fits[i] = reg.fit(y_vals[:, i + 1])
-        z_target = (y_vals[:, i + 1] - cond_y)[:, None] * noise.increments[:, i] / dt
-        z_i, z_fits[i] = reg.fit(z_target)
-
+    def step(i, cond, z):
+        nonlocal driver_sum
         denom = 1.0 - dt * data.lam[:, i]
         if np.abs(denom).min() < 1e-8:
             raise SolverError("implicit linear step is singular (dt * lam too close to 1)", step=i)
-        drift = np.einsum("md,md->m", data.mu[:, i], z_i) + data.phi[:, i]
-        y_i = (cond_y + dt * drift) / denom
+        drift = np.einsum("md,md->m", data.mu[:, i], z[:, 0]) + data.phi[:, i]
+        y_i = (cond[:, 0] + dt * drift) / denom
         if not np.all(np.isfinite(y_i)):
             raise SolverError("backward value turned non-finite", step=i)
-        y_vals[:, i] = y_i
-        z_vals[:, i] = z_i
         driver_sum += (data.lam[:, i] * y_i + drift) * dt
+        return y_i[:, None], z
 
-    targets = data.xi + driver_sum
-    return BackwardSolution(y_vals, z_vals, basis, math.inf, y_fits, z_fits, targets)
+    eq = BackwardEquation(data.xi[:, None], grid.N, noise.d, step, driver_sum)
+    backward_sweep(grid, noise, features, [eq], basis, ridge)
+    return eq.scalar_solution(basis, math.inf)
 
 
 @dataclass

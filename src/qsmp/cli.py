@@ -75,6 +75,9 @@ def _run(args) -> int:
             f"config declares pipeline {cfg.pipeline!r} but the {args.pipeline} subcommand was invoked",
             "[pipeline] kind",
         )
+    for key in sorted(cfg.raw.get("tolerances", {})):
+        if key != "basis_degree" and key not in _TOLERANCE_KEYS.get(args.pipeline, ()):
+            raise ConfigError(f"the {args.pipeline} pipeline does not use this key", f"[tolerances] {key}")
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -104,6 +107,15 @@ def _run(args) -> int:
     return exit_code
 
 
+# [tolerances] keys a pipeline uses besides basis_degree; a set key that the
+# pipeline would not use is rejected rather than silently ignored.
+_SOLVER_TOLERANCES = ("truncation_radius", "ridge")
+_TOLERANCE_KEYS = {
+    "solve": _SOLVER_TOLERANCES, "adjoint": _SOLVER_TOLERANCES, "bmo": _SOLVER_TOLERANCES,
+    "constants": ("validation_samples",),
+}
+
+
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
@@ -125,7 +137,6 @@ def _json_safe(obj):
 
 def _write_artifacts(out_dir, fmt, pipeline, cfg, config_bytes, summary_lines, report, tables, extra_writers):
     import numpy
-    import scipy
 
     from . import __version__, storage
 
@@ -134,7 +145,7 @@ def _write_artifacts(out_dir, fmt, pipeline, cfg, config_bytes, summary_lines, r
         "pipeline": pipeline,
         "seed": cfg.seed,
         "config": cfg.raw,
-        "versions": {"qsmp": __version__, "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "versions": {"qsmp": __version__, "numpy": numpy.__version__},
     }
     storage.atomic_write_text(
         os.path.join(out_dir, "manifest.json"),
@@ -243,14 +254,15 @@ def _pipeline_adjoint(cfg):
     import numpy as np
 
     from . import adjoint as adjoint_mod
-    from .bsde import solve_quadratic_bsde
     from .paths import solve_forward_sde
 
     noise, basis = _setup(cfg)
     control = cfg.control("u_bar")
     forward = solve_forward_sde(cfg.spec, cfg.grid, noise, control)
-    backward = solve_quadratic_bsde(cfg.spec, cfg.grid, noise, forward, basis=basis)
-    adj = adjoint_mod.solve_adjoint(cfg.spec, cfg.grid, noise, forward, backward, basis=basis)
+    backward, adj = adjoint_mod.solve_state_and_costate(
+        cfg.spec, cfg.grid, noise, forward, basis=basis,
+        ridge=cfg.overrides.ridge, truncation_radius=cfg.overrides.truncation_radius,
+    )
     gamma = adjoint_mod.gamma_process(cfg.spec, cfg.grid, noise, forward, backward)
     report = {
         "p0_mean": [float(v) for v in adj.p[:, 0].mean(axis=0)],
@@ -380,13 +392,18 @@ def _pipeline_bmo(cfg):
     noise, basis = _setup(cfg)
     if cfg.bmo.source == "backward":
         forward = solve_forward_sde(cfg.spec, cfg.grid, noise, cfg.control("u_bar"))
-        backward = solve_quadratic_bsde(cfg.spec, cfg.grid, noise, forward, basis=basis)
+        backward = solve_quadratic_bsde(
+            cfg.spec, cfg.grid, noise, forward, basis=basis,
+            truncation_radius=cfg.overrides.truncation_radius, ridge=cfg.overrides.ridge,
+        )
         integrand = backward.Z[:, : cfg.grid.N, :]
         features = forward.states
     else:
         integrand = np.full((cfg.M, cfg.grid.N, cfg.spec.d), cfg.bmo.level)
         features = None
-    rep = bmo_report(integrand, cfg.grid, features=features, basis=basis, n_max=cfg.bmo.n_max)
+    rep = bmo_report(
+        integrand, cfg.grid, features=features, basis=basis, n_max=cfg.bmo.n_max, ridge=cfg.overrides.ridge
+    )
     report = rep.to_dict()
     tables = {
         "energy_checks": (

@@ -285,16 +285,11 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError("need >= 4 epsilons in (0, 1]", "[gradient_check] epsilons")
 
     overrides = Overrides()
-    if "tolerances" in raw:
-        sec = raw["tolerances"]
-        if "basis_degree" in sec:
-            overrides.basis_degree = _int("tolerances", "basis_degree", sec["basis_degree"])
-        if "truncation_radius" in sec:
-            overrides.truncation_radius = _float("tolerances", "truncation_radius", sec["truncation_radius"])
-        if "ridge" in sec:
-            overrides.ridge = _float("tolerances", "ridge", sec["ridge"])
-        if "validation_samples" in sec:
-            overrides.validation_samples = _int("tolerances", "validation_samples", sec["validation_samples"])
+    sec = raw.get("tolerances", {})
+    for key, parse in (("basis_degree", _int), ("truncation_radius", _float), ("ridge", _float),
+                       ("validation_samples", _int)):
+        if key in sec:
+            setattr(overrides, key, parse("tolerances", key, sec[key]))
 
     return ExperimentConfig(
         spec=spec,

@@ -21,7 +21,6 @@ ties, abs at zero.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 

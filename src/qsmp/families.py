@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import AssumptionConstants, BoxDomain, CoefficientSet, ProblemSpec
 from .paths import FeedbackControl
@@ -261,8 +260,19 @@ def make_family(name: str, **params) -> ProblemSpec:
 
 @dataclass
 class RiccatiSolution:
-    """Reference solution of the scalar control problem with linear dynamics
-    and quadratic cost, obtained by high-accuracy ODE integration."""
+    """Closed-form reference of the scalar control problem with linear
+    dynamics and quadratic cost.
+
+    In reversed time s = T - t, P' = 2 a P + q - k P^2 with k = b^2 / r,
+    P(0) = g, and c' = sigma0^2 P / 2, c(0) = 0. For k > 0, P = phi' / (k phi)
+    with phi'' = 2 a phi' + k q phi, phi(0) = 1, phi'(0) = k g, which gives
+    P = (g C + (a g + q) S) / (C + (k g - a) S) and
+    c = sigma0^2 [(a + lambda) s + ln(C + (k g - a) S)] / (2 k), where
+    C, S are cosh(lambda s), sinh(lambda s) / lambda scaled by e^{-lambda s}
+    (mu = a^2 + k q = lambda^2 > 0), 1 and s (mu = 0), or cos(w s) and
+    sin(w s) / w with w^2 = -mu and lambda = 0 (mu < 0). For b = 0,
+    P = g + (2 a g + q) (e^{2 a s} - 1) / (2 a), linear in s when a = 0.
+    """
 
     a: float
     b: float
@@ -272,21 +282,48 @@ class RiccatiSolution:
     g: float
     T: float
     x0: float
-    _dense: object
+
+    def _weight_and_offset(self, t):
+        s = self.T - np.atleast_1d(np.asarray(t, dtype=np.float64))
+        a, q, g = self.a, self.q, self.g
+        half_var = 0.5 * self.sigma0 * self.sigma0
+        k = self.b * self.b / self.r
+        if k == 0.0:
+            if a == 0.0:
+                growth, growth_integral = s, 0.5 * s * s
+            else:
+                growth = np.expm1(2.0 * a * s) / (2.0 * a)
+                growth_integral = (growth - s) / (2.0 * a)
+            slope = 2.0 * a * g + q
+            return g + slope * growth, half_var * (g * s + slope * growth_integral)
+        mu = a * a + k * q
+        lam = 0.0
+        if mu > 0.0:
+            lam = math.sqrt(mu)
+            cosh_part = 0.5 * (1.0 + np.exp(-2.0 * lam * s))
+            sinh_part = -np.expm1(-2.0 * lam * s) / (2.0 * lam)
+        elif mu == 0.0:
+            cosh_part, sinh_part = np.ones_like(s), s
+        else:
+            w = math.sqrt(-mu)
+            cosh_part, sinh_part = np.cos(w * s), np.sin(w * s) / w
+        denom = cosh_part + (k * g - a) * sinh_part
+        weight = (g * cosh_part + (a * g + q) * sinh_part) / denom
+        offset = half_var * ((a + lam) * s + np.log(denom)) / k
+        return weight, offset
 
     def value_weight(self, t):
         """P(t): quadratic weight of the value function."""
-        return self._dense(np.atleast_1d(self.T - np.asarray(t)))[0]
+        return self._weight_and_offset(t)[0]
 
     def value_offset(self, t):
         """Additive value term from the diffusion."""
-        return self._dense(np.atleast_1d(self.T - np.asarray(t)))[1]
+        return self._weight_and_offset(t)[1]
 
     @property
     def optimal_cost(self) -> float:
-        p0 = float(self.value_weight(0.0)[0])
-        c0 = float(self.value_offset(0.0)[0])
-        return 0.5 * p0 * self.x0**2 + c0
+        p0, c0 = self._weight_and_offset(0.0)
+        return 0.5 * float(p0[0]) * self.x0**2 + float(c0[0])
 
     def gain(self, t):
         """Feedback gain: the optimal control is u = -gain(t) * x."""
@@ -303,19 +340,8 @@ class RiccatiSolution:
 def solve_lq_riccati(
     a: float, b: float, sigma0: float, q: float, r: float, g: float, T: float, x0: float
 ) -> RiccatiSolution:
-    """Integrate the scalar Riccati equation backward (in reversed time) with
-    tight tolerances; independent of the Monte Carlo solvers."""
-
-    def rhs(s, y):
-        p, _ = y
-        return [2.0 * a * p + q - (b * b / r) * p * p, 0.5 * sigma0 * sigma0 * p]
-
-    sol = solve_ivp(
-        rhs, (0.0, T), [g, 0.0], method="RK45", dense_output=True, rtol=1e-11, atol=1e-12
-    )
-    if not sol.success:
-        raise RuntimeError(f"Riccati integration failed: {sol.message}")
-    return RiccatiSolution(a, b, sigma0, q, r, g, T, x0, sol.sol)
+    """Riccati reference, independent of the Monte Carlo solvers."""
+    return RiccatiSolution(a, b, sigma0, q, r, g, T, x0)
 
 
 def riccati_from_spec(spec_params: dict) -> RiccatiSolution:

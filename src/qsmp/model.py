@@ -460,13 +460,13 @@ def validate_assumptions(
             ratio_check(f"sigma_x_bound[{i}]@t={t:.3g}", _fro(sx[:, i]), np.full(m, cs.sigma_x_sup[i]))
         ratio_check(f"sigma_u_bound@t={t:.3g}", _fro(su).max(axis=-1) if d > 1 else _fro(su[:, 0]),
                     np.full(m, cs.sigma_u_sup))
-        worst_fd = max(worst_fd, _derivative_discrepancy(co, t, x, y, z, u, n, d, k))
+        worst_fd = max(worst_fd, _derivative_discrepancy(co, t, x, y, z, u, bx, bu, sx, su, fx, fy, fz, fu))
 
     phi = to_finite("Phi", co.Phi(x))
     phi_x = to_finite("Phi_x", co.Phi_x(x))
     ratio_check("Phi_bound", np.abs(phi), np.full(m, cs.Phi_sup))
     ratio_check("Phi_x_bound", np.linalg.norm(phi_x, axis=1), np.full(m, cs.Phi_x_sup))
-    worst_fd = max(worst_fd, _terminal_discrepancy(co, x, n))
+    worst_fd = max(worst_fd, _terminal_discrepancy(co, x, phi_x))
 
     report.checks.append(
         CheckResult(
@@ -484,64 +484,44 @@ def _fro(arr):
     return np.sqrt(np.einsum("...ij,...ij->...", arr, arr))
 
 
-def _derivative_discrepancy(co, t, x, y, z, u, n, d, k) -> float:
-    h = _FD_STEP
+def _central_difference(fn, args, pos, j):
+    """Central difference of ``fn(*args)`` in component j of argument ``pos``
+    (in the whole argument when it is one-dimensional, as y is)."""
+    bump = np.zeros_like(args[pos])
+    if bump.ndim == 1:
+        bump[:] = _FD_STEP
+    else:
+        bump[:, j] = _FD_STEP
+    up, down = list(args), list(args)
+    up[pos], down[pos] = args[pos] + bump, args[pos] - bump
+    return (np.asarray(fn(*up)) - np.asarray(fn(*down))) / (2 * _FD_STEP)
+
+
+def _relative_gap(fd, exact, scale) -> float:
+    return float(np.abs(fd - exact).max() / (1.0 + np.abs(scale).max()))
+
+
+def _derivative_discrepancy(co, t, x, y, z, u, bx, bu, sx, su, fx, fy, fz, fu) -> float:
+    """Largest relative gap between the declared derivatives of b, sigma and
+    f and central differences of the base evaluators."""
+    state_args, gen_args = (t, x, u), (t, x, y, z, u)
     worst = 0.0
-
-    def rel(err, scale):
-        return float(err / (1.0 + scale))
-
-    bx = np.asarray(co.b_x(t, x, u), dtype=np.float64)
-    bu = np.asarray(co.b_u(t, x, u), dtype=np.float64)
-    sx = np.asarray(co.sigma_x(t, x, u), dtype=np.float64)
-    su = np.asarray(co.sigma_u(t, x, u), dtype=np.float64)
-    for j in range(n):
-        bump = np.zeros_like(x)
-        bump[:, j] = h
-        fd_b = (np.asarray(co.b(t, x + bump, u)) - np.asarray(co.b(t, x - bump, u))) / (2 * h)
-        fd_s = (np.asarray(co.sigma(t, x + bump, u)) - np.asarray(co.sigma(t, x - bump, u))) / (2 * h)
-        worst = max(worst, rel(np.abs(fd_b - bx[:, :, j]).max(), np.abs(bx).max()))
-        # fd_s is (M, n, d); the declared Jacobians are per diffusion column.
-        worst = max(worst, rel(np.abs(np.moveaxis(fd_s, 2, 1) - sx[:, :, :, j]).max(), np.abs(sx).max()))
-    for j in range(k):
-        bump = np.zeros_like(u)
-        bump[:, j] = h
-        fd_b = (np.asarray(co.b(t, x, u + bump)) - np.asarray(co.b(t, x, u - bump))) / (2 * h)
-        fd_s = (np.asarray(co.sigma(t, x, u + bump)) - np.asarray(co.sigma(t, x, u - bump))) / (2 * h)
-        worst = max(worst, rel(np.abs(fd_b - bu[:, :, j]).max(), np.abs(bu).max()))
-        worst = max(worst, rel(np.abs(np.moveaxis(fd_s, 2, 1) - su[:, :, :, j]).max(), np.abs(su).max()))
-
-    fx = np.asarray(co.f_x(t, x, y, z, u), dtype=np.float64)
-    fy = np.asarray(co.f_y(t, x, y, z, u), dtype=np.float64)
-    fz = np.asarray(co.f_z(t, x, y, z, u), dtype=np.float64)
-    fu = np.asarray(co.f_u(t, x, y, z, u), dtype=np.float64)
-    for j in range(n):
-        bump = np.zeros_like(x)
-        bump[:, j] = h
-        fd = (np.asarray(co.f(t, x + bump, y, z, u)) - np.asarray(co.f(t, x - bump, y, z, u))) / (2 * h)
-        worst = max(worst, rel(np.abs(fd - fx[:, j]).max(), np.abs(fx).max()))
-    fd = (np.asarray(co.f(t, x, y + h, z, u)) - np.asarray(co.f(t, x, y - h, z, u))) / (2 * h)
-    worst = max(worst, rel(np.abs(fd - fy).max(), np.abs(fy).max()))
-    for j in range(d):
-        bump = np.zeros_like(z)
-        bump[:, j] = h
-        fd = (np.asarray(co.f(t, x, y, z + bump, u)) - np.asarray(co.f(t, x, y, z - bump, u))) / (2 * h)
-        worst = max(worst, rel(np.abs(fd - fz[:, j]).max(), np.abs(fz).max()))
-    for j in range(k):
-        bump = np.zeros_like(u)
-        bump[:, j] = h
-        fd = (np.asarray(co.f(t, x, y, z, u + bump)) - np.asarray(co.f(t, x, y, z, u - bump))) / (2 * h)
-        worst = max(worst, rel(np.abs(fd - fu[:, j]).max(), np.abs(fu).max()))
+    for pos, jac_b, jac_s in ((1, bx, sx), (2, bu, su)):
+        for j in range(jac_b.shape[2]):
+            fd_b = _central_difference(co.b, state_args, pos, j)
+            # fd_s is (M, n, d); the declared Jacobians are per diffusion column.
+            fd_s = np.moveaxis(_central_difference(co.sigma, state_args, pos, j), 2, 1)
+            worst = max(worst, _relative_gap(fd_b, jac_b[:, :, j], jac_b))
+            worst = max(worst, _relative_gap(fd_s, jac_s[:, :, :, j], jac_s))
+    for pos, grad in ((1, fx), (2, fy[:, None]), (3, fz), (4, fu)):
+        for j in range(grad.shape[1]):
+            fd = _central_difference(co.f, gen_args, pos, j)
+            worst = max(worst, _relative_gap(fd, grad[:, j], grad))
     return worst
 
 
-def _terminal_discrepancy(co, x, n) -> float:
-    h = _FD_STEP
-    phi_x = np.asarray(co.Phi_x(x), dtype=np.float64)
+def _terminal_discrepancy(co, x, phi_x) -> float:
     worst = 0.0
-    for j in range(n):
-        bump = np.zeros_like(x)
-        bump[:, j] = h
-        fd = (np.asarray(co.Phi(x + bump)) - np.asarray(co.Phi(x - bump))) / (2 * h)
-        worst = max(worst, float(np.abs(fd - phi_x[:, j]).max() / (1.0 + np.abs(phi_x).max())))
+    for j in range(x.shape[1]):
+        worst = max(worst, _relative_gap(_central_difference(co.Phi, (x,), 0, j), phi_x[:, j], phi_x))
     return worst

@@ -4,7 +4,7 @@ dynamics and of their linearisation along a control perturbation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -239,16 +239,7 @@ class RateReport:
     remainder_degenerate: bool
 
     def to_dict(self) -> dict:
-        return {
-            "epsilons": list(self.epsilons),
-            "first_order_errors": list(self.first_order_errors),
-            "remainder_errors": list(self.remainder_errors),
-            "first_order_slope": self.first_order_slope,
-            "remainder_slope": self.remainder_slope,
-            "first_order_inconclusive": self.first_order_inconclusive,
-            "remainder_inconclusive": self.remainder_inconclusive,
-            "remainder_degenerate": self.remainder_degenerate,
-        }
+        return asdict(self)
 
 
 def fit_loglog_slope(epsilons, errors, floor) -> tuple[float, bool, bool]:
@@ -265,6 +256,15 @@ def fit_loglog_slope(epsilons, errors, floor) -> tuple[float, bool, bool]:
     ly = np.log2(err[valid])
     slope = float(np.polyfit(lx, ly, 1)[0])
     return slope, False, False
+
+
+def rate_report(epsilons, first_errors, rem_errors, scale) -> RateReport:
+    """Both fitted rates; errors at or below ``_DEGENERATE_FLOOR * scale``
+    count as exact zeros."""
+    floor = _DEGENERATE_FLOOR * scale
+    first_slope, first_inc, _ = fit_loglog_slope(epsilons, first_errors, floor)
+    rem_slope, rem_inc, rem_degen = fit_loglog_slope(epsilons, rem_errors, floor)
+    return RateReport(epsilons, first_errors, rem_errors, first_slope, rem_slope, first_inc, rem_inc, rem_degen)
 
 
 def sup_sq_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -309,16 +309,4 @@ def expansion_rate_check(
         rem_errors.append(sup_sq_error(perturbed.states, base.states + eps * var.states))
 
     scale = max(1.0, sup_sq_error(base.states, np.zeros_like(base.states)))
-    floor = _DEGENERATE_FLOOR * scale
-    first_slope, first_inc, _ = fit_loglog_slope(eps_list, first_errors, floor)
-    rem_slope, rem_inc, rem_degen = fit_loglog_slope(eps_list, rem_errors, floor)
-    return RateReport(
-        epsilons=eps_list,
-        first_order_errors=first_errors,
-        remainder_errors=rem_errors,
-        first_order_slope=first_slope,
-        remainder_slope=rem_slope,
-        first_order_inconclusive=first_inc,
-        remainder_inconclusive=rem_inc,
-        remainder_degenerate=rem_degen,
-    )
+    return rate_report(eps_list, first_errors, rem_errors, scale)

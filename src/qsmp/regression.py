@@ -114,19 +114,6 @@ class RegressionResult:
     fitted_se: np.ndarray | None = None  # pointwise prediction standard errors
 
 
-def _chunked_gram(features: np.ndarray, targets: np.ndarray):
-    """Accumulate F'F and F'y in a fixed chunk order (thread-count independent)."""
-    m_paths, n_feat = features.shape
-    gram = np.zeros((n_feat, n_feat))
-    moment = np.zeros((n_feat, targets.shape[1]))
-    for start in range(0, m_paths, _CHUNK):
-        fc = features[start : start + _CHUNK]
-        yc = targets[start : start + _CHUNK]
-        gram += np.einsum("mi,mj->ij", fc, fc)
-        moment += np.einsum("mi,mk->ik", fc, yc)
-    return gram, moment
-
-
 def _chunked_matvec(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     out = np.empty((features.shape[0], coeffs.shape[1]))
     for start in range(0, features.shape[0], _CHUNK):
@@ -135,23 +122,13 @@ def _chunked_matvec(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def regress_conditional_expectation(
-    features: np.ndarray,
-    targets: np.ndarray,
-    ridge: float | None = None,
-    return_se: bool = False,
-) -> RegressionResult:
-    """Ridge-regularised least squares; the fitted values are the empirical
-    conditional expectation of ``targets`` given the features.
+def _factorise(features: np.ndarray, ridge: float | None) -> np.ndarray:
+    """Cholesky factor of F'F + ridge I, with F'F accumulated in a fixed
+    chunk order (thread-count independent).
 
     With ``ridge=0`` a rank-deficient feature matrix raises
     :class:`IllConditionedBasisError` instead of silently picking a solution.
     """
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    squeeze = targets.ndim == 1
-    if squeeze:
-        targets = targets[:, None]
     m_paths, n_feat = features.shape
     if m_paths <= n_feat:
         raise IllConditionedBasisError(
@@ -161,23 +138,58 @@ def regress_conditional_expectation(
         ridge = default_ridge(m_paths)
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-
-    gram, moment = _chunked_gram(features, targets)
-    reg = gram + ridge * np.eye(n_feat)
+    gram = np.zeros((n_feat, n_feat))
+    for start in range(0, m_paths, _CHUNK):
+        fc = features[start : start + _CHUNK]
+        gram += np.einsum("mi,mj->ij", fc, fc)
     try:
-        chol = np.linalg.cholesky(reg)
+        chol = np.linalg.cholesky(gram + ridge * np.eye(n_feat))
     except np.linalg.LinAlgError:
         raise IllConditionedBasisError("feature Gram matrix is not positive definite")
     if ridge == 0.0:
         diag = np.diag(chol)
         if np.min(diag) <= 1e-13 * max(np.max(diag), 1.0):
             raise IllConditionedBasisError("features are numerically rank deficient")
+    return chol
 
+
+def _project(features: np.ndarray, chol: np.ndarray, targets: np.ndarray):
+    """(coefficients (F, K), fitted values (M, K)) of targets (M, K)."""
+    moment = np.zeros((features.shape[1], targets.shape[1]))
+    for start in range(0, targets.shape[0], _CHUNK):
+        fc = features[start : start + _CHUNK]
+        yc = targets[start : start + _CHUNK]
+        moment += np.einsum("mi,mk->ik", fc, yc)
     coeffs = _cho_solve(chol, moment)
-    fitted = _chunked_matvec(features, coeffs)
+    return coeffs, _chunked_matvec(features, coeffs)
+
+
+def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    y = np.linalg.solve(chol, rhs)
+    return np.linalg.solve(chol.T, y)
+
+
+def regress_conditional_expectation(
+    features: np.ndarray,
+    targets: np.ndarray,
+    ridge: float | None = None,
+    return_se: bool = False,
+) -> RegressionResult:
+    """Ridge-regularised least squares on a given feature matrix; the fitted
+    values are the empirical conditional expectation of ``targets`` given the
+    features. Same factorisation as :class:`StepRegressor`.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    squeeze = targets.ndim == 1
+    if squeeze:
+        targets = targets[:, None]
+    chol = _factorise(features, ridge)
+    coeffs, fitted = _project(features, chol, targets)
 
     fitted_se = None
     if return_se:
+        m_paths, n_feat = features.shape
         resid = targets - fitted
         dof = max(m_paths - n_feat, 1)
         sigma2 = np.einsum("mk,mk->k", resid, resid) / dof
@@ -190,11 +202,6 @@ def regress_conditional_expectation(
     if squeeze:
         return RegressionResult(coeffs[:, 0], fitted[:, 0], fitted_se)
     return RegressionResult(coeffs, fitted, fitted_se)
-
-
-def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    y = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, y)
 
 
 @dataclass
@@ -224,19 +231,7 @@ class StepRegressor:
         scale = states.std(axis=0)
         self.scale = np.where(scale > 1e-12, scale, 1.0)
         self.features = basis.features(states, self.shift, self.scale)
-        m_paths, n_feat = self.features.shape
-        if ridge is None:
-            ridge = default_ridge(m_paths)
-        self.ridge = ridge
-        gram = np.zeros((n_feat, n_feat))
-        for start in range(0, m_paths, _CHUNK):
-            fc = self.features[start : start + _CHUNK]
-            gram += np.einsum("mi,mj->ij", fc, fc)
-        self._gram = gram
-        try:
-            self._chol = np.linalg.cholesky(gram + ridge * np.eye(n_feat))
-        except np.linalg.LinAlgError:
-            raise IllConditionedBasisError("feature Gram matrix is not positive definite")
+        self._chol = _factorise(self.features, ridge)
 
     def fit(self, targets: np.ndarray) -> tuple[np.ndarray, StepFit]:
         """Returns (fitted values, reusable fit); targets (M,) or (M, K)."""
@@ -244,14 +239,7 @@ class StepRegressor:
         squeeze = targets.ndim == 1
         if squeeze:
             targets = targets[:, None]
-        n_feat = self.features.shape[1]
-        moment = np.zeros((n_feat, targets.shape[1]))
-        for start in range(0, targets.shape[0], _CHUNK):
-            fc = self.features[start : start + _CHUNK]
-            yc = targets[start : start + _CHUNK]
-            moment += np.einsum("mi,mk->ik", fc, yc)
-        coeffs = _cho_solve(self._chol, moment)
-        fitted = _chunked_matvec(self.features, coeffs)
+        coeffs, fitted = _project(self.features, self._chol, targets)
         fit = StepFit(self.basis, self.shift, self.scale, coeffs)
         if squeeze:
             return fitted[:, 0], fit

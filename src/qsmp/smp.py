@@ -11,12 +11,12 @@ small-o behaviour would drown in Monte Carlo noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import adjoint as adjoint_mod
-from .bsde import BackwardSolution, RegressionBasis, solve_quadratic_bsde
+from .bsde import RegressionBasis, solve_quadratic_bsde
 from .model import ProblemSpec
 from .paths import (
     BrownianBatch,
@@ -25,7 +25,7 @@ from .paths import (
     OpenLoopControl,
     RateReport,
     TimeGrid,
-    fit_loglog_slope,
+    rate_report,
     realize_control_along,
     solve_forward_sde,
     solve_variational_sde,
@@ -35,9 +35,7 @@ from .regression import StepRegressor
 
 def cost_functional(spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, control: Control) -> float:
     """Time-zero value of the backward component under the given control."""
-    forward = solve_forward_sde(spec, grid, noise, control)
-    backward = solve_quadratic_bsde(spec, grid, noise, forward)
-    return backward.y0
+    return _solve_chain(spec, grid, noise, control)[1].y0
 
 
 def _solve_chain(spec, grid, noise, control, basis=None):
@@ -66,18 +64,7 @@ class GradientCheckReport:
         return math.hypot(self.intercept_se, self.yhat0_se)
 
     def to_dict(self) -> dict:
-        return {
-            "epsilons": list(self.epsilons),
-            "fd_slopes": list(self.fd_slopes),
-            "fd_slope_ses": list(self.fd_slope_ses),
-            "extrapolated_intercept": self.extrapolated_intercept,
-            "intercept_se": self.intercept_se,
-            "yhat0": self.yhat0,
-            "yhat0_se": self.yhat0_se,
-            "yhat0_gamma": self.yhat0_gamma,
-            "yhat0_gamma_se": self.yhat0_gamma_se,
-            "inconclusive": self.inconclusive,
-        }
+        return asdict(self)
 
 
 def gateaux_check(
@@ -93,7 +80,8 @@ def gateaux_check(
     u_bar + eps (u - u_bar), Richardson-extrapolated to eps = 0 and compared
     with both computations of the adjoint-based derivative."""
     eps_list = [float(e) for e in epsilons]
-    forward, backward = _solve_chain(spec, grid, noise, u_bar, basis)
+    forward = solve_forward_sde(spec, grid, noise, u_bar)
+    backward, adj = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
     u_table = realize_control_along(u, grid, forward.states)
     uhat = u_table - forward.controls
 
@@ -113,7 +101,6 @@ def gateaux_check(
 
     intercept, intercept_se, slope = _weighted_affine_intercept(eps_list, quotients, ses)
 
-    adj = adjoint_mod.solve_adjoint(spec, grid, noise, forward, backward, basis=basis)
     aux = adjoint_mod.solve_auxiliary(spec, grid, noise, forward, backward, adj, uhat, basis=basis)
     gamma = adjoint_mod.gamma_process(spec, grid, noise, forward, backward)
     y0_gamma, y0_gamma_se = adjoint_mod.yhat0_via_gamma(
@@ -141,16 +128,23 @@ def gateaux_check(
 
 
 def _weighted_affine_intercept(xs, ys, ses):
-    """Weighted least-squares fit y = c0 + c1 x; returns (c0, se(c0), c1)."""
+    """Weighted least-squares fit y = c0 + c1 x; returns (c0, se(c0), c1).
+
+    When every standard error is zero the values are exact: they are fitted
+    without weights and the intercept carries no error.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    weights = 1.0 / np.maximum(np.asarray(ses, dtype=np.float64), 1e-300) ** 2
+    ses = np.asarray(ses, dtype=np.float64)
+    exact = not np.any(ses > 0)
+    weights = np.ones_like(xs) if exact else 1.0 / np.maximum(ses, 1e-300) ** 2
     design = np.stack([np.ones_like(xs), xs], axis=1)
     gram = design.T @ (weights[:, None] * design)
     rhs = design.T @ (weights * ys)
     cov = np.linalg.inv(gram)
     coef = cov @ rhs
-    return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0))), float(coef[1])
+    se = 0.0 if exact else math.sqrt(max(cov[0, 0], 0.0))
+    return float(coef[0]), float(se), float(coef[1])
 
 
 def y_expansion_rate_check(
@@ -186,19 +180,7 @@ def y_expansion_rate_check(
         rem_errors.append(float((rem**2).max(axis=1).mean()))
 
     scale = max(1.0, float((backward.Y**2).max(axis=1).mean()))
-    floor = 1e-20 * scale
-    first_slope, first_inc, _ = fit_loglog_slope(eps_list, first_errors, floor)
-    rem_slope, rem_inc, rem_degen = fit_loglog_slope(eps_list, rem_errors, floor)
-    return RateReport(
-        epsilons=eps_list,
-        first_order_errors=first_errors,
-        remainder_errors=rem_errors,
-        first_order_slope=first_slope,
-        remainder_slope=rem_slope,
-        first_order_inconclusive=first_inc,
-        remainder_inconclusive=rem_inc,
-        remainder_degenerate=rem_degen,
-    )
+    return rate_report(eps_list, first_errors, rem_errors, scale)
 
 
 @dataclass
@@ -255,6 +237,20 @@ class DescentResult:
         return [row.cost for row in self.trace]
 
 
+def _policy_gradient(spec, grid, noise, policy, basis):
+    """(cost, its standard error, offset gradient (N, k), gain gradient
+    (N, k, n)) at the policy. The path arrays are dropped on return, so one
+    iteration's arrays are never alive next to the previous one's."""
+    forward = solve_forward_sde(spec, grid, noise, policy.control())
+    backward, adj = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
+    gamma = adjoint_mod.gamma_process(spec, grid, noise, forward, backward)
+    weight = adjoint_mod.optimality_weight(spec, grid, forward, backward, adj)
+    weighted = gamma.values[:, : grid.N, None] * weight  # (M, N, k)
+    grad_offsets = weighted.mean(axis=0)  # (N, k)
+    grad_gains = np.einsum("mik,min->ikn", weighted, forward.states[:, : grid.N]) / noise.M
+    return backward.y0, backward.y0_standard_error, grad_offsets, grad_gains
+
+
 def projected_gradient_descent(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -283,18 +279,7 @@ def projected_gradient_descent(
     halted = False
 
     for iteration in range(max_iters):
-        forward = solve_forward_sde(spec, grid, noise, policy.control())
-        backward = solve_quadratic_bsde(spec, grid, noise, forward, basis=basis)
-        adj = adjoint_mod.solve_adjoint(spec, grid, noise, forward, backward, basis=basis)
-        gamma = adjoint_mod.gamma_process(spec, grid, noise, forward, backward)
-        weight = adjoint_mod.optimality_weight(spec, grid, forward, backward, adj)
-        weighted = gamma.values[:, : grid.N, None] * weight  # (M, N, k)
-
-        grad_offsets = weighted.mean(axis=0)  # (N, k)
-        grad_gains = np.einsum("mik,min->ikn", weighted, forward.states[:, : grid.N]) / noise.M
-
-        cost = backward.y0
-        cost_se = backward.y0_standard_error
+        cost, cost_se, grad_offsets, grad_gains = _policy_gradient(spec, grid, noise, policy, basis)
         grad_norm = float(
             math.sqrt(np.sum(grad_offsets**2) + np.sum(grad_gains**2)) * math.sqrt(grid.dt)
         )
@@ -332,37 +317,7 @@ class MpCheckReport:
     per_time_min: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "min_inner": self.min_inner,
-            "violation_fraction": self.violation_fraction,
-            "n_samples": self.n_samples,
-            "se_multiplier": self.se_multiplier,
-            "fixed_tolerance": self.fixed_tolerance,
-            "per_time_min": list(self.per_time_min),
-        }
-
-
-def _extract_functions(states, values, basis, ridge=None):
-    """Fit pathwise values (M, K) as a function of states (M, m); returns the
-    StepFit for evaluation at query states."""
-    reg = StepRegressor(basis, states, ridge)
-    _, fit = reg.fit(values)
-    return fit
-
-
-def _field_at_states(spec, t, x_q, u_q, y_q, z_q, p_q, q_q):
-    """Hamiltonian control-gradient at query points along the trajectory
-    (the diffusion shift vanishes there)."""
-    co = spec.coeffs
-    b_u = np.asarray(co.b_u(t, x_q, u_q), dtype=np.float64)
-    sig_u = np.asarray(co.sigma_u(t, x_q, u_q), dtype=np.float64)
-    f_u = np.asarray(co.f_u(t, x_q, y_q, z_q, u_q), dtype=np.float64)
-    f_z = np.asarray(co.f_z(t, x_q, y_q, z_q, u_q), dtype=np.float64)
-    field = np.einsum("sak,sa->sk", b_u, p_q)
-    field += np.einsum("sai,siak->sk", q_q, sig_u)
-    field += np.einsum("si,siak,sa->sk", f_z, sig_u, p_q)
-    field += f_u
-    return field
+        return asdict(self)
 
 
 def check_maximum_principle(
@@ -397,8 +352,7 @@ def check_maximum_principle(
     times = grid.times
 
     forward = solve_forward_sde(spec, grid, noise, u_bar)
-    backward = solve_quadratic_bsde(spec, grid, noise, forward, basis=basis)
-    adj = adjoint_mod.solve_adjoint(spec, grid, noise, forward, backward, basis=basis)
+    backward, adj = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
 
     check_steps = sorted(set(np.linspace(1, grid.N - 1, n_times, dtype=int)))
     query_paths = rng.choice(m_paths, size=min(n_states, m_paths), replace=False)
@@ -412,8 +366,7 @@ def check_maximum_principle(
             sel = slice(g * size, (g + 1) * size)
             g_noise = BrownianBatch(noise.increments[sel], noise.seed, noise.stream_id)
             g_forward = ForwardBatch(forward.states[sel], forward.controls[sel])
-            g_backward = solve_quadratic_bsde(spec, grid, g_noise, g_forward, basis=basis)
-            g_adj = adjoint_mod.solve_adjoint(spec, grid, g_noise, g_forward, g_backward, basis=basis)
+            g_backward, g_adj = adjoint_mod.solve_state_and_costate(spec, grid, g_noise, g_forward, basis=basis)
             group_solutions.append((g_forward, g_backward, g_adj))
 
     sampler = candidate_sampler
@@ -432,20 +385,19 @@ def check_maximum_principle(
         z_q = backward.Z[query_paths, i]
         p_q = adj.p[query_paths, i]
         q_q = adj.q[query_paths, i]
-        field = _field_at_states(spec, times[i], x_q, u_q, y_q, z_q, p_q, q_q)
+        field = adjoint_mod.control_gradient(spec, times[i], x_q, u_q, y_q, z_q, p_q, q_q)
 
         group_fields = []
         for g_forward, g_backward, g_adj in group_solutions:
-            g_states = g_forward.states[:, i]
-            fit_p = _extract_functions(g_states, g_adj.p[:, i], basis)
-            fit_q = _extract_functions(g_states, g_adj.q[:, i].reshape(g_states.shape[0], n * d), basis)
-            fit_y = _extract_functions(g_states, g_backward.Y[:, i], basis)
-            fit_z = _extract_functions(g_states, g_backward.Z[:, i], basis)
-            gp = fit_p.evaluate(x_q)
-            gq = fit_q.evaluate(x_q).reshape(len(query_paths), n, d)
-            gy = fit_y.evaluate(x_q)[:, 0]
-            gz = fit_z.evaluate(x_q)
-            group_fields.append(_field_at_states(spec, times[i], x_q, u_q, gy, gz, gp, gq))
+            # The replicate solution at the query states: one regression on the
+            # group's states serves the four fitted functions.
+            reg = StepRegressor(basis, g_forward.states[:, i])
+            gy, gz, gp, gq = (
+                reg.fit(values)[1].evaluate(x_q)
+                for values in (g_backward.Y[:, i], g_backward.Z[:, i], g_adj.p[:, i], g_adj.q[:, i].reshape(-1, n * d))
+            )
+            gq = gq.reshape(len(query_paths), n, d)
+            group_fields.append(adjoint_mod.control_gradient(spec, times[i], x_q, u_q, gy[:, 0], gz, gp, gq))
 
         candidates = sampler(rng, len(query_paths) * n_candidates).reshape(
             len(query_paths), n_candidates, spec.k

@@ -13,7 +13,6 @@ Writes go through a temporary file and an atomic rename.
 
 from __future__ import annotations
 
-import csv
 import os
 import struct
 
@@ -153,18 +152,11 @@ def export_paths_csv(path: str, grid, forward, backward=None, max_paths: int = 6
 def export_regression_coefficients(path: str, solution) -> None:
     """Per-step regression coefficients of a backward solution as CSV."""
     rows = []
-    for i, fit in enumerate(solution.y_fits):
-        if fit is None:
-            continue
-        coeffs = np.atleast_2d(fit.coefficients.T)
-        for target_idx, coeff_row in enumerate(coeffs):
-            for feat_idx, value in enumerate(coeff_row):
-                rows.append([i, f"y{target_idx}", feat_idx, float(value)])
-    for i, fit in enumerate(solution.z_fits):
-        if fit is None:
-            continue
-        coeffs = np.atleast_2d(fit.coefficients.T)
-        for target_idx, coeff_row in enumerate(coeffs):
-            for feat_idx, value in enumerate(coeff_row):
-                rows.append([i, f"z{target_idx + 1}", feat_idx, float(value)])
+    for fits, label in ((solution.y_fits, lambda j: f"y{j}"), (solution.z_fits, lambda j: f"z{j + 1}")):
+        for i, fit in enumerate(fits):
+            if fit is None:
+                continue
+            for target_idx, coeff_row in enumerate(np.atleast_2d(fit.coefficients.T)):
+                for feat_idx, value in enumerate(coeff_row):
+                    rows.append([i, label(target_idx), feat_idx, float(value)])
     write_csv(path, ["step", "target", "feature", "coefficient"], rows)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +34,39 @@ def tanh_chain(tanh_spec):
 
 
 class TestAdjointSolver:
+    def test_shared_sweep_storage_needs_no_garbage_collector(self, tanh_spec, small_grid, small_noise):
+        # A reference cycle through the sweep's step closures would keep every
+        # solve's arrays alive until a collection, which multiplied peak memory
+        # over the iterations of a descent.
+        forward = paths.solve_forward_sde(tanh_spec, small_grid, small_noise, paths.ConstantControl((0.1,)))
+        gc.disable()
+        try:
+            backward, adjoint = adj.solve_state_and_costate(tanh_spec, small_grid, small_noise, forward)
+            refs = [weakref.ref(backward.Y.base), weakref.ref(adjoint.p)]
+            del backward, adjoint
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+    def test_shared_sweep_equals_separate_solves(self, tanh_chain, tanh_spec):
+        grid, noise, forward, backward, adjoint, _ = tanh_chain
+        shared_backward, shared_adjoint = adj.solve_state_and_costate(tanh_spec, grid, noise, forward)
+        for ours, theirs in (
+            (shared_backward.Y, backward.Y),
+            (shared_backward.Z, backward.Z),
+            (shared_backward.pathwise_targets, backward.pathwise_targets),
+            (shared_adjoint.p, adjoint.p),
+            (shared_adjoint.q, adjoint.q),
+        ):
+            assert np.array_equal(ours, theirs)
+        for fits, others in (
+            (shared_backward.y_fits, backward.y_fits),
+            (shared_backward.z_fits, backward.z_fits),
+            (shared_adjoint.p_fits, adjoint.p_fits),
+            (shared_adjoint.q_fits, adjoint.q_fits),
+        ):
+            assert all(np.array_equal(f.coefficients, o.coefficients) for f, o in zip(fits, others))
+
     def test_constant_terminal_zero_generator(self, exp_utility_spec, small_grid, small_noise):
         # all state sensitivities vanish and Phi_x is constant: p = v, q = 0
         v_const = 0.8

@@ -32,6 +32,37 @@ seed = 3
 """
 
 
+TINY_DESCEND = """
+[problem]
+family = linear_quadratic
+
+[grid]
+N = 20
+T = 1.0
+
+[monte_carlo]
+M = 3000
+seed = 3
+
+[descent]
+iterations = 3
+step = 0.5
+
+[tolerances]
+basis_degree = 2
+"""
+
+# [tolerances] keys that a pipeline does not use, and must reject.
+UNUSED_TOLERANCES = [
+    (pipeline, key)
+    for pipeline in ("gradient-check", "descend", "mp-check", "constants")
+    for key in ("ridge", "truncation_radius")
+] + [
+    (pipeline, "validation_samples")
+    for pipeline in ("solve", "adjoint", "gradient-check", "descend", "mp-check", "bmo")
+]
+
+
 class TestConfigParsing:
     def test_family_config(self, tmp_path):
         cfg = config.load_config(write(tmp_path, BASE))
@@ -207,12 +238,45 @@ class TestCli:
         assert "y0" in report and "bound" in report
 
     def test_determinism_across_runs_and_threads(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cfg = os.path.join(CONFIG_DIR, "inline_quadratic.cfg")
-        assert run_cli(["solve", "--config", cfg, "--out", str(out_a), "--threads", "1"]) == 0
-        assert run_cli(["solve", "--config", cfg, "--out", str(out_b), "--threads", "4"]) == 0
-        for name in sorted(os.listdir(out_a)):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        # Separate processes, so the BLAS thread count is set before numpy loads.
+        descend = write(tmp_path, TINY_DESCEND, name="tiny_descend.cfg")
+        runs = (("descend", descend), ("solve", os.path.join(CONFIG_DIR, "inline_quadratic.cfg")))
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        for pipeline, cfg in runs:
+            outs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{pipeline}_{threads}"
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+                env.update({var: threads for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+                proc = subprocess.run(
+                    [sys.executable, "-m", "qsmp.cli", pipeline, "--config", cfg, "--out", str(out)],
+                    env=env, capture_output=True,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outs.append(out)
+            names = sorted(os.listdir(outs[0]))
+            assert names == sorted(os.listdir(outs[1]))
+            for name in names:
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (pipeline, name)
+
+    @pytest.mark.parametrize("pipeline,key", UNUSED_TOLERANCES)
+    def test_unused_tolerance_key_rejected(self, tmp_path, capsys, pipeline, key):
+        path = write(tmp_path, BASE + f"\n[tolerances]\n{key} = 2\n")
+        assert run_cli([pipeline, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"[tolerances] {key}" in err and pipeline in err
+
+    @pytest.mark.parametrize("pipeline", ["solve", "adjoint", "bmo"])
+    def test_solver_tolerances_reach_the_pipeline(self, tmp_path, pipeline):
+        # A truncation radius far below the size of Z must move the result.
+        plain = write(tmp_path, BASE, name="plain.cfg")
+        capped = write(tmp_path, BASE + "\n[tolerances]\nridge = 1e-6\ntruncation_radius = 0.05\n", name="capped.cfg")
+        summaries = []
+        for cfg in (plain, capped):
+            out = tmp_path / ("out_" + os.path.basename(cfg))
+            assert run_cli([pipeline, "--config", cfg, "--out", str(out)]) == 0
+            summaries.append((out / "summary.txt").read_text())
+        assert summaries[0] != summaries[1]
 
     def test_seed_override_changes_results(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

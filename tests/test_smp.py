@@ -51,6 +51,9 @@ class TestGateauxCheck:
         report = smp.gateaux_check(exp_utility_spec, grid, noise, ctrl, ctrl)
         assert all(q == 0.0 for q in report.fd_slopes)
         assert report.yhat0 == 0.0 and report.yhat0_gamma == 0.0
+        # exact zero quotients give an exact, finite intercept
+        assert report.extrapolated_intercept == 0.0 and report.intercept_se == 0.0
+        assert not report.inconclusive
 
     def test_exact_first_order_problem(self, exp_utility_spec):
         # f = 0 and a linear terminal make the cost affine in epsilon: every
