@@ -201,6 +201,33 @@ def optimality_weight(
     return out
 
 
+def auxiliary_data(
+    spec: ProblemSpec,
+    grid: TimeGrid,
+    forward: ForwardBatch,
+    backward: BackwardSolution,
+    adjoint: AdjointSolution,
+    uhat: np.ndarray,
+) -> LinearBSDEData:
+    """Data of the auxiliary equation: zero terminal value, slopes f_y and
+    f_z along the trajectory, and the forcing phi = H_u . uhat (M, N), which
+    collects every first-order cost effect of the perturbation direction."""
+    m_paths, n_steps = forward.states.shape[0], grid.N
+    times = grid.times
+    lam = np.empty((m_paths, n_steps))
+    mu = np.empty((m_paths, n_steps, spec.d))
+    for i in range(n_steps):
+        lam[:, i], mu[:, i] = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
+    phi = _auxiliary_phi(spec, grid, forward, backward, adjoint, uhat)
+    return LinearBSDEData(np.zeros(m_paths), lam, mu, phi)
+
+
+def _auxiliary_phi(spec, grid, forward, backward, adjoint, uhat) -> np.ndarray:
+    """H_u . uhat along the trajectory, shape (M, N)."""
+    weight = optimality_weight(spec, grid, forward, backward, adjoint)
+    return np.einsum("mik,mik->mi", weight, uhat[:, : grid.N])
+
+
 def solve_auxiliary(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -212,19 +239,17 @@ def solve_auxiliary(
     basis: RegressionBasis | None = None,
     ridge: float | None = None,
 ) -> BackwardSolution:
-    """Scalar linear backward equation with zero terminal value whose driver
-    collects every first-order cost effect of the perturbation direction."""
-    m_paths, n_steps = noise.M, grid.N
-    times = grid.times
-    lam = np.empty((m_paths, n_steps))
-    mu = np.empty((m_paths, n_steps, spec.d))
-    phi = np.empty((m_paths, n_steps))
-    weight = optimality_weight(spec, grid, forward, backward, adjoint)
-    for i in range(n_steps):
-        lam[:, i], mu[:, i] = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
-        phi[:, i] = np.einsum("mk,mk->m", weight[:, i], uhat[:, i])
-    data = LinearBSDEData(np.zeros(m_paths), lam, mu, phi)
+    """Scalar linear backward equation of :func:`auxiliary_data`, whose
+    time-zero value is the cost derivative in the direction ``uhat``."""
+    data = auxiliary_data(spec, grid, forward, backward, adjoint, uhat)
     return solve_linear_bsde(data, grid, noise, forward.states, basis=basis, ridge=ridge)
+
+
+def gamma_weighted_integral(gamma: GammaPath, phi: np.ndarray, dt: float) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of int Gamma phi dt, for the
+    auxiliary forcing phi (M, N)."""
+    integrals = np.einsum("mi,mi->m", gamma.values[:, : phi.shape[1]], phi) * dt
+    return float(integrals.mean()), float(integrals.std() / math.sqrt(integrals.shape[0]))
 
 
 def yhat0_via_gamma(
@@ -239,11 +264,8 @@ def yhat0_via_gamma(
 ) -> tuple[float, float]:
     """Weighted time-integral representation of the cost derivative at zero:
     Monte Carlo estimate and its standard error."""
-    weight = optimality_weight(spec, grid, forward, backward, adjoint)
-    inner = np.einsum("mik,mik->mi", weight, uhat[:, : grid.N])
-    integrals = np.einsum("mi,mi->m", gamma.values[:, : grid.N], inner) * grid.dt
-    m_paths = integrals.shape[0]
-    return float(integrals.mean()), float(integrals.std() / math.sqrt(m_paths))
+    phi = _auxiliary_phi(spec, grid, forward, backward, adjoint, uhat)
+    return gamma_weighted_integral(gamma, phi, grid.dt)
 
 
 def solve_variational_bsde(

@@ -306,6 +306,7 @@ def estimate_apriori_bound(
     grid: TimeGrid,
     forward: ForwardBatch | None = None,
     basis: RegressionBasis | None = None,
+    ridge: float | None = None,
 ) -> BoundReport:
     """Check the solution against its theoretical ceiling: the sup of |Y| plus
     the squared BMO2 estimate of the Z-integral must stay below A, and the
@@ -313,7 +314,7 @@ def estimate_apriori_bound(
     sup_y = float(np.abs(solution.Y).max())
     integrand = solution.Z[:, : grid.N, :]
     features = forward.states if forward is not None else None
-    est = bmo.estimate_bmo2(integrand, grid, features=features, basis=basis)
+    est = bmo.estimate_bmo2(integrand, grid, features=features, basis=basis, ridge=ridge)
     combined = sup_y + est**2
     qv = bmo.quadratic_variation(integrand, grid)
     checks = []

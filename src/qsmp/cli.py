@@ -42,7 +42,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Forward-backward stochastic control experiments",
     )
     sub = parser.add_subparsers(dest="pipeline", required=True)
-    for name in ("solve", "adjoint", "gradient-check", "descend", "mp-check", "bmo", "constants"):
+    for name in _PIPELINES:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", required=True, help="path to the experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -75,9 +75,9 @@ def _run(args) -> int:
             f"config declares pipeline {cfg.pipeline!r} but the {args.pipeline} subcommand was invoked",
             "[pipeline] kind",
         )
-    for key in sorted(cfg.raw.get("tolerances", {})):
-        if key != "basis_degree" and key not in _TOLERANCE_KEYS.get(args.pipeline, ()):
-            raise ConfigError(f"the {args.pipeline} pipeline does not use this key", f"[tolerances] {key}")
+    unused = config_mod.unused_tolerances(args.pipeline, cfg.raw.get("tolerances", {}))
+    if unused:
+        raise ConfigError(f"the {args.pipeline} pipeline does not use this key", f"[tolerances] {unused[0]}")
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")
@@ -105,15 +105,6 @@ def _run(args) -> int:
         extra_writers=extra,
     )
     return exit_code
-
-
-# [tolerances] keys a pipeline uses besides basis_degree; a set key that the
-# pipeline would not use is rejected rather than silently ignored.
-_SOLVER_TOLERANCES = ("truncation_radius", "ridge")
-_TOLERANCE_KEYS = {
-    "solve": _SOLVER_TOLERANCES, "adjoint": _SOLVER_TOLERANCES, "bmo": _SOLVER_TOLERANCES,
-    "constants": ("validation_samples",),
-}
 
 
 def _json_safe(obj):
@@ -222,7 +213,7 @@ def _pipeline_solve(cfg):
         truncation_radius=cfg.overrides.truncation_radius, ridge=cfg.overrides.ridge,
     )
     constants = derive_constants(cfg.spec)
-    bound = estimate_apriori_bound(backward, constants, cfg.grid, forward)
+    bound = estimate_apriori_bound(backward, constants, cfg.grid, forward, basis=basis, ridge=cfg.overrides.ridge)
     report = {
         "y0": backward.y0,
         "y0_se": backward.y0_standard_error,
@@ -422,13 +413,13 @@ def _pipeline_bmo(cfg):
 
 
 _PIPELINES = {
-    "constants": _pipeline_constants,
     "solve": _pipeline_solve,
     "adjoint": _pipeline_adjoint,
     "gradient-check": _pipeline_gradient_check,
     "descend": _pipeline_descend,
     "mp-check": _pipeline_mp_check,
     "bmo": _pipeline_bmo,
+    "constants": _pipeline_constants,
 }
 
 

@@ -10,8 +10,8 @@ Recognised sections and keys::
     [problem]      family = <name> plus builder parameters, OR an inline
                    definition: n, d, k, x0, b, sigma, f, Phi, domain
                    (box | ball | halfspace-intersection) with
-                   domain_lower/upper | domain_center/radius |
-                   domain_normals/offsets, and the declared constants
+                   domain_lower, domain_upper | domain_center, domain_radius |
+                   domain_normals, domain_offsets, and the declared constants
                    alpha, gamma, L1, L2, L3, f_y_sup, Phi_sup, sigma_x_sup,
                    b_x_sup, b_u_sup, sigma_u_sup, Phi_x_sup
     [grid]         N, T
@@ -24,15 +24,18 @@ Recognised sections and keys::
     [check]        times, states, candidates, groups, se_multiplier,
                    boundary_bias
     [gradient_check] epsilons
-    [bmo]          source (backward|constant), level, n_max
-    [tolerances]   basis_degree, truncation_radius, ridge, validation_samples
+    [bmo]          source (backward|constant), level, n_max (at most 6)
+    [tolerances]   basis_degree (every pipeline), truncation_radius and ridge
+                   (solve, adjoint, bmo), validation_samples (constants); a
+                   pipeline rejects a key it does not use
 """
 
 from __future__ import annotations
 
 import configparser
 import inspect
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,6 +54,8 @@ from .paths import FeedbackControl, TimeGrid
 
 PIPELINES = ("solve", "adjoint", "gradient-check", "descend", "mp-check", "bmo", "constants")
 
+# Keys of the sections without a dataclass; the dataclass-backed sections
+# (_SCHEMAS, below) take their keys from the dataclass fields.
 _SECTION_KEYS = {
     "problem": None,  # validated separately
     "grid": {"N", "T"},
@@ -58,11 +63,7 @@ _SECTION_KEYS = {
     "pipeline": {"kind"},
     "output": {"directory"},
     "controls": {"u_bar", "u"},
-    "descent": {"iterations", "step", "init", "init_scale", "init_seed"},
-    "check": {"times", "states", "candidates", "groups", "se_multiplier", "boundary_bias"},
     "gradient_check": {"epsilons"},
-    "bmo": {"source", "level", "n_max"},
-    "tolerances": {"basis_degree", "truncation_radius", "ridge", "validation_samples"},
 }
 
 _CONSTANT_KEYS = (
@@ -84,11 +85,15 @@ _DEFAULT_CONTROLS = {
 }
 
 
+def _choice(default, *others):
+    return field(default=default, metadata={"choices": (default, *others)})
+
+
 @dataclass
 class DescentParams:
     iterations: int = 25
     step: float = 0.5
-    init: str = "zeros"
+    init: str = _choice("zeros", "random")
     init_scale: float = 0.5
     init_seed: int = 0
 
@@ -105,17 +110,38 @@ class CheckParams:
 
 @dataclass
 class BmoParams:
-    source: str = "backward"
+    source: str = _choice("backward", "constant")
     level: float = 0.3
-    n_max: int = 3
+    n_max: int = field(default=3, metadata={"max": 6})
+
+
+def _used_by(*pipelines, default=None):
+    """A [tolerances] key that only the named pipelines use; any other
+    pipeline rejects it rather than ignore it."""
+    return field(default=default, metadata={"pipelines": pipelines})
+
+
+_SOLVERS = ("solve", "adjoint", "bmo")
 
 
 @dataclass
 class Overrides:
-    basis_degree: int | None = None
-    truncation_radius: float | None = None
-    ridge: float | None = None
-    validation_samples: int = 256
+    basis_degree: int | None = None  # every pipeline
+    truncation_radius: float | None = _used_by(*_SOLVERS)
+    ridge: float | None = _used_by(*_SOLVERS)
+    validation_samples: int = _used_by("constants", default=256)
+
+
+def unused_tolerances(pipeline: str, keys) -> list:
+    """The given [tolerances] keys that ``pipeline`` does not use, sorted."""
+    users = {spec.name: spec.metadata.get("pipelines", PIPELINES) for spec in fields(Overrides)}
+    return sorted(key for key in keys if pipeline not in users[key])
+
+
+# Sections parsed from a dataclass: each field is a key, its annotation gives
+# the type and its default the default; metadata may add "choices" or "max".
+# A new key in one of these sections is one field line.
+_SCHEMAS = {"descent": DescentParams, "check": CheckParams, "bmo": BmoParams, "tolerances": Overrides}
 
 
 @dataclass
@@ -142,19 +168,45 @@ class ExperimentConfig:
         return build_control(source, self.spec, self.family, self.family_params)
 
 
-def _float(section, key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {value!r}", f"[{section}] {key}")
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
-def _int(section, key, value):
+def _scalar(kind, section, key, value):
     try:
-        out = int(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {value!r}", f"[{section}] {key}")
-    return out
+        raise ConfigError(f"expected {_TYPE_NAMES[kind]}, got {value!r}", f"[{section}] {key}")
+
+
+def _required(raw: dict, section: str, *typed_keys):
+    """The values of required ``(key, type)`` pairs of a section; every key
+    is checked for presence before any is parsed."""
+    values = raw[section]
+    for key, _ in typed_keys:
+        if key not in values:
+            raise ConfigError(f"missing key {key}", f"[{section}] {key}")
+    return [_scalar(kind, section, key, values[key]) for key, kind in typed_keys]
+
+
+def _parse_section(section: str, values: dict):
+    """The dataclass of a _SCHEMAS section, from its raw ``key = value``
+    pairs (keys already checked), parsed in field order."""
+    schema = _SCHEMAS[section]
+    hints = typing.get_type_hints(schema)
+    parsed = schema()
+    for spec in fields(schema):
+        if spec.name not in values:
+            continue
+        # ``int | None`` parses as int
+        kind = next(t for t in typing.get_args(hints[spec.name]) or (hints[spec.name],) if t is not type(None))
+        value = _scalar(kind, section, spec.name, values[spec.name])
+        choices, limit = spec.metadata.get("choices"), spec.metadata.get("max")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{spec.name} must be {' or '.join(choices)}", f"[{section}] {spec.name}")
+        if limit is not None and value > limit:
+            raise ConfigError(f"{spec.name} must be <= {limit}", f"[{section}] {spec.name}")
+        setattr(parsed, spec.name, value)
+    return parsed
 
 
 def _numeric_list(section, key, value):
@@ -190,9 +242,12 @@ def load_config(path: str) -> ExperimentConfig:
     raw = {section: dict(parser.items(section)) for section in parser.sections()}
 
     for section in raw:
-        if section not in _SECTION_KEYS:
+        if section in _SCHEMAS:
+            allowed = {spec.name for spec in fields(_SCHEMAS[section])}
+        elif section in _SECTION_KEYS:
+            allowed = _SECTION_KEYS[section]
+        else:
             raise ConfigError(f"unknown section [{section}]", f"[{section}]")
-        allowed = _SECTION_KEYS[section]
         if allowed is not None:
             for key in raw[section]:
                 if key not in allowed:
@@ -202,22 +257,12 @@ def load_config(path: str) -> ExperimentConfig:
         if required not in raw:
             raise ConfigError(f"missing required section [{required}]", f"[{required}]")
 
-    grid_sec = raw["grid"]
-    for key in ("N", "T"):
-        if key not in grid_sec:
-            raise ConfigError(f"missing key {key}", f"[grid] {key}")
-    n_steps = _int("grid", "N", grid_sec["N"])
-    horizon = _float("grid", "T", grid_sec["T"])
+    n_steps, horizon = _required(raw, "grid", ("N", int), ("T", float))
     if n_steps < 1 or horizon <= 0:
         raise ConfigError("need N >= 1 and T > 0", "[grid]")
     grid = TimeGrid(n_steps, horizon)
 
-    mc = raw["monte_carlo"]
-    for key in ("M", "seed"):
-        if key not in mc:
-            raise ConfigError(f"missing key {key}", f"[monte_carlo] {key}")
-    m_paths = _int("monte_carlo", "M", mc["M"])
-    seed = _int("monte_carlo", "seed", mc["seed"])
+    m_paths, seed = _required(raw, "monte_carlo", ("M", int), ("seed", int))
     if m_paths < 1 or seed < 0:
         raise ConfigError("need M >= 1 and seed >= 0", "[monte_carlo]")
 
@@ -238,58 +283,13 @@ def load_config(path: str) -> ExperimentConfig:
     for which, source in (("u_bar", u_bar_source), ("u", u_source)):
         _validate_control_source(source, spec, family, which)
 
-    descent = DescentParams()
-    if "descent" in raw:
-        sec = raw["descent"]
-        if "iterations" in sec:
-            descent.iterations = _int("descent", "iterations", sec["iterations"])
-        if "step" in sec:
-            descent.step = _float("descent", "step", sec["step"])
-        if "init" in sec:
-            if sec["init"] not in ("zeros", "random"):
-                raise ConfigError("init must be zeros or random", "[descent] init")
-            descent.init = sec["init"]
-        if "init_scale" in sec:
-            descent.init_scale = _float("descent", "init_scale", sec["init_scale"])
-        if "init_seed" in sec:
-            descent.init_seed = _int("descent", "init_seed", sec["init_seed"])
-
-    check = CheckParams()
-    if "check" in raw:
-        sec = raw["check"]
-        for key in ("times", "states", "candidates", "groups"):
-            if key in sec:
-                setattr(check, key, _int("check", key, sec[key]))
-        for key in ("se_multiplier", "boundary_bias"):
-            if key in sec:
-                setattr(check, key, _float("check", key, sec[key]))
-
-    bmo_params = BmoParams()
-    if "bmo" in raw:
-        sec = raw["bmo"]
-        if "source" in sec:
-            if sec["source"] not in ("backward", "constant"):
-                raise ConfigError("source must be backward or constant", "[bmo] source")
-            bmo_params.source = sec["source"]
-        if "level" in sec:
-            bmo_params.level = _float("bmo", "level", sec["level"])
-        if "n_max" in sec:
-            bmo_params.n_max = _int("bmo", "n_max", sec["n_max"])
-            if bmo_params.n_max > 6:
-                raise ConfigError("n_max must be <= 6", "[bmo] n_max")
+    descent, check, bmo_params = (_parse_section(name, raw.get(name, {})) for name in ("descent", "check", "bmo"))
 
     epsilons = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
     if "gradient_check" in raw and "epsilons" in raw["gradient_check"]:
         epsilons = _numeric_list("gradient_check", "epsilons", raw["gradient_check"]["epsilons"])
         if len(epsilons) < 4 or any(not 0 < e <= 1 for e in epsilons):
             raise ConfigError("need >= 4 epsilons in (0, 1]", "[gradient_check] epsilons")
-
-    overrides = Overrides()
-    sec = raw.get("tolerances", {})
-    for key, parse in (("basis_degree", _int), ("truncation_radius", _float), ("ridge", _float),
-                       ("validation_samples", _int)):
-        if key in sec:
-            setattr(overrides, key, parse("tolerances", key, sec[key]))
 
     return ExperimentConfig(
         spec=spec,
@@ -304,7 +304,7 @@ def load_config(path: str) -> ExperimentConfig:
         check=check,
         bmo=bmo_params,
         gradient_epsilons=epsilons,
-        overrides=overrides,
+        overrides=_parse_section("tolerances", raw.get("tolerances", {})),
         family=family,
         family_params=family_params,
         raw=raw,
@@ -328,7 +328,7 @@ def _build_problem(section: dict, horizon: float):
                 raise ConfigError(
                     f"family {name} has no parameter {key!r}", f"[problem] {key}"
                 )
-            params[key] = _float("problem", key, value)
+            params[key] = _scalar(float, "problem", key, value)
         if "T" in signature.parameters and "T" not in params:
             params["T"] = horizon
         spec = builder(**params)
@@ -345,7 +345,7 @@ def _build_problem(section: dict, horizon: float):
     for key in ("n", "d", "k", "x0", "b", "sigma", "f", "Phi", "domain", "gamma"):
         if key not in section:
             raise ConfigError(f"inline problem needs key {key}", f"[problem] {key}")
-    dims = tuple(_int("problem", key, section[key]) for key in ("n", "d", "k"))
+    dims = tuple(_scalar(int, "problem", key, section[key]) for key in ("n", "d", "k"))
     spec = build_expression_problem(
         n=dims[0],
         d=dims[1],
@@ -369,7 +369,7 @@ def _build_domain(section: dict, k: int):
         return BoxDomain(tuple(lower), tuple(upper))
     if kind == "ball":
         center = _numeric_list("problem", "domain_center", section.get("domain_center", "[0.0]"))
-        radius = _float("problem", "domain_radius", section.get("domain_radius", "1.0"))
+        radius = _scalar(float, "problem", "domain_radius", section.get("domain_radius", "1.0"))
         if len(center) != k:
             raise ConfigError(f"ball center must have length k={k}", "[problem] domain_center")
         return BallDomain(tuple(center), radius)
@@ -390,7 +390,7 @@ def _build_domain(section: dict, k: int):
 def _build_constants(section: dict, d: int) -> AssumptionConstants:
     values = {}
     for key in _CONSTANT_KEYS:
-        values[key] = _float("problem", key, section.get(key, "0.0"))
+        values[key] = _scalar(float, "problem", key, section.get(key, "0.0"))
     sigma_x = _numeric_list("problem", "sigma_x_sup", section.get("sigma_x_sup", "[" + ", ".join(["0.0"] * d) + "]"))
     if len(sigma_x) != d:
         raise ConfigError(f"sigma_x_sup must have length d={d}", "[problem] sigma_x_sup")
@@ -409,13 +409,10 @@ def _parse_coefficient(source: str, dims, key: str):
 
 def _vector_asts(ast, length: int, key: str):
     shape = expr.list_shape(ast)
-    if shape == ():
-        if length != 1:
-            raise ConfigError(f"{key} must be a list of length {length}", f"[problem] {key}")
-        return [ast]
-    if len(shape) != 1 or shape[0] != length:
+    items = list(ast.items) if shape else [ast]
+    if len(shape) > 1 or len(items) != length:
         raise ConfigError(f"{key} must be a list of length {length}", f"[problem] {key}")
-    return list(ast.items)
+    return items
 
 
 def _matrix_asts(ast, rows: int, cols: int, key: str):
@@ -455,16 +452,9 @@ def _state_env(t, x, u=None, y=None, z=None):
 def _eval_to(shape, asts, env):
     """Evaluate a nested list of ASTs into a dense array of the given shape
     (leading batch dimension inferred from the environment arrays)."""
-    m = None
-    for value in env.values():
-        if isinstance(value, np.ndarray):
-            m = value.shape[0]
-            break
-    if m is None:
-        m = 1
+    m = next((value.shape[0] for value in env.values() if isinstance(value, np.ndarray)), 1)
     out = np.empty((m,) + shape)
-    it = np.ndindex(shape) if shape else [()]
-    for idx in it:
+    for idx in np.ndindex(shape):
         node = asts
         for axis in idx:
             node = node[axis]

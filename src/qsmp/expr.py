@@ -3,20 +3,24 @@
 Grammar (standard precedence, ^ binds tightest and right-associative,
 then unary minus, then * and /, then + and -, all left-associative):
 
+    source  := list | expr
+    list    := '[' item (',' item)* ']'
+    item    := row | expr
+    row     := '[' expr (',' expr)* ']'
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
     factor  := '-' factor | power
     power   := atom ('^' factor)?
-    atom    := NUMBER | NAME | NAME '(' expr (',' expr)* ')'
-             | '(' expr ')' | '[' expr (',' expr)* ']'
+    atom    := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
 Variables are t, y, x1..xn, z1..zd, u1..uk (indices checked against the
 declared dimensions); functions are exp, log, sqrt, abs, min, max, tanh.
-Bracketed lists build vectors (one level) or matrices (two levels) and are
-allowed only at the top level of a coefficient definition. Symbolic
-differentiation covers the full operator set; min/max/abs differentiate
-through the identity min(a,b) = (a + b - |a - b|)/2 and are undefined at
-ties, abs at zero.
+Bracketed lists build vectors (one level) or matrices (two levels, one row
+per inner list); the grammar admits them only at the top level of a
+coefficient definition, never as an operand. Symbolic differentiation
+covers the full operator set; min/max/abs differentiate through the
+identity min(a,b) = (a + b - |a - b|)/2 and are undefined at ties, abs at
+zero.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ FUNCTIONS = {
 }
 
 _VAR_RE = re.compile(r"^(x|z|u)([0-9]+)$")
+
+_LIST_PLACEMENT = "bracketed lists are only allowed at the top level"
 
 
 class ExpressionError(ValueError):
@@ -96,9 +102,12 @@ ExpressionAst = object  # Num | Var | Neg | BinOp | Call | ListLit
 # --- tokenizer ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),\[\]]))"
+    r"|(?P<op>[-+*/^(),\[\]])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
@@ -110,46 +119,47 @@ class Token:
     column: int
 
 
+def _location(source: str, pos: int) -> tuple:
+    """1-based (line, column) of a character offset."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
+
+
 def _tokenize(source: str) -> list:
     tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(source):
-        newline = source.rfind("\n", 0, pos + 1)
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(source) - len(stripped)
-            line = source.count("\n", 0, bad_pos) + 1
-            line_start = source.rfind("\n", 0, bad_pos) + 1
-            raise ExpressionError(
-                f"unexpected character {source[bad_pos]!r}", line, bad_pos - line_start + 1
-            )
-        pos_tok = match.start() + len(match.group(0)) - len(match.group(0).lstrip())
-        tok_text = match.group("num") or match.group("name") or match.group("op")
-        tok_start = match.end() - len(tok_text)
-        line = source.count("\n", 0, tok_start) + 1
-        line_start = source.rfind("\n", 0, tok_start) + 1
-        kind = "num" if match.group("num") else ("name" if match.group("name") else "op")
-        tokens.append(Token(kind, tok_text, line, tok_start - line_start + 1))
-        pos = match.end()
-    last_line = source.count("\n") + 1
-    tokens.append(Token("end", "", last_line, len(source) - (source.rfind("\n") + 1) + 1))
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
+            continue
+        where = _location(source, match.start())
+        if kind == "bad":
+            raise ExpressionError(f"unexpected character {match.group()!r}", *where)
+        tokens.append(Token(kind, match.group(), *where))
+    tokens.append(Token("end", "", *_location(source, len(source))))
     return tokens
 
 
 # --- parser ------------------------------------------------------------------
 
 
+def _nested(parse):
+    """Counts a parse method's call against the nesting depth limit."""
+
+    def counted(self, *args):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"expression nesting exceeds depth {MAX_DEPTH}")
+        node = parse(self, *args)
+        self.depth -= 1
+        return node
+
+    return counted
+
+
 class _Parser:
-    def __init__(self, tokens, dims, allow_lists):
+    def __init__(self, tokens, dims):
         self.tokens = tokens
         self.pos = 0
         self.dims = dims
-        self.allow_lists = allow_lists
         self.depth = 0
 
     def peek(self) -> Token:
@@ -167,119 +177,90 @@ class _Parser:
             raise ExpressionError(f"{message} (input ended)", prev.line, prev.column)
         raise ExpressionError(message, tok.line, tok.column)
 
-    def expect(self, text):
+    def at(self, ops: str) -> bool:
+        """Whether the next token is one of the one-character operators."""
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
+        return tok.kind == "op" and tok.text in ops
+
+    def expect(self, text):
+        if not self.at(text):
             self.error(f"expected {text!r}")
         return self.advance()
 
-    def _enter(self):
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            self.error(f"expression nesting exceeds depth {MAX_DEPTH}")
+    def parse_items(self, item, close: str) -> tuple:
+        """item (',' item)* close"""
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        self.expect(close)
+        return tuple(items)
 
-    def _leave(self):
-        self.depth -= 1
-
+    @_nested
     def parse_expr(self):
-        self._enter()
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_term())
-        self._leave()
+        while self.at("+-"):
+            node = BinOp(self.advance().text, node, self.parse_term())
         return node
 
+    @_nested
     def parse_term(self):
-        self._enter()
         node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_factor())
-        self._leave()
+        while self.at("*/"):
+            node = BinOp(self.advance().text, node, self.parse_factor())
         return node
 
+    @_nested
     def parse_factor(self):
-        self._enter()
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.at("-"):
             self.advance()
-            node = Neg(self.parse_factor())
-        else:
-            node = self.parse_power()
-        self._leave()
-        return node
+            return Neg(self.parse_factor())
+        return self.parse_power()
 
+    @_nested
     def parse_power(self):
-        self._enter()
         base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.at("^"):
             self.advance()
-            base = BinOp("^", base, self.parse_factor())
-        self._leave()
+            return BinOp("^", base, self.parse_factor())
         return base
 
+    @_nested
     def parse_atom(self):
-        self._enter()
         tok = self.peek()
-        if tok.kind == "num":
+        if tok.kind in ("num", "name"):
             self.advance()
-            node = Num(float(tok.text))
-        elif tok.kind == "name":
-            self.advance()
-            if self.peek().kind == "op" and self.peek().text == "(":
-                node = self.parse_call(tok)
-            else:
-                node = self.make_var(tok)
-        elif tok.kind == "op" and tok.text == "(":
+            if tok.kind == "num":
+                return Num(float(tok.text))
+            return self.parse_call(tok) if self.at("(") else self.make_var(tok)
+        if self.at("("):
             self.advance()
             node = self.parse_expr()
             self.expect(")")
-        elif tok.kind == "op" and tok.text == "[":
-            node = self.parse_list(tok)
-        else:
-            self.error("expected a number, variable, function, or parenthesis")
-        self._leave()
-        return node
+            return node
+        self.error(_LIST_PLACEMENT if self.at("[") else "expected a number, variable, function, or parenthesis")
 
     def parse_call(self, name_tok):
         if name_tok.text not in FUNCTIONS:
             self.error(f"unknown function {name_tok.text!r}", name_tok)
         arity = FUNCTIONS[name_tok.text][0]
         self.expect("(")
-        args = [self.parse_expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.advance()
-            args.append(self.parse_expr())
-        self.expect(")")
+        args = self.parse_items(self.parse_expr, ")")
         if len(args) != arity:
             self.error(
                 f"function {name_tok.text} takes {arity} argument(s), got {len(args)}", name_tok
             )
-        return Call(name_tok.text, tuple(args))
+        return Call(name_tok.text, args)
 
-    def parse_list(self, open_tok):
-        if not self.allow_lists:
-            self.error("bracketed lists are only allowed at the top level", open_tok)
-        self.expect("[")
-        items = [self.parse_expr() if not self._at_list() else self.parse_inner_list()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.advance()
-            items.append(self.parse_expr() if not self._at_list() else self.parse_inner_list())
-        self.expect("]")
-        return ListLit(tuple(items))
-
-    def _at_list(self):
-        return self.peek().kind == "op" and self.peek().text == "["
-
-    def parse_inner_list(self):
-        open_tok = self.peek()
-        self.expect("[")
-        items = [self.parse_expr()]
-        while self.peek().kind == "op" and self.peek().text == ",":
-            self.advance()
-            items.append(self.parse_expr())
-        self.expect("]")
-        return ListLit(tuple(items))
+    def parse_list(self, rows: bool):
+        """A bracketed list of expressions or, when ``rows`` is set, also of
+        bracketed rows. A list stands alone: an operator after its ']' is an
+        error located at its '['."""
+        open_tok = self.expect("[")
+        items = self.parse_items(lambda: self.parse_list(False) if rows and self.at("[") else self.parse_expr(), "]")
+        if self.at("+-*/^"):
+            self.error(_LIST_PLACEMENT, open_tok)
+        return ListLit(items)
 
     def make_var(self, tok):
         name = tok.text
@@ -305,34 +286,12 @@ def parse_expression(source: str, dims: tuple) -> ExpressionAst:
     errors, unknown identifiers, out-of-range variable indices, arity
     mismatches, and nesting beyond the depth limit.
     """
-    tokens = _tokenize(source)
-    parser = _Parser(tokens, dims, allow_lists=True)
-    node = parser.parse_expr()
+    parser = _Parser(_tokenize(source), dims)
+    node = parser.parse_list(rows=True) if parser.at("[") else parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "end":
         parser.error(f"unexpected trailing input {tok.text!r}")
-    _check_inner_lists(node, top=True, parser=parser)
     return node
-
-
-def _check_inner_lists(node, top, parser):
-    if isinstance(node, ListLit):
-        if not top:
-            raise ExpressionError("bracketed lists are only allowed at the top level")
-        for item in node.items:
-            if isinstance(item, ListLit):
-                for sub in item.items:
-                    _check_inner_lists(sub, top=False, parser=parser)
-            else:
-                _check_inner_lists(item, top=False, parser=parser)
-    elif isinstance(node, (Neg,)):
-        _check_inner_lists(node.operand, False, parser)
-    elif isinstance(node, BinOp):
-        _check_inner_lists(node.left, False, parser)
-        _check_inner_lists(node.right, False, parser)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            _check_inner_lists(arg, False, parser)
 
 
 # --- evaluation --------------------------------------------------------------
@@ -545,7 +504,6 @@ def _render(node, parent_prec):
         if node.op == "^":
             # right-associative; unary minus on the right re-parses fine
             left = _render(node.left, prec + 1)
-            right = _render(node.right, prec - 1 if not isinstance(node.right, BinOp) else prec)
             right = _render(node.right, prec)
             text = f"{left}^{right}"
         else:

@@ -10,6 +10,7 @@ reference, and a bounded tanh family exercising every declared constant.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -347,6 +348,6 @@ def solve_lq_riccati(
 def riccati_from_spec(spec_params: dict) -> RiccatiSolution:
     """Riccati reference for a linear-quadratic family built with the same
     keyword parameters."""
-    defaults = dict(a=0.5, b=1.0, sigma0=0.5, q=1.0, r=1.0, g=1.0, T=1.0, x0=1.0)
-    defaults.update({k: v for k, v in spec_params.items() if k in defaults})
-    return solve_lq_riccati(**defaults)
+    defaults = inspect.signature(build_linear_quadratic).parameters
+    names = inspect.signature(solve_lq_riccati).parameters
+    return solve_lq_riccati(**{name: spec_params.get(name, defaults[name].default) for name in names})

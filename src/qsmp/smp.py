@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import adjoint as adjoint_mod
-from .bsde import RegressionBasis, solve_quadratic_bsde
+from .bsde import RegressionBasis, solve_linear_bsde, solve_quadratic_bsde
 from .model import ProblemSpec
 from .paths import (
     BrownianBatch,
@@ -85,27 +85,20 @@ def gateaux_check(
     u_table = realize_control_along(u, grid, forward.states)
     uhat = u_table - forward.controls
 
-    j_bar = backward.y0
-    base_targets = backward.pathwise_targets
-    m_paths = noise.M
-
     quotients = []
     ses = []
     for eps in eps_list:
-        fwd_eps, bwd_eps = _solve_chain(
-            spec, grid, noise, OpenLoopControl(forward.controls + eps * uhat), basis
-        )
-        quotients.append((bwd_eps.y0 - j_bar) / eps)
-        diff = bwd_eps.pathwise_targets - base_targets
-        ses.append(float(diff.std() / (eps * math.sqrt(m_paths))))
+        quotient, se = _difference_quotient(spec, grid, noise, forward, backward, uhat, eps, basis)
+        quotients.append(quotient)
+        ses.append(se)
 
     intercept, intercept_se, slope = _weighted_affine_intercept(eps_list, quotients, ses)
 
-    aux = adjoint_mod.solve_auxiliary(spec, grid, noise, forward, backward, adj, uhat, basis=basis)
+    # One auxiliary forcing phi = H_u . uhat feeds both computations of the derivative.
+    aux_data = adjoint_mod.auxiliary_data(spec, grid, forward, backward, adj, uhat)
+    aux = solve_linear_bsde(aux_data, grid, noise, forward.states, basis=basis)
     gamma = adjoint_mod.gamma_process(spec, grid, noise, forward, backward)
-    y0_gamma, y0_gamma_se = adjoint_mod.yhat0_via_gamma(
-        spec, grid, noise, forward, backward, adj, gamma, uhat
-    )
+    y0_gamma, y0_gamma_se = adjoint_mod.gamma_weighted_integral(gamma, aux_data.phi, grid.dt)
 
     # The check is inconclusive when the fitted trend over the eps-range is
     # smaller than the statistical resolution of the quotients.
@@ -125,6 +118,15 @@ def gateaux_check(
         yhat0_gamma_se=y0_gamma_se,
         inconclusive=inconclusive,
     )
+
+
+def _difference_quotient(spec, grid, noise, forward, backward, uhat, eps, basis):
+    """(J(u_bar + eps uhat) - J(u_bar)) / eps on the same noise, and its
+    standard error. The perturbed chain is dropped on return, so no two
+    chains' arrays are alive together."""
+    perturbed = _solve_chain(spec, grid, noise, OpenLoopControl(forward.controls + eps * uhat), basis)[1]
+    diff = perturbed.pathwise_targets - backward.pathwise_targets
+    return (perturbed.y0 - backward.y0) / eps, float(diff.std() / (eps * math.sqrt(noise.M)))
 
 
 def _weighted_affine_intercept(xs, ys, ses):
@@ -356,59 +358,44 @@ def check_maximum_principle(
 
     check_steps = sorted(set(np.linspace(1, grid.N - 1, n_times, dtype=int)))
     query_paths = rng.choice(m_paths, size=min(n_states, m_paths), replace=False)
+    # Per check step, the query points (x, u, y, z, p, q) and the control
+    # gradient there; the full solution is not needed after this.
+    points = [
+        tuple(a[query_paths, i] for a in (forward.states, forward.controls, backward.Y, backward.Z, adj.p, adj.q))
+        for i in check_steps
+    ]
+    fields = [adjoint_mod.control_gradient(spec, times[i], *pt) for i, pt in zip(check_steps, points)]
+    del backward, adj
 
-    group_solutions = []
+    replicates = []  # per group, the control gradient at every check step
     if tolerance is None:
         size = m_paths // groups
         if size < 64:
             raise ValueError("too few paths per replication group; pass a fixed tolerance")
         for g in range(groups):
             sel = slice(g * size, (g + 1) * size)
-            g_noise = BrownianBatch(noise.increments[sel], noise.seed, noise.stream_id)
-            g_forward = ForwardBatch(forward.states[sel], forward.controls[sel])
-            g_backward, g_adj = adjoint_mod.solve_state_and_costate(spec, grid, g_noise, g_forward, basis=basis)
-            group_solutions.append((g_forward, g_backward, g_adj))
+            replicates.append(_replicate_fields(spec, grid, noise, forward, sel, basis, check_steps, points))
 
     sampler = candidate_sampler
     if sampler is None:
         sampler = lambda r, size: spec.domain.sample(r, size, boundary_bias=boundary_bias)
 
-    n, d = spec.n, spec.d
     min_inner = math.inf
     per_time_min = []
     violations = 0
     total = 0
-    for i in check_steps:
-        x_q = forward.states[query_paths, i]
-        u_q = forward.controls[query_paths, i]
-        y_q = backward.Y[query_paths, i]
-        z_q = backward.Z[query_paths, i]
-        p_q = adj.p[query_paths, i]
-        q_q = adj.q[query_paths, i]
-        field = adjoint_mod.control_gradient(spec, times[i], x_q, u_q, y_q, z_q, p_q, q_q)
-
-        group_fields = []
-        for g_forward, g_backward, g_adj in group_solutions:
-            # The replicate solution at the query states: one regression on the
-            # group's states serves the four fitted functions.
-            reg = StepRegressor(basis, g_forward.states[:, i])
-            gy, gz, gp, gq = (
-                reg.fit(values)[1].evaluate(x_q)
-                for values in (g_backward.Y[:, i], g_backward.Z[:, i], g_adj.p[:, i], g_adj.q[:, i].reshape(-1, n * d))
-            )
-            gq = gq.reshape(len(query_paths), n, d)
-            group_fields.append(adjoint_mod.control_gradient(spec, times[i], x_q, u_q, gy[:, 0], gz, gp, gq))
-
+    for j, field in enumerate(fields):
+        u_q = points[j][1]
         candidates = sampler(rng, len(query_paths) * n_candidates).reshape(
             len(query_paths), n_candidates, spec.k
         )
         directions = candidates - u_q[:, None, :]
         inner = np.einsum("sk,sck->sc", field, directions)
-        if group_fields:
+        if replicates:
             g_inner = np.stack(
-                [np.einsum("sk,sck->sc", gf, directions) for gf in group_fields], axis=0
+                [np.einsum("sk,sck->sc", rep[j], directions) for rep in replicates], axis=0
             )
-            point_se = g_inner.std(axis=0, ddof=1) / math.sqrt(len(group_fields))
+            point_se = g_inner.std(axis=0, ddof=1) / math.sqrt(len(replicates))
             threshold = se_multiplier * point_se
         else:
             threshold = np.full_like(inner, tolerance)
@@ -427,3 +414,25 @@ def check_maximum_principle(
         fixed_tolerance=tolerance,
         per_time_min=per_time_min,
     )
+
+
+def _replicate_fields(spec, grid, noise, forward, sel, basis, check_steps, points):
+    """The control gradient at each check step's query points, from the
+    solve chain replicated on the paths ``sel``. The group's path arrays are
+    dropped on return, so only one group is alive at a time."""
+    g_noise = BrownianBatch(noise.increments[sel], noise.seed, noise.stream_id)
+    g_forward = ForwardBatch(forward.states[sel], forward.controls[sel])
+    g_backward, g_adj = adjoint_mod.solve_state_and_costate(spec, grid, g_noise, g_forward, basis=basis)
+    n, d = spec.n, spec.d
+    fields = []
+    for i, (x_q, u_q, *_) in zip(check_steps, points):
+        # The replicate solution at the query states: one regression on the
+        # group's states serves the four fitted functions.
+        reg = StepRegressor(basis, g_forward.states[:, i])
+        gy, gz, gp, gq = (
+            reg.fit(values)[1].evaluate(x_q)
+            for values in (g_backward.Y[:, i], g_backward.Z[:, i], g_adj.p[:, i], g_adj.q[:, i].reshape(-1, n * d))
+        )
+        gq = gq.reshape(len(x_q), n, d)
+        fields.append(adjoint_mod.control_gradient(spec, grid.times[i], x_q, u_q, gy[:, 0], gz, gp, gq))
+    return fields

@@ -13,6 +13,7 @@ Writes go through a temporary file and an atomic rename.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -33,11 +34,18 @@ def _unpack_name(raw: bytes) -> str:
     return raw.rstrip(b"\x00").decode("ascii")
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A binary file handle whose content replaces ``path`` on success."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:
-        handle.write(payload)
+        yield handle
     os.replace(tmp, path)
+
+
+def atomic_write_bytes(path: str, payload: bytes) -> None:
+    with _atomic_file(path) as handle:
+        handle.write(payload)
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -45,20 +53,17 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def save_container(path: str, metadata: dict, arrays: dict) -> None:
-    parts = [MAGIC]
-    parts.append(struct.pack("<Q", len(metadata)))
-    for name, value in metadata.items():
-        parts.append(_pack_name(name))
-        parts.append(struct.pack("<d", float(value)))
-    parts.append(struct.pack("<Q", len(arrays)))
-    for name, array in arrays.items():
-        array = np.ascontiguousarray(np.asarray(array, dtype="<f8"))
-        parts.append(_pack_name(name))
-        parts.append(struct.pack("<Q", array.ndim))
-        for dim in array.shape:
-            parts.append(struct.pack("<Q", dim))
-        parts.append(array.tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    """Writes each header and then each array's own buffer, so no copy of
+    the whole payload is ever built."""
+    with _atomic_file(path) as handle:
+        handle.write(MAGIC + struct.pack("<Q", len(metadata)))
+        for name, value in metadata.items():
+            handle.write(_pack_name(name) + struct.pack("<d", float(value)))
+        handle.write(struct.pack("<Q", len(arrays)))
+        for name, array in arrays.items():
+            array = np.ascontiguousarray(np.asarray(array, dtype="<f8"))
+            handle.write(_pack_name(name) + struct.pack(f"<{1 + array.ndim}Q", array.ndim, *array.shape))
+            handle.write(memoryview(array))
 
 
 def load_container(path: str) -> tuple[dict, dict]:

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qsmp import cli, config
+from qsmp import bmo, cli, config, storage
 from qsmp.errors import ConfigError
+from qsmp.regression import RegressionBasis
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -360,3 +363,72 @@ u = [0.5*tanh(x1)]
             capture_output=True,
         )
         assert proc.returncode == 0
+
+
+class TestSchema:
+    def test_every_accepted_key_is_documented(self):
+        # Section -> its entry in the module docstring's key list.
+        block = config.__doc__.split("Recognised sections and keys::\n\n")[1].split("\n\n")[0]
+        docs = {}
+        for line in block.splitlines():
+            match = re.match(r"\s*\[(\w+)\]\s*(.*)", line)
+            if match:
+                section = match.group(1)
+                docs[section] = match.group(2)
+            else:
+                docs[section] += " " + line.strip()
+        accepted = {name: {f.name for f in dataclasses.fields(schema)} for name, schema in config._SCHEMAS.items()}
+        accepted.update({name: keys for name, keys in config._SECTION_KEYS.items() if keys is not None})
+        accepted["problem"] = {"family", *config._INLINE_KEYS}
+        assert set(docs) == set(accepted)
+        for section, keys in accepted.items():
+            for key in keys:
+                assert re.search(rf"\b{key}\b", docs[section]), f"[{section}] {key}"
+
+    def test_schema_defaults_and_bounds(self, tmp_path):
+        cfg = config.load_config(write(tmp_path, BASE))
+        assert cfg.descent == config.DescentParams() and cfg.descent.init == "zeros"
+        assert cfg.bmo.source == "backward" and cfg.overrides.validation_samples == 256
+        assert cfg.overrides.basis_degree is None
+        cfg = config.load_config(write(tmp_path, BASE + "\n[bmo]\nn_max = 6\nlevel = 2\n[tolerances]\nridge = 1e-4\n"))
+        assert (cfg.bmo.n_max, cfg.bmo.level, cfg.overrides.ridge) == (6, 2.0, 1e-4)
+        for text, location, message in (
+            ("[bmo]\nn_max = 7", "[bmo] n_max", "n_max must be <= 6"),
+            ("[descent]\ninit = ones", "[descent] init", "init must be zeros or random"),
+            ("[check]\nse_multiplier = lots", "[check] se_multiplier", "expected a number"),
+            ("[tolerances]\nbasis_degree = 1.5", "[tolerances] basis_degree", "expected an integer"),
+            ("[descent]\nwarp = 1", "[descent] warp", "unknown key 'warp'"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                config.load_config(write(tmp_path, BASE + "\n" + text + "\n"))
+            assert location in str(err.value) and message in str(err.value)
+
+
+class TestTolerancesReachThePipeline:
+    def test_solve_bound_uses_basis_degree_and_ridge(self, tmp_path):
+        path = write(tmp_path, BASE + "\n[tolerances]\nbasis_degree = 1\nridge = 1e-3\n")
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", path, "--out", str(out), "--format", "json"]) == 0
+        report = json.loads((out / "solve.json").read_text())
+        _, arrays = storage.load_container(str(out / "solution.qsmp"))
+        grid = config.load_config(path).grid
+        expected = bmo.estimate_bmo2(
+            arrays["Z"][:, : grid.N], grid, features=arrays["states"],
+            basis=RegressionBasis("polynomial", 1), ridge=1e-3,
+        )
+        assert report["bound"]["bmo2_estimate"] == pytest.approx(expected, rel=1e-12)
+
+    def test_descend_random_init_is_deterministic(self, tmp_path):
+        random_init = TINY_DESCEND.replace("step = 0.5\n", "step = 0.5\ninit = random\ninit_scale = 0.3\ninit_seed = 7\n")
+        configs = {"random": write(tmp_path, random_init, name="random.cfg"), "zeros": write(tmp_path, TINY_DESCEND, name="zeros.cfg")}
+        assert config.load_config(configs["random"]).descent.init == "random"
+        outs = {}
+        for run, cfg in (("random", "random"), ("random_again", "random"), ("zeros", "zeros")):
+            outs[run] = tmp_path / run
+            assert run_cli(["descend", "--config", configs[cfg], "--out", str(outs[run])]) == 0
+        names = sorted(os.listdir(outs["random"]))
+        assert names == sorted(os.listdir(outs["random_again"]))
+        for name in names:
+            assert (outs["random"] / name).read_bytes() == (outs["random_again"] / name).read_bytes(), name
+        trace = "descent_trace.csv"
+        assert (outs["random"] / trace).read_bytes() != (outs["zeros"] / trace).read_bytes()

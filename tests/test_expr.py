@@ -96,6 +96,22 @@ class TestParser:
         with pytest.raises(ExpressionError):
             parse_expression("1 + [2, 3]", DIMS)
 
+    @pytest.mark.parametrize(
+        "source,column",
+        [("([1, 2])", 2), ("[1, 2] + 3", 1), ("2*[1]", 3), ("[[1, 2], [3, [4]]]", 14), ("[[1]^2]", 2)],
+    )
+    def test_misplaced_list_located(self, source, column):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(source, DIMS)
+        assert "only allowed at the top level" in str(err.value)
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_multiline_location(self):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("x1 +\n  2 $", DIMS)
+        assert (err.value.line, err.value.column) == (2, 5)
+        assert "'$'" in str(err.value)
+
     def test_ragged_matrix_rejected(self):
         ast = parse_expression("[[1, 2], [3]]", DIMS)
         with pytest.raises(ExpressionError):
