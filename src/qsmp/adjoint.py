@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bmo
 from .bsde import (
     BackwardEquation,
     BackwardSolution,
@@ -95,7 +96,10 @@ def costate_equation(spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y
                 raise SolverError("implicit costate step is singular", step=i)
             p_i = rhs / denom[:, None]
         else:
-            p_i = np.linalg.solve(eye[None, :, :] - dt * mat, rhs[:, :, None])[:, :, 0]
+            try:
+                p_i = np.linalg.solve(eye[None, :, :] - dt * mat, rhs[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                raise SolverError("implicit costate step is singular", step=i) from None
         if not np.all(np.isfinite(p_i)):
             raise SolverError("costate turned non-finite", step=i)
         return p_i, q_i
@@ -161,12 +165,8 @@ def gamma_process(
     log_gamma = np.zeros((m_paths, n_steps + 1))
     for i in range(n_steps):
         fy, fz = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
-        step = fy * dt + np.einsum("md,md->m", fz, noise.increments[:, i])
-        step -= 0.5 * np.einsum("md,md->m", fz, fz) * dt
-        log_gamma[:, i + 1] = log_gamma[:, i] + step
-        if np.abs(log_gamma[:, i + 1]).max() > 700.0:
-            raise SolverError("exponential weight exponent overflow", step=i)
-    return GammaPath(np.exp(log_gamma))
+        bmo.log_exponential_step(log_gamma, i, fy, fz, noise.increments[:, i], dt, "exponential weight")
+    return GammaPath(np.exp(log_gamma, out=log_gamma))
 
 
 def control_gradient(spec: ProblemSpec, t, x, u, y, z, p, q) -> np.ndarray:

@@ -161,8 +161,7 @@ def _tail_sup_profile(integrand, grid, features, basis, ridge, quantile=None):
     # tails[:, j] = sum_{i >= j} |H_i|^2 dt
     tails = np.zeros((m_paths, n_steps + 1))
     tails[:, :-1] = sq[:, ::-1].cumsum(axis=1)[:, ::-1]
-    if basis is None:
-        basis = RegressionBasis("polynomial", 2) if features is not None else RegressionBasis("none")
+    basis = basis or RegressionBasis("polynomial", 2)
     best_max = 0.0
     best_q = 0.0
     for j in range(n_steps):
@@ -223,6 +222,17 @@ def energy_check(
     return rows
 
 
+def log_exponential_step(log_values: np.ndarray, i: int, rate, integrand, increment, dt: float, what: str) -> None:
+    """log_values[:, i+1] = log_values[:, i] + rate dt + H . dW - |H|^2 dt / 2
+    for the integrand H and increment dW of step i, both (M, d); raises with
+    step i when an exponent leaves [-700, 700], beyond which exp overflows."""
+    step = rate * dt + np.einsum("md,md->m", integrand, increment)
+    step -= 0.5 * np.einsum("md,md->m", integrand, integrand) * dt
+    log_values[:, i + 1] = log_values[:, i] + step
+    if np.abs(log_values[:, i + 1]).max() > 700.0:
+        raise SolverError(f"{what} exponent overflow", step=i)
+
+
 def stochastic_exponential(integrand: np.ndarray, grid, noise) -> np.ndarray:
     """Pathwise stochastic exponential of the integral of H dW, shape (M, N+1).
 
@@ -233,17 +243,10 @@ def stochastic_exponential(integrand: np.ndarray, grid, noise) -> np.ndarray:
     incs = noise.increments
     if integrand.shape != incs.shape:
         raise ValueError(f"integrand shape {integrand.shape} != increments shape {incs.shape}")
-    drift = -0.5 * np.einsum("mnd,mnd->mn", integrand, integrand) * grid.dt
-    shock = np.einsum("mnd,mnd->mn", integrand, incs)
-    exponent = np.cumsum(drift + shock, axis=1)
-    peak = float(np.abs(exponent).max(initial=0.0))
-    if peak > 700.0:
-        step = int(np.argmax(np.abs(exponent).max(axis=0) > 700.0))
-        raise SolverError("stochastic exponential exponent overflow", step=step)
-    out = np.empty((integrand.shape[0], integrand.shape[1] + 1))
-    out[:, 0] = 1.0
-    out[:, 1:] = np.exp(exponent)
-    return out
+    out = np.zeros((integrand.shape[0], integrand.shape[1] + 1))
+    for i in range(integrand.shape[1]):
+        log_exponential_step(out, i, 0.0, integrand[:, i], incs[:, i], grid.dt, "stochastic exponential")
+    return np.exp(out, out=out)
 
 
 @dataclass
@@ -279,13 +282,12 @@ def bmo_report(
     features: np.ndarray | None = None,
     basis: RegressionBasis | None = None,
     n_max: int = 3,
-    interior_fraction: float = 0.9,
     ridge: float | None = None,
 ) -> BmoReport:
     """Full BMO diagnostic: norm estimate (with its 99.9%-quantile variant,
     robust to fit outliers), critical exponents, energy rows, and the reverse
-    Hoelder constant at an interior exponent p = 1 + interior_fraction *
-    (p_M - 1) (p = 2 when p_M is infinite)."""
+    Hoelder constant at the interior exponent p = 1 + 0.9 (p_M - 1) (p = 2
+    when p_M is infinite)."""
     est, est_q = _tail_sup_profile(integrand, grid, features, basis, ridge, quantile=0.999)
     offset = psi_inverse_offset(est)
     p_m = P_INFINITE if math.isinf(offset) else 1.0 + offset
@@ -293,7 +295,7 @@ def bmo_report(
     if math.isinf(offset):
         rh_p = 2.0
     else:
-        rh_p = 1.0 + interior_fraction * offset
+        rh_p = 1.0 + 0.9 * offset
     rh_k = reverse_holder_K(rh_p, est)
     rows = energy_check(integrand, grid, n_max, features, basis, bmo2=est)
     return BmoReport(est, est_q, p_m, p_star, rh_p, rh_k, rows)

@@ -15,7 +15,7 @@ its y-dependence exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +51,12 @@ class BackwardSolution:
     Z: np.ndarray  # (M, N+1, d)
     basis: RegressionBasis
     truncation_radius: float
-    y_fits: list = field(default_factory=list)  # StepFit per step 0..N-1
-    z_fits: list = field(default_factory=list)
+    y_fits: list  # StepFit per step 0..N-1
+    z_fits: list
     #: Pathwise terminal-plus-driver sums xi_m + sum_i f_m(t_i) dt. Because
     #: every regression preserves batch means, Y_0 equals the mean of these,
     #: and their spread yields an honest standard error for Y_0.
-    pathwise_targets: np.ndarray | None = None
+    pathwise_targets: np.ndarray
 
     @property
     def y0(self) -> float:
@@ -68,11 +68,8 @@ class BackwardSolution:
         pathwise terminal-plus-driver sums (the smoothed per-path values at
         early steps hide most of the estimator variance and must not be
         used for this)."""
-        if self.pathwise_targets is not None:
-            m_paths = self.pathwise_targets.shape[0]
-            return float(self.pathwise_targets.std() / math.sqrt(m_paths))
-        m_paths = self.Y.shape[0]
-        return float(self.Y[:, 1].std() / math.sqrt(m_paths))
+        m_paths = self.pathwise_targets.shape[0]
+        return float(self.pathwise_targets.std() / math.sqrt(m_paths))
 
 
 def default_truncation_radius(constants: DerivedConstants, horizon: float) -> float:
@@ -304,7 +301,7 @@ def estimate_apriori_bound(
     solution: BackwardSolution,
     constants: DerivedConstants,
     grid: TimeGrid,
-    forward: ForwardBatch | None = None,
+    forward: ForwardBatch,
     basis: RegressionBasis | None = None,
     ridge: float | None = None,
 ) -> BoundReport:
@@ -313,8 +310,7 @@ def estimate_apriori_bound(
     moments of the quadratic variation below ([p]+1)! A^(2p)."""
     sup_y = float(np.abs(solution.Y).max())
     integrand = solution.Z[:, : grid.N, :]
-    features = forward.states if forward is not None else None
-    est = bmo.estimate_bmo2(integrand, grid, features=features, basis=basis, ridge=ridge)
+    est = bmo.estimate_bmo2(integrand, grid, features=forward.states, basis=basis, ridge=ridge)
     combined = sup_y + est**2
     qv = bmo.quadratic_variation(integrand, grid)
     checks = []

@@ -29,8 +29,6 @@ def _apply_thread_limit(threads: int | None) -> None:
     to take effect; artifact content does not depend on it either way (all
     artifact-relevant reductions run in fixed chunk order)."""
     if threads is None:
-        threads = os.environ.get("QSMP_THREADS")
-    if threads is None:
         return
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(threads)

@@ -28,6 +28,9 @@ Recognised sections and keys::
     [tolerances]   basis_degree (every pipeline), truncation_radius and ridge
                    (solve, adjoint, bmo), validation_samples (constants); a
                    pipeline rejects a key it does not use
+
+A family problem without ``[controls]`` uses that family's default pair of
+controls; an inline problem defaults both u_bar and u to k zeros.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .model import (
     HalfspaceDomain,
     ProblemSpec,
 )
-from .paths import FeedbackControl, TimeGrid
+from .paths import DEFAULT_EPSILONS, FeedbackControl, TimeGrid, check_epsilons
 
 PIPELINES = ("solve", "adjoint", "gradient-check", "descend", "mp-check", "bmo", "constants")
 
@@ -152,20 +155,17 @@ class ExperimentConfig:
     seed: int
     pipeline: str | None
     output_dir: str | None
-    u_bar_source: str
-    u_source: str
+    controls: dict  # "u_bar" and "u" -> Control
     descent: DescentParams
     check: CheckParams
     bmo: BmoParams
     gradient_epsilons: list
     overrides: Overrides
     family: str | None
-    family_params: dict
     raw: dict = field(default_factory=dict)
 
     def control(self, which: str):
-        source = self.u_bar_source if which == "u_bar" else self.u_source
-        return build_control(source, self.spec, self.family, self.family_params)
+        return self.controls[which]
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number"}
@@ -212,6 +212,7 @@ def _parse_section(section: str, values: dict):
 def _numeric_list(section, key, value):
     try:
         ast = expr.parse_expression(value, (0, 0, 0))
+        expr.list_shape(ast)  # rejects ragged and mixed lists
         result = expr.evaluate_expression(ast, {})
     except expr.ExpressionError as err:
         raise ConfigError(f"invalid numeric list: {err}", f"[{section}] {key}")
@@ -276,20 +277,19 @@ def load_config(path: str) -> ExperimentConfig:
 
     spec, family, family_params = _build_problem(raw["problem"], horizon)
 
-    controls = raw.get("controls", {})
-    default_bar, default_u = _DEFAULT_CONTROLS.get(family, ("[0.0]", "[0.0]"))
-    u_bar_source = controls.get("u_bar", default_bar)
-    u_source = controls.get("u", default_u)
-    for which, source in (("u_bar", u_bar_source), ("u", u_source)):
-        _validate_control_source(source, spec, family, which)
+    zeros = "[" + ", ".join(["0.0"] * spec.k) + "]"
+    defaults = dict(zip(("u_bar", "u"), _DEFAULT_CONTROLS.get(family, (zeros, zeros))))
+    sources = {**defaults, **raw.get("controls", {})}
+    controls = {which: build_control(which, sources[which], spec, family, family_params) for which in ("u_bar", "u")}
 
     descent, check, bmo_params = (_parse_section(name, raw.get(name, {})) for name in ("descent", "check", "bmo"))
 
-    epsilons = [0.25, 0.125, 0.0625, 0.03125, 0.015625]
+    epsilons = list(DEFAULT_EPSILONS)
     if "gradient_check" in raw and "epsilons" in raw["gradient_check"]:
-        epsilons = _numeric_list("gradient_check", "epsilons", raw["gradient_check"]["epsilons"])
-        if len(epsilons) < 4 or any(not 0 < e <= 1 for e in epsilons):
-            raise ConfigError("need >= 4 epsilons in (0, 1]", "[gradient_check] epsilons")
+        try:
+            epsilons = check_epsilons(_numeric_list("gradient_check", "epsilons", raw["gradient_check"]["epsilons"]))
+        except ValueError as err:
+            raise ConfigError(str(err), "[gradient_check] epsilons")
 
     return ExperimentConfig(
         spec=spec,
@@ -298,15 +298,13 @@ def load_config(path: str) -> ExperimentConfig:
         seed=seed,
         pipeline=pipeline,
         output_dir=raw.get("output", {}).get("directory"),
-        u_bar_source=u_bar_source,
-        u_source=u_source,
+        controls=controls,
         descent=descent,
         check=check,
         bmo=bmo_params,
         gradient_epsilons=epsilons,
         overrides=_parse_section("tolerances", raw.get("tolerances", {})),
         family=family,
-        family_params=family_params,
         raw=raw,
     )
 
@@ -402,7 +400,9 @@ def _build_constants(section: dict, d: int) -> AssumptionConstants:
 
 def _parse_coefficient(source: str, dims, key: str):
     try:
-        return expr.parse_expression(source, dims)
+        ast = expr.parse_expression(source, dims)
+        expr.list_shape(ast)  # rejects ragged and mixed lists
+        return ast
     except expr.ExpressionError as err:
         raise ConfigError(f"invalid expression: {err}", f"[problem] {key}")
 
@@ -519,30 +519,21 @@ def build_expression_problem(n, d, k, T, x0, sources, domain, constants) -> Prob
         raise ConfigError(str(err), "[problem]")
 
 
-def _validate_control_source(source: str, spec: ProblemSpec, family, which: str):
+def build_control(which: str, source: str, spec: ProblemSpec, family, family_params: dict):
+    """The feedback control of the [controls] entry ``which``: ``riccati``
+    or a list of k expressions in t, x1..xn (a bare expression when k = 1)."""
+    location = f"[controls] {which}"
     if source == "riccati":
         if family != "linear_quadratic":
-            raise ConfigError(
-                "the riccati control is only available for the linear_quadratic family",
-                f"[controls] {which}",
-            )
-        return
+            raise ConfigError("the riccati control is only available for the linear_quadratic family", location)
+        return riccati_from_spec(family_params).feedback()
     try:
         ast = expr.parse_expression(source, (spec.n, 0, 0))
+        shape = expr.list_shape(ast)
     except expr.ExpressionError as err:
-        raise ConfigError(f"invalid control expression: {err}", f"[controls] {which}")
-    shape = expr.list_shape(ast)
-    length = shape[0] if shape else 1
-    if length != spec.k:
-        raise ConfigError(f"control must have k={spec.k} components", f"[controls] {which}")
-
-
-def build_control(source: str, spec: ProblemSpec, family=None, family_params=None):
-    """Materialise a [controls] entry into a feedback control."""
-    if source == "riccati":
-        return riccati_from_spec(family_params or {}).feedback()
-    ast = expr.parse_expression(source, (spec.n, 0, 0))
-    shape = expr.list_shape(ast)
+        raise ConfigError(f"invalid control expression: {err}", location)
+    if shape != (spec.k,) and not (shape == () and spec.k == 1):
+        raise ConfigError(f"control must have k={spec.k} components", location)
     comps = list(ast.items) if shape else [ast]
 
     def fn(t, states):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AssumptionConstants, BoxDomain, CoefficientSet, ProblemSpec
+from .model import VALIDATION_BOUND, AssumptionConstants, BoxDomain, CoefficientSet, ProblemSpec
 from .paths import FeedbackControl
 
 
@@ -114,7 +114,7 @@ def build_linear_quadratic(
         f_u=lambda t, x, y, z, u: r * u,
         Phi_x=lambda x: g * x,
     )
-    region = 10.0
+    region = VALIDATION_BOUND
     constants = AssumptionConstants(
         alpha=0.5 * (abs(q) + abs(r)) * region**2,
         gamma=0.002,
@@ -224,7 +224,7 @@ def build_controlled_geometric(mu: float = 0.0, vol: float = 0.2, x0: float = 1.
         f_u=lambda t, x, y, z, u: _zeros(x.shape[0], 1),
         Phi_x=lambda x: _zeros(x.shape[0], 1),
     )
-    region = 10.0
+    region = VALIDATION_BOUND
     constants = AssumptionConstants(
         alpha=0.0,
         gamma=1.0,
@@ -332,7 +332,7 @@ class RiccatiSolution:
 
     def feedback(self) -> FeedbackControl:
         def fn(t, states):
-            k_t = float(self.gain(t)[0]) if np.ndim(self.gain(t)) else float(self.gain(t))
+            k_t = float(self.gain(t)[0])
             return -k_t * states
 
         return FeedbackControl(fn, k=1)

@@ -189,7 +189,6 @@ class HalfspaceDomain(ControlDomain):
 
     normals: tuple  # rows of A
     offsets: tuple  # entries of c
-    interior_point: tuple | None = None
     kind = "halfspace-intersection"
 
     def __post_init__(self):
@@ -201,9 +200,6 @@ class HalfspaceDomain(ControlDomain):
             raise ValueError("halfspace normals must be nonzero")
         object.__setattr__(self, "normals", tuple(map(tuple, a_mat)))
         object.__setattr__(self, "offsets", tuple(c_vec))
-        if self.interior_point is not None:
-            pt = tuple(float(v) for v in np.atleast_1d(self.interior_point))
-            object.__setattr__(self, "interior_point", pt)
 
     @property
     def dim(self):
@@ -243,12 +239,10 @@ class HalfspaceDomain(ControlDomain):
         return x
 
     def sample(self, rng, size, boundary_bias=0.0):
-        center = np.asarray(self.interior_point if self.interior_point is not None else np.zeros(self.dim))
-        scale = 1.0
-        draws = center + scale * rng.standard_normal((size, self.dim))
+        draws = rng.standard_normal((size, self.dim))
         n_bias = int(round(boundary_bias * size))
         if n_bias:
-            draws[:n_bias] = center + 3.0 * scale * rng.standard_normal((n_bias, self.dim))
+            draws[:n_bias] = 3.0 * rng.standard_normal((n_bias, self.dim))
         return self.project(draws)
 
 
@@ -339,15 +333,8 @@ def derive_constants(spec: ProblemSpec) -> DerivedConstants:
     )
 
 
-@dataclass(frozen=True)
-class SamplingRegion:
-    """Box from which validation samples are drawn (controls are projected
-    into the domain afterwards)."""
-
-    x_bound: float = 10.0
-    y_bound: float = 10.0
-    z_bound: float = 10.0
-    u_bound: float = 10.0
+#: Half-width of the validation sampling box (controls are then projected).
+VALIDATION_BOUND = 10.0
 
 
 @dataclass
@@ -392,27 +379,26 @@ def validate_assumptions(
     spec: ProblemSpec,
     sample_count: int,
     seed: int = 0,
-    region: SamplingRegion | None = None,
 ) -> ValidationReport:
     """Spot-check the declared constants and derivative evaluators by sampling.
 
-    Each declared inequality is evaluated at random points of the configured
-    region; the report carries the worst observed left/right ratio per check
-    (values above 1 fail). Derivative evaluators are compared against central
-    finite differences of the base evaluators. Non-finite evaluator output
-    raises immediately: it signals an ill-posed problem, not a failed bound.
+    Each declared inequality is evaluated at random points whose x, y, z and
+    u coordinates lie in [-VALIDATION_BOUND, VALIDATION_BOUND]; the report
+    carries the worst observed left/right ratio per check (values above 1
+    fail). Derivative evaluators are compared against central finite
+    differences of the base evaluators. Non-finite evaluator output raises
+    immediately: it signals an ill-posed problem, not a failed bound.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    region = region or SamplingRegion()
     rng = np.random.default_rng([seed, 1])
     m = sample_count
     n, d, k = spec.n, spec.d, spec.k
     t_vals = rng.uniform(0.0, spec.T, size=max(4, m // 8))
-    x = rng.uniform(-region.x_bound, region.x_bound, size=(m, n))
-    y = rng.uniform(-region.y_bound, region.y_bound, size=m)
-    z = rng.uniform(-region.z_bound, region.z_bound, size=(m, d))
-    u = spec.domain.project(rng.uniform(-region.u_bound, region.u_bound, size=(m, k)))
+    x = rng.uniform(-VALIDATION_BOUND, VALIDATION_BOUND, size=(m, n))
+    y = rng.uniform(-VALIDATION_BOUND, VALIDATION_BOUND, size=m)
+    z = rng.uniform(-VALIDATION_BOUND, VALIDATION_BOUND, size=(m, d))
+    u = spec.domain.project(rng.uniform(-VALIDATION_BOUND, VALIDATION_BOUND, size=(m, k)))
     zeros_y = np.zeros(m)
     zeros_z = np.zeros((m, d))
 
@@ -458,8 +444,7 @@ def validate_assumptions(
         ratio_check(f"b_u_bound@t={t:.3g}", _fro(bu), np.full(m, cs.b_u_sup))
         for i in range(d):
             ratio_check(f"sigma_x_bound[{i}]@t={t:.3g}", _fro(sx[:, i]), np.full(m, cs.sigma_x_sup[i]))
-        ratio_check(f"sigma_u_bound@t={t:.3g}", _fro(su).max(axis=-1) if d > 1 else _fro(su[:, 0]),
-                    np.full(m, cs.sigma_u_sup))
+        ratio_check(f"sigma_u_bound@t={t:.3g}", _fro(su).max(axis=-1), np.full(m, cs.sigma_u_sup))
         worst_fd = max(worst_fd, _derivative_discrepancy(co, t, x, y, z, u, bx, bu, sx, su, fx, fy, fz, fu))
 
     phi = to_finite("Phi", co.Phi(x))

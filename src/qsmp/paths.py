@@ -4,6 +4,7 @@ dynamics and of their linearisation along a control perturbation."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -111,8 +112,6 @@ class ConstantControl(Control):
 def realize_control_along(control: Control, grid: TimeGrid, states: np.ndarray) -> np.ndarray:
     """Evaluate a control along a given state trajectory, yielding the adapted
     open-loop table (M, N+1, k) it induces."""
-    if isinstance(control, OpenLoopControl):
-        return np.asarray(control.table, dtype=np.float64)
     times = grid.times
     first = control.values(0, times[0], states[:, 0])
     table = np.empty((states.shape[0], grid.N + 1, first.shape[1]))
@@ -167,28 +166,18 @@ def solve_forward_sde(
     return ForwardBatch(states, controls)
 
 
-def as_perturbation_table(uhat, grid: TimeGrid, base: ForwardBatch) -> np.ndarray:
-    """Normalise a perturbation given as a table or a control into a table
-    evaluated along the base trajectory."""
-    if isinstance(uhat, Control):
-        return realize_control_along(uhat, grid, base.states)
-    table = np.asarray(uhat, dtype=np.float64)
-    expected = (base.states.shape[0], grid.N + 1, base.controls.shape[2])
-    if table.shape != expected:
-        raise ValueError(f"perturbation table has shape {table.shape}, expected {expected}")
-    return table
-
-
 def solve_variational_sde(
     spec: ProblemSpec,
     grid: TimeGrid,
     noise: BrownianBatch,
     base: ForwardBatch,
-    uhat,
+    uhat: np.ndarray,
 ) -> VariationalForwardBatch:
-    """Linearised dynamics along the base trajectory, driven by the control
-    perturbation; same Euler scheme and noise as the base solve."""
-    table = as_perturbation_table(uhat, grid, base)
+    """Linearised dynamics along the base trajectory, driven by the table
+    ``uhat`` (M, N+1, k); same Euler scheme and noise as the base solve."""
+    expected = (base.states.shape[0], grid.N + 1, base.controls.shape[2])
+    if uhat.shape != expected:
+        raise ValueError(f"perturbation table has shape {uhat.shape}, expected {expected}")
     m_paths = noise.M
     times = grid.times
     dt = grid.dt
@@ -198,7 +187,7 @@ def solve_variational_sde(
         x_i = base.states[:, i]
         u_i = base.controls[:, i]
         v_i = states[:, i]
-        h_i = table[:, i]
+        h_i = uhat[:, i]
         bx = np.asarray(co.b_x(times[i], x_i, u_i), dtype=np.float64)
         bu = np.asarray(co.b_u(times[i], x_i, u_i), dtype=np.float64)
         sx = np.asarray(co.sigma_x(times[i], x_i, u_i), dtype=np.float64)
@@ -209,10 +198,19 @@ def solve_variational_sde(
         if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > EXPLOSION_GUARD:
             raise ExplosionError("variational state left the admissible range", step=i)
         states[:, i + 1] = nxt
-    return VariationalForwardBatch(states, table)
+    return VariationalForwardBatch(states, uhat)
 
 
 DEFAULT_EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
+
+
+def check_epsilons(epsilons) -> list:
+    """At least four perturbation sizes in (0, 1], as a list of floats."""
+    eps_list = list(epsilons)
+    if len(eps_list) < 4 or not all(isinstance(e, numbers.Real) and 0.0 < e <= 1.0 for e in eps_list):
+        raise ValueError("need >= 4 epsilons in (0, 1]")
+    return [float(e) for e in eps_list]
+
 
 #: Relative floor (on squared sup errors) below which a remainder is treated
 #: as exactly zero rather than fitted; roundoff accumulation sits well below.
@@ -289,11 +287,7 @@ def expansion_rate_check(
     the remainder against the linearised response should decay strictly
     faster.
     """
-    eps_list = [float(e) for e in epsilons]
-    if len(eps_list) < 4:
-        raise ValueError("need at least 4 epsilon values")
-    if any(not 0.0 < e <= 1.0 for e in eps_list):
-        raise ValueError("epsilons must lie in (0, 1]")
+    eps_list = check_epsilons(epsilons)
     base = solve_forward_sde(spec, grid, noise, u_bar)
     u_table = realize_control_along(u, grid, base.states)
     uhat = u_table - base.controls

@@ -19,6 +19,7 @@ from . import adjoint as adjoint_mod
 from .bsde import RegressionBasis, solve_linear_bsde, solve_quadratic_bsde
 from .model import ProblemSpec
 from .paths import (
+    DEFAULT_EPSILONS,
     BrownianBatch,
     Control,
     ForwardBatch,
@@ -73,7 +74,7 @@ def gateaux_check(
     noise: BrownianBatch,
     u_bar: Control,
     u: Control,
-    epsilons=(0.25, 0.125, 0.0625, 0.03125, 0.015625),
+    epsilons=DEFAULT_EPSILONS,
     basis: RegressionBasis | None = None,
 ) -> GradientCheckReport:
     """Difference quotients of J under the convex perturbation
@@ -155,7 +156,7 @@ def y_expansion_rate_check(
     noise: BrownianBatch,
     u_bar: Control,
     u: Control,
-    epsilons=(0.25, 0.125, 0.0625, 0.03125, 0.015625),
+    epsilons=DEFAULT_EPSILONS,
     basis: RegressionBasis | None = None,
 ) -> RateReport:
     """Expansion rates of the backward value: E[sup_t |Y^eps - Y|^2] should
@@ -246,8 +247,8 @@ def _policy_gradient(spec, grid, noise, policy, basis):
     forward = solve_forward_sde(spec, grid, noise, policy.control())
     backward, adj = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
     gamma = adjoint_mod.gamma_process(spec, grid, noise, forward, backward)
-    weight = adjoint_mod.optimality_weight(spec, grid, forward, backward, adj)
-    weighted = gamma.values[:, : grid.N, None] * weight  # (M, N, k)
+    weighted = adjoint_mod.optimality_weight(spec, grid, forward, backward, adj)
+    weighted *= gamma.values[:, : grid.N, None]  # (M, N, k)
     grad_offsets = weighted.mean(axis=0)  # (N, k)
     grad_gains = np.einsum("mik,min->ikn", weighted, forward.states[:, : grid.N]) / noise.M
     return backward.y0, backward.y0_standard_error, grad_offsets, grad_gains
@@ -258,7 +259,7 @@ def projected_gradient_descent(
     grid: TimeGrid,
     noise: BrownianBatch,
     u_init: AffineFeedbackPolicy,
-    step_schedule,
+    step_schedule: float,
     max_iters: int,
     basis: RegressionBasis | None = None,
 ) -> DescentResult:
@@ -272,6 +273,7 @@ def projected_gradient_descent(
     control domain, so the parameters stay unconstrained. Halts early if the
     cost increases five times in a row.
     """
+    eta = float(step_schedule)
     policy = u_init.copy()
     trace = []
     best: AffineFeedbackPolicy = policy.copy()
@@ -299,7 +301,6 @@ def projected_gradient_descent(
             consecutive_up = 0
         previous_cost = cost
 
-        eta = step_schedule(iteration) if callable(step_schedule) else float(step_schedule)
         policy.offsets[: grid.N] -= eta * grad_offsets
         policy.gains[: grid.N] -= eta * grad_gains
 
@@ -327,7 +328,6 @@ def check_maximum_principle(
     grid: TimeGrid,
     noise: BrownianBatch,
     u_bar: Control,
-    candidate_sampler=None,
     tolerance: float | None = None,
     n_times: int = 12,
     n_states: int = 48,
@@ -376,19 +376,14 @@ def check_maximum_principle(
             sel = slice(g * size, (g + 1) * size)
             replicates.append(_replicate_fields(spec, grid, noise, forward, sel, basis, check_steps, points))
 
-    sampler = candidate_sampler
-    if sampler is None:
-        sampler = lambda r, size: spec.domain.sample(r, size, boundary_bias=boundary_bias)
-
     min_inner = math.inf
     per_time_min = []
     violations = 0
     total = 0
     for j, field in enumerate(fields):
         u_q = points[j][1]
-        candidates = sampler(rng, len(query_paths) * n_candidates).reshape(
-            len(query_paths), n_candidates, spec.k
-        )
+        candidates = spec.domain.sample(rng, len(query_paths) * n_candidates, boundary_bias=boundary_bias)
+        candidates = candidates.reshape(len(query_paths), n_candidates, spec.k)
         directions = candidates - u_q[:, None, :]
         inner = np.einsum("sk,sck->sc", field, directions)
         if replicates:

@@ -99,20 +99,17 @@ def load_container(path: str) -> tuple[dict, dict]:
     return metadata, arrays
 
 
-def save_solution(path: str, grid, forward, backward=None) -> None:
-    """Forward batch (and optionally the backward pair) in one container."""
+def save_solution(path: str, grid, forward, backward) -> None:
+    """Forward batch and backward pair in one container."""
     meta = {
         "M": forward.states.shape[0],
         "N": grid.N,
         "n": forward.states.shape[2],
         "k": forward.controls.shape[2],
         "dt": grid.dt,
+        "d": backward.Z.shape[2],
     }
-    arrays = {"states": forward.states, "controls": forward.controls}
-    if backward is not None:
-        meta["d"] = backward.Z.shape[2]
-        arrays["Y"] = backward.Y
-        arrays["Z"] = backward.Z
+    arrays = {"states": forward.states, "controls": forward.controls, "Y": backward.Y, "Z": backward.Z}
     save_container(path, meta, arrays)
 
 
@@ -127,19 +124,17 @@ def write_csv(path: str, header: list, rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def export_paths_csv(path: str, grid, forward, backward=None, max_paths: int = 64) -> None:
+def export_paths_csv(path: str, grid, forward, backward, max_paths: int = 64) -> None:
     """Wide per-(path, step) table for small batches; one column per state,
     control, and backward component."""
     m_paths = min(forward.states.shape[0], max_paths)
     n = forward.states.shape[2]
     k = forward.controls.shape[2]
+    d = backward.Z.shape[2]
     header = ["path", "step", "t"]
     header += [f"x{j+1}" for j in range(n)]
     header += [f"u{j+1}" for j in range(k)]
-    d = 0
-    if backward is not None:
-        d = backward.Z.shape[2]
-        header += ["Y"] + [f"Z{j+1}" for j in range(d)]
+    header += ["Y"] + [f"Z{j+1}" for j in range(d)]
     times = grid.times
     rows = []
     for m in range(m_paths):
@@ -147,9 +142,8 @@ def export_paths_csv(path: str, grid, forward, backward=None, max_paths: int = 6
             row = [m, i, float(times[i])]
             row += [float(v) for v in forward.states[m, i]]
             row += [float(v) for v in forward.controls[m, i]]
-            if backward is not None:
-                row.append(float(backward.Y[m, i]))
-                row += [float(v) for v in backward.Z[m, i]]
+            row.append(float(backward.Y[m, i]))
+            row += [float(v) for v in backward.Z[m, i]]
             rows.append(row)
     write_csv(path, header, rows)
 
@@ -159,8 +153,6 @@ def export_regression_coefficients(path: str, solution) -> None:
     rows = []
     for fits, label in ((solution.y_fits, lambda j: f"y{j}"), (solution.z_fits, lambda j: f"z{j + 1}")):
         for i, fit in enumerate(fits):
-            if fit is None:
-                continue
             for target_idx, coeff_row in enumerate(np.atleast_2d(fit.coefficients.T)):
                 for feat_idx, value in enumerate(coeff_row):
                     rows.append([i, label(target_idx), feat_idx, float(value)])

@@ -55,6 +55,8 @@ step = 0.5
 basis_degree = 2
 """
 
+TINY_GRADIENT_CHECK = BASE.replace("M = 500", "M = 2000") + "\n[controls]\nu_bar = [0.0]\nu = [1.0]\n"
+
 # [tolerances] keys that a pipeline does not use, and must reject.
 UNUSED_TOLERANCES = [
     (pipeline, key)
@@ -243,7 +245,12 @@ class TestCli:
     def test_determinism_across_runs_and_threads(self, tmp_path):
         # Separate processes, so the BLAS thread count is set before numpy loads.
         descend = write(tmp_path, TINY_DESCEND, name="tiny_descend.cfg")
-        runs = (("descend", descend), ("solve", os.path.join(CONFIG_DIR, "inline_quadratic.cfg")))
+        adjoint = write(tmp_path, BASE, name="tiny_adjoint.cfg")
+        gradient = write(tmp_path, TINY_GRADIENT_CHECK, name="tiny_gradient_check.cfg")
+        runs = (
+            ("descend", descend), ("solve", os.path.join(CONFIG_DIR, "inline_quadratic.cfg")),
+            ("adjoint", adjoint), ("gradient-check", gradient),
+        )
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         for pipeline, cfg in runs:
             outs = []
@@ -432,3 +439,67 @@ class TestTolerancesReachThePipeline:
             assert (outs["random"] / name).read_bytes() == (outs["random_again"] / name).read_bytes(), name
         trace = "descent_trace.csv"
         assert (outs["random"] / trace).read_bytes() != (outs["zeros"] / trace).read_bytes()
+
+
+INLINE_2D = """
+[problem]
+n = 2
+d = 2
+k = 2
+x0 = [0.1, -0.2]
+b = [0.2*x2 + u1, -0.3*x1 + u2]
+sigma = [[0.5, 0.2*tanh(x2)], [0.1, 0.4 + 0.1*tanh(x1)]]
+f = 0.25*(z1^2 + z2^2) + 0.1*(u1^2 + u2^2)
+Phi = 0.5*tanh(x1) + 0.25*tanh(x2)
+domain = box
+domain_lower = [-1.0, -1.0]
+domain_upper = [1.0, 1.0]
+gamma = 0.5
+Phi_sup = 0.75
+sigma_x_sup = [0.0, 0.25]
+
+[grid]
+N = 10
+T = 1.0
+
+[monte_carlo]
+M = 500
+seed = 1
+"""
+
+
+class TestControlsAndLists:
+    def test_ragged_control_list_located(self, tmp_path, capsys):
+        text = BASE.replace("exponential_utility", "bounded_tanh") + "\n[controls]\nu = [[1], [2, 3]]\n"
+        assert run_cli(["constants", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        assert "[controls] u: invalid control expression: line 1, column 1: matrix rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,message", [("[[u1], [1, 2]]", "matrix rows"), ("[[u1], 2]", "mixed scalar")])
+    def test_ragged_or_mixed_coefficient_list_located(self, tmp_path, capsys, value, message):
+        text = INLINE_2D.replace("b = [0.2*x2 + u1, -0.3*x1 + u2]", f"b = {value}")
+        assert run_cli(["solve", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        assert f"[problem] b: invalid expression: line 1, column 1: {message}" in capsys.readouterr().err
+
+    def test_control_given_as_rows_rejected_at_load(self, tmp_path, capsys):
+        text = INLINE_2D + "\n[controls]\nu_bar = [[0.1, 0.2], [0.3, 0.4]]\nu = [0.0, 0.0]\n"
+        assert run_cli(["solve", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        assert "[controls] u_bar: control must have k=2 components" in capsys.readouterr().err
+
+    def test_inline_controls_default_to_k_zeros(self, tmp_path):
+        path = write(tmp_path, INLINE_2D)
+        cfg = config.load_config(path)
+        for which in ("u_bar", "u"):
+            assert np.array_equal(cfg.control(which).values(0, 0.0, np.ones((3, 2))), np.zeros((3, 2)))
+        assert run_cli(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("key,value", [("x0", "[[1], 2]"), ("x0", "[[1], [2, 3]]"), ("sigma_x_sup", "[[0.0], 1]")])
+    def test_ragged_numeric_list_located(self, tmp_path, key, value):
+        with open(os.path.join(CONFIG_DIR, "inline_quadratic.cfg")) as handle:
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", handle.read(), flags=re.M)
+        with pytest.raises(ConfigError, match=rf"\[problem\] {key}: invalid numeric list"):
+            config.load_config(write(tmp_path, text))
+
+    def test_epsilons_given_as_rows_rejected(self, tmp_path):
+        text = BASE + "\n[gradient_check]\nepsilons = [[0.5], [0.25], [0.125], [0.1]]\n"
+        with pytest.raises(ConfigError, match=r"\[gradient_check\] epsilons: need >= 4 epsilons in \(0, 1\]"):
+            config.load_config(write(tmp_path, text))

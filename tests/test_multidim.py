@@ -8,6 +8,7 @@ import pytest
 
 from qsmp import adjoint, bsde, model, smp
 from qsmp.config import build_expression_problem
+from qsmp.errors import SolverError
 from qsmp.model import AssumptionConstants, BoxDomain
 from qsmp.paths import FeedbackControl, TimeGrid, simulate_brownian, solve_forward_sde
 
@@ -64,3 +65,24 @@ def test_gateaux_check_agrees_with_the_adjoint(spec):
     rep = smp.gateaux_check(spec, grid, noise, constant_control([0.0, 0.0]), constant_control([1.0, -1.0]))
     assert not rep.inconclusive
     assert abs(rep.extrapolated_intercept - rep.yhat0) <= 3 * rep.intercept_gap_se()
+
+
+def test_singular_costate_step_names_the_step():
+    # b_x = c I with dt * c = 1 makes the implicit costate matrix I - dt b_x^T
+    # exactly zero at every step.
+    n_steps, horizon = 10, 1.0
+    c = n_steps / horizon
+    spec = build_expression_problem(
+        n=2, d=1, k=1, T=horizon, x0=[0.1, 0.2],
+        sources={"b": f"[{c}*x1 + u1, {c}*x2]", "sigma": "[[1.0], [0.5]]", "f": "0.005*z1^2", "Phi": "tanh(x1)"},
+        domain=BoxDomain((-1.0,), (1.0,)),
+        constants=AssumptionConstants(
+            alpha=0.0, gamma=0.01, L1=0.0, L2=0.0, L3=0.0, f_y_sup=0.0, Phi_sup=1.0,
+            sigma_x_sup=(0.0,), b_x_sup=c, b_u_sup=1.0, sigma_u_sup=0.0, Phi_x_sup=1.0,
+        ),
+    )
+    grid = TimeGrid(n_steps, horizon)
+    noise = simulate_brownian(grid, 500, 1, 2)
+    forward = solve_forward_sde(spec, grid, noise, constant_control([0.0]))
+    with pytest.raises(SolverError, match=r"implicit costate step is singular \(step 9\)"):
+        adjoint.solve_state_and_costate(spec, grid, noise, forward)
