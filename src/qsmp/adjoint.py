@@ -28,7 +28,7 @@ from .bsde import (
 )
 from .errors import SolverError
 from .model import ProblemSpec
-from .paths import BrownianBatch, ForwardBatch, TimeGrid, VariationalForwardBatch
+from .paths import BrownianBatch, ForwardBatch, TimeGrid, VariationalForwardBatch, step_major
 from .regression import RegressionBasis
 
 #: Derivatives that take (t, x, u); the others also take (y, z).
@@ -162,7 +162,7 @@ def gamma_process(
     m_paths, n_steps = noise.M, grid.N
     dt = grid.dt
     times = grid.times
-    log_gamma = np.zeros((m_paths, n_steps + 1))
+    log_gamma = step_major((m_paths, n_steps + 1), fill=0.0)
     for i in range(n_steps):
         fy, fz = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
         bmo.log_exponential_step(log_gamma, i, fy, fz, noise.increments[:, i], dt, "exponential weight")
@@ -192,7 +192,7 @@ def optimality_weight(
 ) -> np.ndarray:
     """:func:`control_gradient` along the trajectory, shape (M, N, k)."""
     m_paths = forward.states.shape[0]
-    out = np.empty((m_paths, grid.N, spec.k))
+    out = step_major((m_paths, grid.N, spec.k))
     times = grid.times
     for i in range(grid.N):
         out[:, i] = control_gradient(
@@ -214,8 +214,8 @@ def auxiliary_data(
     collects every first-order cost effect of the perturbation direction."""
     m_paths, n_steps = forward.states.shape[0], grid.N
     times = grid.times
-    lam = np.empty((m_paths, n_steps))
-    mu = np.empty((m_paths, n_steps, spec.d))
+    lam = step_major((m_paths, n_steps))
+    mu = step_major((m_paths, n_steps, spec.d))
     for i in range(n_steps):
         lam[:, i], mu[:, i] = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
     phi = _auxiliary_phi(spec, grid, forward, backward, adjoint, uhat)
@@ -225,7 +225,8 @@ def auxiliary_data(
 def _auxiliary_phi(spec, grid, forward, backward, adjoint, uhat) -> np.ndarray:
     """H_u . uhat along the trajectory, shape (M, N)."""
     weight = optimality_weight(spec, grid, forward, backward, adjoint)
-    return np.einsum("mik,mik->mi", weight, uhat[:, : grid.N])
+    out = step_major(weight.shape[:2])
+    return np.einsum("mik,mik->mi", weight, uhat[:, : grid.N], out=out)
 
 
 def solve_auxiliary(
@@ -293,9 +294,9 @@ def solve_variational_bsde(
     m_paths, n_steps = noise.M, grid.N
     times = grid.times
     uhat = variational.perturbation
-    lam = np.empty((m_paths, n_steps))
-    mu = np.empty((m_paths, n_steps, spec.d))
-    phi = np.empty((m_paths, n_steps))
+    lam = step_major((m_paths, n_steps))
+    mu = step_major((m_paths, n_steps, spec.d))
+    phi = step_major((m_paths, n_steps))
     for i in range(n_steps):
         f_y, f_z, f_x, f_u = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z", "f_x", "f_u")
         lam[:, i] = f_y
@@ -305,7 +306,9 @@ def solve_variational_bsde(
     phi_x = np.asarray(spec.coeffs.Phi_x(forward.states[:, n_steps]), dtype=np.float64)
     xi = np.einsum("ma,ma->m", phi_x, variational.states[:, n_steps])
     data = LinearBSDEData(xi, lam, mu, phi)
-    features = np.concatenate([forward.states, variational.states], axis=2)
+    features = step_major((m_paths, n_steps + 1, 2 * spec.n))
+    features[:, :, : spec.n] = forward.states
+    features[:, :, spec.n :] = variational.states
     return solve_linear_bsde(data, grid, noise, features, basis=basis, ridge=ridge)
 
 
@@ -422,7 +425,7 @@ def check_decoupling(
     z_reports = []
     times = grid.times
     for j in range(spec.d):
-        res_j = np.empty((noise.M, grid.N))
+        res_j = step_major((noise.M, grid.N))
         for i in range(grid.N):
             sigma_u, sigma_x = _coefficients(spec, times[i], *_along(forward, backward, i), "sigma_u", "sigma_x")
             p_i = adjoint.p[:, i]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
+from .paths import step_major
 from .regression import RegressionBasis, StepRegressor
 
 #: Marker for an infinite critical exponent (zero-norm integrand).
@@ -159,8 +160,8 @@ def _tail_sup_profile(integrand, grid, features, basis, ridge, quantile=None):
         raise ValueError(f"integrand has {n_steps} steps, grid has {grid.N}")
     sq = np.einsum("mnd,mnd->mn", integrand, integrand) * grid.dt
     # tails[:, j] = sum_{i >= j} |H_i|^2 dt
-    tails = np.zeros((m_paths, n_steps + 1))
-    tails[:, :-1] = sq[:, ::-1].cumsum(axis=1)[:, ::-1]
+    tails = step_major((m_paths, n_steps + 1), fill=0.0)
+    np.cumsum(sq[:, ::-1], axis=1, out=tails[:, -2::-1])
     basis = basis or RegressionBasis("polynomial", 2)
     best_max = 0.0
     best_q = 0.0
@@ -243,7 +244,7 @@ def stochastic_exponential(integrand: np.ndarray, grid, noise) -> np.ndarray:
     incs = noise.increments
     if integrand.shape != incs.shape:
         raise ValueError(f"integrand shape {integrand.shape} != increments shape {incs.shape}")
-    out = np.zeros((integrand.shape[0], integrand.shape[1] + 1))
+    out = step_major((integrand.shape[0], integrand.shape[1] + 1), fill=0.0)
     for i in range(integrand.shape[1]):
         log_exponential_step(out, i, 0.0, integrand[:, i], incs[:, i], grid.dt, "stochastic exponential")
     return np.exp(out, out=out)

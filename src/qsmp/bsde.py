@@ -22,7 +22,7 @@ import numpy as np
 from . import bmo
 from .errors import SolverError
 from .model import DerivedConstants, ProblemSpec, derive_constants
-from .paths import BrownianBatch, ForwardBatch, TimeGrid
+from .paths import BrownianBatch, ForwardBatch, TimeGrid, step_major
 from .regression import (  # noqa: F401  (re-exported: the public regression surface)
     IllConditionedBasisError,
     RegressionBasis,
@@ -90,7 +90,8 @@ class BackwardEquation:
     """One equation of a backward sweep, with K value components.
 
     Holds values (M, N+1, K) from the terminal ones (M, K), integrands
-    (M, N+1, K, d), zero at the terminal index, the per-step fits, and
+    (M, N+1, K, d), zero at the terminal index, both stored step-major (see
+    :func:`qsmp.paths.step_major`), the per-step fits, and
     ``step(i, cond, z) -> (value, integrand)``, which resolves step i from
     the conditional mean (M, K) of the next value and the regressed
     integrand (M, K, d). ``driver_sum`` (M,) is where a scalar equation's
@@ -101,9 +102,9 @@ class BackwardEquation:
 
     def __init__(self, terminal: np.ndarray, n_steps: int, d: int, step, driver_sum=None):
         m_paths, k = terminal.shape
-        self.values = np.empty((m_paths, n_steps + 1, k))
+        self.values = step_major((m_paths, n_steps + 1, k))
         self.values[:, n_steps] = terminal
-        self.integrands = np.zeros((m_paths, n_steps + 1, k, d))
+        self.integrands = step_major((m_paths, n_steps + 1, k, d), fill=0.0)
         self.value_fits = [None] * n_steps
         self.integrand_fits = [None] * n_steps
         self.driver_sum = driver_sum
@@ -218,11 +219,17 @@ class LinearBSDEData:
     @staticmethod
     def from_broadcast(m_paths: int, n_steps: int, d: int, xi, lam=0.0, mu=0.0, phi=0.0):
         """Convenience constructor broadcasting scalars/vectors to full shape."""
+
+        def per_step(value, shape):
+            full = step_major(shape)
+            full[...] = np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
+            return full
+
         return LinearBSDEData(
             xi=np.broadcast_to(np.asarray(xi, dtype=np.float64), (m_paths,)).copy(),
-            lam=np.broadcast_to(np.asarray(lam, dtype=np.float64), (m_paths, n_steps)).copy(),
-            mu=np.broadcast_to(np.asarray(mu, dtype=np.float64), (m_paths, n_steps, d)).copy(),
-            phi=np.broadcast_to(np.asarray(phi, dtype=np.float64), (m_paths, n_steps)).copy(),
+            lam=per_step(lam, (m_paths, n_steps)),
+            mu=per_step(mu, (m_paths, n_steps, d)),
+            phi=per_step(phi, (m_paths, n_steps)),
         )
 
 

@@ -372,11 +372,9 @@ def _pipeline_mp_check(cfg):
 
 
 def _pipeline_bmo(cfg):
-    import numpy as np
-
     from .bmo import bmo_report
     from .bsde import solve_quadratic_bsde
-    from .paths import solve_forward_sde
+    from .paths import solve_forward_sde, step_major
 
     noise, basis = _setup(cfg)
     if cfg.bmo.source == "backward":
@@ -388,7 +386,7 @@ def _pipeline_bmo(cfg):
         integrand = backward.Z[:, : cfg.grid.N, :]
         features = forward.states
     else:
-        integrand = np.full((cfg.M, cfg.grid.N, cfg.spec.d), cfg.bmo.level)
+        integrand = step_major((cfg.M, cfg.grid.N, cfg.spec.d), fill=cfg.bmo.level)
         features = None
     rep = bmo_report(
         integrand, cfg.grid, features=features, basis=basis, n_max=cfg.bmo.n_max, ridge=cfg.overrides.ridge

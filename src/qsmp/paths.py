@@ -1,16 +1,24 @@
 """Time discretisation, Brownian batches, and Euler stepping of the state
-dynamics and of their linearisation along a control perturbation."""
+dynamics and of their linearisation along a control perturbation.
+
+Path-step arrays have the logical shape (M, N+1, ...) (or (M, N, ...)) and
+are stored step-major (:func:`step_major`): the scheme walks the grid one
+step at a time, so each step's slice ``a[:, i]`` is one contiguous block.
+"""
 
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ExplosionError
-from .model import ProblemSpec
+
+if TYPE_CHECKING:  # annotations only: model imports bmo, which allocates through this module
+    from .model import ProblemSpec
 
 EXPLOSION_GUARD = 1e8
 
@@ -39,9 +47,19 @@ class TimeGrid:
         return times
 
 
+def step_major(shape, fill=None) -> np.ndarray:
+    """A float array of logical shape (M, steps, ...) stored step by step,
+    so that ``a[:, i]`` is C-contiguous; uninitialised unless ``fill`` is
+    given."""
+    m_paths, steps, *rest = shape
+    block = (steps, m_paths, *rest)
+    return np.moveaxis(np.empty(block) if fill is None else np.full(block, float(fill)), 0, 1)
+
+
 @dataclass(frozen=True)
 class BrownianBatch:
-    """Batch of Brownian increments, reproducible from (seed, stream_id)."""
+    """Batch of Brownian increments, reproducible from (seed, stream_id);
+    stored step-major (see :func:`step_major`)."""
 
     increments: np.ndarray  # (M, N, d)
     seed: int
@@ -65,7 +83,9 @@ def simulate_brownian(grid: TimeGrid, M: int, d: int, seed: int, stream_id: int 
     if M < 1 or d < 1:
         raise ValueError("M and d must be >= 1")
     rng = np.random.default_rng([int(seed), int(stream_id), 0x5D])
-    incs = rng.standard_normal((M, grid.N, d)) * math.sqrt(grid.dt)
+    # Drawn path-major, as the stream defines the batch, then stored step-major.
+    incs = step_major((M, grid.N, d))
+    np.multiply(rng.standard_normal((M, grid.N, d)), math.sqrt(grid.dt), out=incs)
     incs.setflags(write=False)
     return BrownianBatch(incs, int(seed), int(stream_id))
 
@@ -114,7 +134,7 @@ def realize_control_along(control: Control, grid: TimeGrid, states: np.ndarray) 
     open-loop table (M, N+1, k) it induces."""
     times = grid.times
     first = control.values(0, times[0], states[:, 0])
-    table = np.empty((states.shape[0], grid.N + 1, first.shape[1]))
+    table = step_major((states.shape[0], grid.N + 1, first.shape[1]))
     table[:, 0] = first
     for i in range(1, grid.N + 1):
         table[:, i] = control.values(i, times[i], states[:, i])
@@ -123,7 +143,8 @@ def realize_control_along(control: Control, grid: TimeGrid, states: np.ndarray) 
 
 @dataclass(frozen=True)
 class ForwardBatch:
-    """States and realized controls of the forward equation on the grid."""
+    """States and realized controls of the forward equation on the grid,
+    stored step-major (see :func:`step_major`)."""
 
     states: np.ndarray  # (M, N+1, n)
     controls: np.ndarray  # (M, N+1, k)
@@ -148,9 +169,9 @@ def solve_forward_sde(
         raise ValueError("noise batch does not match grid/spec dimensions")
     times = grid.times
     dt = grid.dt
-    states = np.empty((m_paths, grid.N + 1, spec.n))
+    states = step_major((m_paths, grid.N + 1, spec.n))
     states[:, 0] = spec.x0
-    controls = np.empty((m_paths, grid.N + 1, spec.k))
+    controls = step_major((m_paths, grid.N + 1, spec.k))
     co = spec.coeffs
     for i in range(grid.N):
         x_i = states[:, i]
@@ -181,7 +202,7 @@ def solve_variational_sde(
     m_paths = noise.M
     times = grid.times
     dt = grid.dt
-    states = np.zeros((m_paths, grid.N + 1, spec.n))
+    states = step_major((m_paths, grid.N + 1, spec.n), fill=0.0)
     co = spec.coeffs
     for i in range(grid.N):
         x_i = base.states[:, i]
