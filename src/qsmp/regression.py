@@ -1,8 +1,16 @@
 """Least-squares machinery for empirical conditional expectations on path batches.
 
-All reductions over the path axis run through fixed-size chunks of
-``np.einsum`` so that results are bit-for-bit reproducible regardless of the
-BLAS thread count.
+Every reduction over the path axis runs over fixed chunks of ``_CHUNK`` paths,
+with the chunk results added in chunk order. Within a chunk, the Gram matrix
+and the fitted values are BLAS ``@`` products, and the moments stay on
+``np.einsum``, which calls no BLAS. With one target column, ``@`` for a moment
+is a matrix-vector product that OpenBLAS may divide between threads along the
+summed path axis (seen at 2 threads with one feature and 12000 or more paths
+per chunk, and with 29 or more features), which changes the last bits. The
+Gram and fitted-value products gave the same bits at 1 and 2 threads for 1 to
+40 features, 48 to 16384 paths per chunk and 1 to 3 targets. Results are
+therefore reproducible bit for bit across BLAS thread counts, as verified at 1
+and 2 threads only: the machine measured has 2 cores.
 """
 
 from __future__ import annotations
@@ -99,12 +107,15 @@ class RegressionBasis:
                 col[p] = col[p - 1] * z[:, j]
             pows[j] = col
         expo = self.exponents(state_dim)
-        feats = np.ones((m_paths, expo.shape[0]))
+        # Each feature is written as one contiguous row of an (F, M) array
+        # (strided column writes are an order of magnitude slower); the
+        # (M, F) result is its transpose.
+        feats = np.ones((expo.shape[0], m_paths))
         for f_idx, row in enumerate(expo):
             for j, p in enumerate(row):
                 if p:
-                    feats[:, f_idx] *= pows[j][p]
-        return feats
+                    feats[f_idx] *= pows[j][p]
+        return feats.T
 
 
 @dataclass
@@ -118,7 +129,7 @@ def _chunked_matvec(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     out = np.empty((features.shape[0], coeffs.shape[1]))
     for start in range(0, features.shape[0], _CHUNK):
         fc = features[start : start + _CHUNK]
-        out[start : start + _CHUNK] = np.einsum("mf,fk->mk", fc, coeffs)
+        out[start : start + _CHUNK] = fc @ coeffs
     return out
 
 
@@ -141,7 +152,7 @@ def _factorise(features: np.ndarray, ridge: float | None) -> np.ndarray:
     gram = np.zeros((n_feat, n_feat))
     for start in range(0, m_paths, _CHUNK):
         fc = features[start : start + _CHUNK]
-        gram += np.einsum("mi,mj->ij", fc, fc)
+        gram += fc.T @ fc
     try:
         chol = np.linalg.cholesky(gram + ridge * np.eye(n_feat))
     except np.linalg.LinAlgError:

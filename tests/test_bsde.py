@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +63,50 @@ class TestRegression:
     def test_constant_feature_included(self):
         feats = RegressionBasis("polynomial", 2).features(np.random.default_rng(3).standard_normal((10, 2)))
         assert np.allclose(feats[:, 0], 1.0)
+
+    @pytest.mark.parametrize("state_dim,degree,caps", [(1, 3, None), (2, 2, None), (3, 3, (3, 1, 2)), (2, 0, None)])
+    def test_features_equal_column_reference(self, state_dim, degree, caps):
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((257, state_dim))
+        shift, scale = rng.standard_normal(state_dim), rng.uniform(0.5, 2.0, state_dim)
+        basis = RegressionBasis("polynomial", degree, max_degrees=caps)
+        # Reference: every monomial filled column by column into a C-order (M, F) array.
+        z = (states - shift) / scale
+        expected = np.ones((len(states), basis.feature_count(state_dim)))
+        for f_idx, row in enumerate(basis.exponents(state_dim)):
+            for j, p in enumerate(row):
+                if p:
+                    power = np.ones(len(states))
+                    for _ in range(p):
+                        power = power * z[:, j]
+                    expected[:, f_idx] *= power
+        assert np.array_equal(basis.features(states, shift, scale), expected)
+
+    def test_fits_independent_of_blas_threads(self):
+        # One feature (degree 0) and 35 features at 20000 paths are shapes for
+        # which a BLAS matrix-vector moment changes its last bits with the
+        # thread count; every fitted value and coefficient must not.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from qsmp.regression import RegressionBasis, StepRegressor\n"
+            "rng = np.random.default_rng(6)\n"
+            "h = hashlib.sha256()\n"
+            "for dim, degree in ((1, 0), (1, 3), (4, 3)):\n"
+            "    reg = StepRegressor(RegressionBasis('polynomial', degree), rng.standard_normal((20000, dim)))\n"
+            "    for k in (1, 3):\n"
+            "        fitted, fit = reg.fit(rng.standard_normal((20000, k)))\n"
+            "        h.update(fitted.tobytes() + fit.coefficients.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            env.update({var: threads for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
     def test_pointwise_prediction_se(self):
         rng = np.random.default_rng(4)
