@@ -26,6 +26,7 @@ from .paths import (
     OpenLoopControl,
     RateReport,
     TimeGrid,
+    check_epsilons,
     rate_report,
     realize_control_along,
     solve_forward_sde,
@@ -80,7 +81,7 @@ def gateaux_check(
     """Difference quotients of J under the convex perturbation
     u_bar + eps (u - u_bar), Richardson-extrapolated to eps = 0 and compared
     with both computations of the adjoint-based derivative."""
-    eps_list = [float(e) for e in epsilons]
+    eps_list = check_epsilons(epsilons)
     forward = solve_forward_sde(spec, grid, noise, u_bar)
     backward, adj = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
     u_table = realize_control_along(u, grid, forward.states)
@@ -162,7 +163,7 @@ def y_expansion_rate_check(
     """Expansion rates of the backward value: E[sup_t |Y^eps - Y|^2] should
     decay with slope near 2 and the remainder against eps * Y1 strictly
     faster, mirroring the state-side check."""
-    eps_list = [float(e) for e in epsilons]
+    eps_list = check_epsilons(epsilons)
     forward, backward = _solve_chain(spec, grid, noise, u_bar, basis)
     u_table = realize_control_along(u, grid, forward.states)
     uhat = u_table - forward.controls

@@ -21,6 +21,8 @@ import numpy as np
 
 MAGIC = b"QSMPBIN1"
 _NAME_LEN = 32
+#: Largest block of rows copied at once when an array is not stored in C order.
+_BLOCK_BYTES = 1 << 22
 
 
 def _pack_name(name: str) -> bytes:
@@ -54,16 +56,23 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def save_container(path: str, metadata: dict, arrays: dict) -> None:
     """Writes each header and then each array's own buffer, so no copy of
-    the whole payload is ever built."""
+    the whole payload is ever built. An array not stored in C order (such as
+    a step-major path array) goes out in blocks of its leading-axis rows,
+    each copied to C order, so no copy of the whole array is built either."""
     with _atomic_file(path) as handle:
         handle.write(MAGIC + struct.pack("<Q", len(metadata)))
         for name, value in metadata.items():
             handle.write(_pack_name(name) + struct.pack("<d", float(value)))
         handle.write(struct.pack("<Q", len(arrays)))
         for name, array in arrays.items():
-            array = np.ascontiguousarray(np.asarray(array, dtype="<f8"))
+            array = np.atleast_1d(np.asarray(array, dtype="<f8"))
             handle.write(_pack_name(name) + struct.pack(f"<{1 + array.ndim}Q", array.ndim, *array.shape))
-            handle.write(memoryview(array))
+            if array.flags.c_contiguous:
+                handle.write(memoryview(array))
+                continue
+            rows = max(1, _BLOCK_BYTES // array[0].nbytes)
+            for start in range(0, array.shape[0], rows):
+                handle.write(memoryview(np.ascontiguousarray(array[start : start + rows])))
 
 
 def load_container(path: str) -> tuple[dict, dict]:

@@ -57,6 +57,44 @@ basis_degree = 2
 
 TINY_GRADIENT_CHECK = BASE.replace("M = 500", "M = 2000") + "\n[controls]\nu_bar = [0.0]\nu = [1.0]\n"
 
+# Regressions on 12000 paths per step (mp-check's replicate groups: 1500), so
+# the BLAS products are compared at 1 and 2 threads at both sizes.
+TINY_MP_CHECK = """
+[problem]
+family = linear_quadratic
+
+[grid]
+N = 10
+T = 1.0
+
+[monte_carlo]
+M = 12000
+seed = 3
+
+[controls]
+u_bar = riccati
+
+[tolerances]
+basis_degree = 2
+"""
+
+TINY_BMO = """
+[problem]
+family = bounded_tanh
+
+[grid]
+N = 10
+T = 1.0
+
+[monte_carlo]
+M = 12000
+seed = 3
+
+[bmo]
+source = backward
+n_max = 3
+"""
+
 # [tolerances] keys that a pipeline does not use, and must reject.
 UNUSED_TOLERANCES = [
     (pipeline, key)
@@ -247,9 +285,12 @@ class TestCli:
         descend = write(tmp_path, TINY_DESCEND, name="tiny_descend.cfg")
         adjoint = write(tmp_path, BASE, name="tiny_adjoint.cfg")
         gradient = write(tmp_path, TINY_GRADIENT_CHECK, name="tiny_gradient_check.cfg")
+        mp_check = write(tmp_path, TINY_MP_CHECK, name="tiny_mp_check.cfg")
+        bmo = write(tmp_path, TINY_BMO, name="tiny_bmo.cfg")
         runs = (
             ("descend", descend), ("solve", os.path.join(CONFIG_DIR, "inline_quadratic.cfg")),
             ("adjoint", adjoint), ("gradient-check", gradient),
+            ("mp-check", mp_check), ("bmo", bmo),
         )
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         for pipeline, cfg in runs:

@@ -117,6 +117,17 @@ class TestGateauxCheck:
         )
         assert report.inconclusive
 
+    @pytest.mark.parametrize("check", [smp.gateaux_check, smp.y_expansion_rate_check])
+    @pytest.mark.parametrize("epsilons", [[0.5], [2.0, 1.5, 0.5, 0.25]])
+    def test_epsilon_grid_is_checked(self, exp_utility_spec, check, epsilons):
+        # One size fits a singular two-parameter line; sizes above 1 leave
+        # the convex perturbation.
+        grid = paths.TimeGrid(10, 1.0)
+        noise = paths.simulate_brownian(grid, 300, 1, seed=50)
+        ctrl = paths.ConstantControl((0.0,))
+        with pytest.raises(ValueError, match="epsilons"):
+            check(exp_utility_spec, grid, noise, ctrl, paths.ConstantControl((0.5,)), epsilons=epsilons)
+
 
 class TestYExpansionRates:
     def test_lq_family_rates(self, lq_spec):

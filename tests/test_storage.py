@@ -41,6 +41,18 @@ class TestContainer:
         storage.save_solution(p2, grid, forward, backward)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_step_major_writes_c_order_bytes(self, tmp_path, monkeypatch):
+        # Blocks of 3 rows of 4 x 2 values: 7 rows end in a partial block.
+        monkeypatch.setattr(storage, "_BLOCK_BYTES", 3 * 4 * 2 * 8)
+        step_major = paths.step_major((7, 4, 2))
+        step_major[...] = np.arange(56.0).reshape(7, 4, 2)
+        arrays = {"a": step_major, "b": step_major[:, 1:3, 0], "c": np.float64(2.5), "d": np.zeros((0, 3))}
+        p1, p2 = str(tmp_path / "step_major.qsmp"), str(tmp_path / "c_order.qsmp")
+        storage.save_container(p1, {"M": 7.0}, arrays)
+        storage.save_container(p2, {"M": 7.0}, {k: np.ascontiguousarray(v) for k, v in arrays.items()})
+        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert np.array_equal(storage.load_container(p1)[1]["a"], step_major)
+
     def test_long_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             storage.save_container(str(tmp_path / "x.qsmp"), {"a" * 40: 1.0}, {})
