@@ -21,6 +21,8 @@ if TYPE_CHECKING:  # annotations only: model imports bmo, which allocates throug
     from .model import ProblemSpec
 
 EXPLOSION_GUARD = 1e8
+#: Paths per block when Brownian increments are drawn.
+_DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,12 @@ def simulate_brownian(grid: TimeGrid, M: int, d: int, seed: int, stream_id: int 
     if M < 1 or d < 1:
         raise ValueError("M and d must be >= 1")
     rng = np.random.default_rng([int(seed), int(stream_id), 0x5D])
-    # Drawn path-major, as the stream defines the batch, then stored step-major.
     incs = step_major((M, grid.N, d))
-    np.multiply(rng.standard_normal((M, grid.N, d)), math.sqrt(grid.dt), out=incs)
+    # The stream fills the batch path by path; drawing it one block of paths
+    # at a time gives the same values without a path-major copy of it all.
+    for start in range(0, M, _DRAW_BLOCK):
+        block = incs[start : start + _DRAW_BLOCK]
+        np.multiply(rng.standard_normal(block.shape), math.sqrt(grid.dt), out=block)
     incs.setflags(write=False)
     return BrownianBatch(incs, int(seed), int(stream_id))
 

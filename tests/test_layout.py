@@ -46,9 +46,10 @@ def test_step_slices_are_contiguous(tanh_spec, chain):
 
 
 def test_brownian_draw_order_is_unchanged():
+    # 2500 paths span several draw blocks, the last one partial.
     grid = paths.TimeGrid(7, 0.5)
-    noise = paths.simulate_brownian(grid, 50, 3, seed=11, stream_id=2)
-    expected = np.random.default_rng([11, 2, 0x5D]).standard_normal((50, 7, 3)) * math.sqrt(grid.dt)
+    noise = paths.simulate_brownian(grid, 2500, 3, seed=11, stream_id=2)
+    expected = np.random.default_rng([11, 2, 0x5D]).standard_normal((2500, 7, 3)) * math.sqrt(grid.dt)
     assert np.array_equal(noise.increments, expected)
     assert not noise.increments.flags.writeable
 
