@@ -21,6 +21,7 @@ from .bsde import (
     BackwardEquation,
     BackwardSolution,
     LinearBSDEData,
+    at_step,
     backward_sweep,
     quadratic_defaults,
     quadratic_equation,
@@ -62,9 +63,12 @@ def _along(forward: ForwardBatch, backward: BackwardSolution, i: int):
     return forward.states[:, i], forward.controls[:, i], backward.Y[:, i], backward.Z[:, i]
 
 
-def costate_equation(spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y_vals, z_vals) -> BackwardEquation:
+def costate_equation(
+    spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y_vals, z_vals, width: int | None = None
+) -> BackwardEquation:
     """The costate equation along ``forward`` and the backward pair
-    ``y_vals`` (M, N+1), ``z_vals`` (M, N+1, d), read at step i only.
+    ``y_vals`` (M, w), ``z_vals`` (M, w, d), read at step i only, through
+    :func:`qsmp.bsde.at_step`; ``width`` is the costate's own storage width.
 
     Each q-column is recovered from the martingale increment of p against the
     matching Brownian component; the drift couples p and q through the
@@ -78,7 +82,7 @@ def costate_equation(spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y
     def step(i, cond_p, q_i):
         x_i, u_i = forward.states[:, i], forward.controls[:, i]
         f_x, f_y, f_z, b_x, sigma_x = _coefficients(
-            spec, times[i], x_i, u_i, y_vals[:, i], z_vals[:, i], "f_x", "f_y", "f_z", "b_x", "sigma_x"
+            spec, times[i], x_i, u_i, at_step(y_vals, i), at_step(z_vals, i), "f_x", "f_y", "f_z", "b_x", "sigma_x"
         )
         # drift matrix acting on p:  sum_i f_{z_i} (sigma_x^i)^T + f_y I + b_x^T
         mat = np.einsum("mi,miba->mab", f_z, sigma_x)
@@ -105,7 +109,7 @@ def costate_equation(spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y
         return p_i, q_i
 
     terminal = np.asarray(spec.coeffs.Phi_x(forward.states[:, grid.N]), dtype=np.float64)
-    return BackwardEquation(terminal, grid.N, spec.d, step)
+    return BackwardEquation(terminal, grid.N, spec.d, step, width=width)
 
 
 def solve_adjoint(
@@ -124,6 +128,21 @@ def solve_adjoint(
     return AdjointSolution(eq.values, eq.integrands, basis, eq.value_fits, eq.integrand_fits)
 
 
+def state_and_costate_equations(
+    spec: ProblemSpec,
+    grid: TimeGrid,
+    forward: ForwardBatch,
+    truncation_radius: float,
+    constants,
+    width: int | None = None,
+) -> tuple[BackwardEquation, BackwardEquation]:
+    """The quadratic equation and the costate equation that reads it, both
+    of storage width ``width``, in the order one sweep solves them."""
+    quad = quadratic_equation(spec, grid, forward, truncation_radius, constants, width)
+    costate = costate_equation(spec, grid, forward, quad.values[:, :, 0], quad.integrands[:, :, 0], width)
+    return quad, costate
+
+
 def solve_state_and_costate(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -136,8 +155,7 @@ def solve_state_and_costate(
     """``solve_quadratic_bsde`` then ``solve_adjoint`` on the same forward
     batch, with the same results, in one sweep with one regression per step."""
     basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius)
-    quad = quadratic_equation(spec, grid, forward, truncation_radius, constants)
-    costate = costate_equation(spec, grid, forward, quad.values[:, :, 0], quad.integrands[:, :, 0])
+    quad, costate = state_and_costate_equations(spec, grid, forward, truncation_radius, constants)
     backward_sweep(grid, noise, forward.states, [quad, costate], basis, ridge)
     adj = AdjointSolution(costate.values, costate.integrands, basis, costate.value_fits, costate.integrand_fits)
     return quad.scalar_solution(basis, truncation_radius), adj
@@ -159,14 +177,17 @@ def gamma_process(
 ) -> GammaPath:
     """Exact multiplicative stepping of the weight process; positivity holds
     by construction and the running exponent is guarded against overflow."""
-    m_paths, n_steps = noise.M, grid.N
-    dt = grid.dt
-    times = grid.times
-    log_gamma = step_major((m_paths, n_steps + 1), fill=0.0)
-    for i in range(n_steps):
-        fy, fz = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
-        bmo.log_exponential_step(log_gamma, i, fy, fz, noise.increments[:, i], dt, "exponential weight")
-    return GammaPath(np.exp(log_gamma, out=log_gamma))
+    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
+    for i in range(grid.N):
+        log_gamma[:, i + 1] = gamma_log_increment(spec, grid, noise, i, *_along(forward, backward, i))
+    return GammaPath(bmo.cumulate_log_exponential(log_gamma, "exponential weight"))
+
+
+def gamma_log_increment(spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, i: int, x, u, y, z) -> np.ndarray:
+    """Step i of log Gamma, f_y dt + f_z . dW - |f_z|^2 dt / 2, shape (M,),
+    with the slopes at the step's (x, u, y, z)."""
+    f_y, f_z = _coefficients(spec, grid.times[i], x, u, y, z, "f_y", "f_z")
+    return bmo.log_exponential_increment(f_y, f_z, noise.increments[:, i], grid.dt)
 
 
 def control_gradient(spec: ProblemSpec, t, x, u, y, z, p, q) -> np.ndarray:

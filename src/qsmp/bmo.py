@@ -223,15 +223,28 @@ def energy_check(
     return rows
 
 
-def log_exponential_step(log_values: np.ndarray, i: int, rate, integrand, increment, dt: float, what: str) -> None:
-    """log_values[:, i+1] = log_values[:, i] + rate dt + H . dW - |H|^2 dt / 2
-    for the integrand H and increment dW of step i, both (M, d); raises with
-    step i when an exponent leaves [-700, 700], beyond which exp overflows."""
+def log_exponential_increment(rate, integrand, increment, dt: float) -> np.ndarray:
+    """rate dt + H . dW - |H|^2 dt / 2, shape (M,), for the integrand H and
+    increment dW of one step, both (M, d): the step of the log of an
+    exponential weight."""
     step = rate * dt + np.einsum("md,md->m", integrand, increment)
     step -= 0.5 * np.einsum("md,md->m", integrand, integrand) * dt
-    log_values[:, i + 1] = log_values[:, i] + step
-    if np.abs(log_values[:, i + 1]).max() > 700.0:
-        raise SolverError(f"{what} exponent overflow", step=i)
+    return step
+
+
+def cumulate_log_exponential(log_values: np.ndarray, what: str) -> np.ndarray:
+    """Exponential weights from their log-increments, in place.
+
+    ``log_values`` (M, N+1) holds the start in column 0 and the increment of
+    step i in column i+1; each column becomes the running sum, then its exp.
+    Raises with step i when the exponent after step i is non-finite or leaves
+    [-700, 700], beyond which exp overflows.
+    """
+    for i in range(log_values.shape[1] - 1):
+        log_values[:, i + 1] += log_values[:, i]
+        if not np.abs(log_values[:, i + 1]).max() <= 700.0:
+            raise SolverError(f"{what} exponent overflow", step=i)
+    return np.exp(log_values, out=log_values)
 
 
 def stochastic_exponential(integrand: np.ndarray, grid, noise) -> np.ndarray:
@@ -246,8 +259,8 @@ def stochastic_exponential(integrand: np.ndarray, grid, noise) -> np.ndarray:
         raise ValueError(f"integrand shape {integrand.shape} != increments shape {incs.shape}")
     out = step_major((integrand.shape[0], integrand.shape[1] + 1), fill=0.0)
     for i in range(integrand.shape[1]):
-        log_exponential_step(out, i, 0.0, integrand[:, i], incs[:, i], grid.dt, "stochastic exponential")
-    return np.exp(out, out=out)
+        out[:, i + 1] = log_exponential_increment(0.0, integrand[:, i], incs[:, i], grid.dt)
+    return cumulate_log_exponential(out, "stochastic exponential")
 
 
 @dataclass

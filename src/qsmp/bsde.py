@@ -10,6 +10,12 @@ one wrote at the same step (the costate reads Y_i and Z_i). The quadratic
 step iterates the implicit y-argument to a fixed point (a contraction while
 dt * |f_y| < 1) and caps |Z| inside the generator; the affine step inverts
 its y-dependence exactly.
+
+Each equation stores ``width`` time slices, and step i lives in slice
+``i % width`` (:func:`at_step`). A solve that returns the whole path uses
+width N+1, so slice i is step i. Step i reads only step i+1 and the slices
+written at step i, so width 2 is enough for a caller that consumes each
+step inside the sweep, such as the descent's policy gradient.
 """
 
 from __future__ import annotations
@@ -81,41 +87,55 @@ def default_truncation_radius(constants: DerivedConstants, horizon: float) -> fl
 def _truncate_rows(z: np.ndarray, radius: float) -> np.ndarray:
     if not math.isfinite(radius):
         return z
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    # numpy's own formula for the 2-norm over the last axis, without the
+    # overhead of ``np.linalg.norm``: the same bits.
+    norms = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))
     factor = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
     return z * factor
+
+
+def at_step(a: np.ndarray, i: int) -> np.ndarray:
+    """Step i of an equation's storage ``a`` (M, width, ...): slice
+    ``i % width``, which is slice i when the whole path is stored."""
+    return a[:, i % a.shape[1]]
 
 
 class BackwardEquation:
     """One equation of a backward sweep, with K value components.
 
-    Holds values (M, N+1, K) from the terminal ones (M, K), integrands
-    (M, N+1, K, d), zero at the terminal index, both stored step-major (see
-    :func:`qsmp.paths.step_major`), the per-step fits, and
+    Holds values (M, width, K) from the terminal ones (M, K), integrands
+    (M, width, K, d), zero until a step writes them, both stored step-major
+    (see :func:`qsmp.paths.step_major`), the per-step fits, and
     ``step(i, cond, z) -> (value, integrand)``, which resolves step i from
     the conditional mean (M, K) of the next value and the regressed
-    integrand (M, K, d). ``driver_sum`` (M,) is where a scalar equation's
-    step adds its pathwise driver. The step must not refer to the equation:
-    that cycle would keep every solve's arrays alive until the garbage
-    collector runs.
+    integrand (M, K, d). Step i lives in slice ``i % width``
+    (:func:`at_step`): the default width N+1 keeps every step, and width 2
+    keeps steps i and i+1 while the sweep is at step i. The terminal values
+    are also kept apart, for the pathwise targets. ``driver_sum`` (M,) is
+    where a scalar equation's step adds its pathwise driver. The step must
+    not refer to the equation: that cycle would keep every solve's arrays
+    alive until the garbage collector runs.
     """
 
-    def __init__(self, terminal: np.ndarray, n_steps: int, d: int, step, driver_sum=None):
+    def __init__(self, terminal: np.ndarray, n_steps: int, d: int, step, driver_sum=None, width=None):
         m_paths, k = terminal.shape
-        self.values = step_major((m_paths, n_steps + 1, k))
-        self.values[:, n_steps] = terminal
-        self.integrands = step_major((m_paths, n_steps + 1, k, d), fill=0.0)
+        width = n_steps + 1 if width is None else width
+        self.terminal = terminal
+        self.values = step_major((m_paths, width, k))
+        at_step(self.values, n_steps)[...] = terminal
+        self.integrands = step_major((m_paths, width, k, d), fill=0.0)
         self.value_fits = [None] * n_steps
         self.integrand_fits = [None] * n_steps
         self.driver_sum = driver_sum
         self.step = step
 
     def scalar_solution(self, basis: RegressionBasis, truncation_radius: float) -> BackwardSolution:
-        """The K = 1 equation as a (Y, Z) pair on views of its storage."""
-        y_vals = self.values[:, :, 0]
+        """The K = 1 equation as a (Y, Z) pair on views of its storage. After
+        a sweep, slice 0 is step 0 for every width, so ``y0`` and its
+        standard error hold; Y and Z are whole paths only at width N+1."""
         return BackwardSolution(
-            y_vals, self.integrands[:, :, 0], basis, truncation_radius,
-            self.value_fits, self.integrand_fits, y_vals[:, -1] + self.driver_sum,
+            self.values[:, :, 0], self.integrands[:, :, 0], basis, truncation_radius,
+            self.value_fits, self.integrand_fits, self.terminal[:, 0] + self.driver_sum,
         )
 
 
@@ -128,14 +148,15 @@ def backward_sweep(
     for i in range(n_steps - 1, -1, -1):
         reg = StepRegressor(basis, states[:, i], ridge)
         for eq in equations:
-            nxt = eq.values[:, i + 1]
+            nxt = at_step(eq.values, i + 1)
             cond, eq.value_fits[i] = reg.fit(nxt)
             # Martingale control variate: centering the target leaves the
             # conditional expectation unchanged but removes the O(1/dt) variance
             # the conditional mean would otherwise inject into the Z estimate.
             z_target = ((nxt - cond)[:, :, None] * noise.increments[:, i, None, :] / dt).reshape(m_paths, -1)
             z_flat, eq.integrand_fits[i] = reg.fit(z_target)
-            eq.values[:, i], eq.integrands[:, i] = eq.step(i, cond, z_flat.reshape(m_paths, -1, d))
+            z_i = z_flat.reshape(m_paths, -1, d)
+            at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i)
 
 
 def quadratic_defaults(spec: ProblemSpec, basis=None, truncation_radius=None, constants=None):
@@ -147,7 +168,12 @@ def quadratic_defaults(spec: ProblemSpec, basis=None, truncation_radius=None, co
 
 
 def quadratic_equation(
-    spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, truncation_radius: float, constants: DerivedConstants
+    spec: ProblemSpec,
+    grid: TimeGrid,
+    forward: ForwardBatch,
+    truncation_radius: float,
+    constants: DerivedConstants,
+    width: int | None = None,
 ) -> BackwardEquation:
     """The backward component of the state system, with quadratic z-growth
     allowed in the generator. Its step aborts if the fixed-point iteration
@@ -186,7 +212,7 @@ def quadratic_equation(
         return y_i[:, None], z_i[:, None]
 
     terminal = np.asarray(co.Phi(forward.states[:, grid.N]), dtype=np.float64)
-    return BackwardEquation(terminal[:, None], grid.N, spec.d, step, driver_sum)
+    return BackwardEquation(terminal[:, None], grid.N, spec.d, step, driver_sum, width)
 
 
 def solve_quadratic_bsde(

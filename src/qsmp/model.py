@@ -93,6 +93,12 @@ class ControlDomain:
     def project(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def pullback(self, raw: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """J^T weight for J the Jacobian of :meth:`project` at ``raw``, both
+        (S, k), written into ``weight``. This default is the identity, exact
+        only where ``raw`` lies inside the domain."""
+        return weight
+
     def contains(self, v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         raise NotImplementedError
 
@@ -123,6 +129,11 @@ class BoxDomain(ControlDomain):
 
     def project(self, v):
         return np.clip(np.asarray(v, dtype=np.float64), self.lower, self.upper)
+
+    def pullback(self, raw, weight):
+        """Zeroes the components whose projection sits on a bound."""
+        weight[(raw <= self.lower) | (raw >= self.upper)] = 0.0
+        return weight
 
     def contains(self, v, tol=1e-9):
         v = np.asarray(v, dtype=np.float64)
@@ -164,6 +175,18 @@ class BallDomain(ControlDomain):
         norm = np.linalg.norm(offset, axis=-1, keepdims=True)
         factor = np.where(norm > self.radius, self.radius / np.where(norm > 0, norm, 1.0), 1.0)
         return np.asarray(self.center) + offset * factor
+
+    def pullback(self, raw, weight):
+        """Outside the ball the projection is c + R v / |v| with v = raw - c,
+        whose Jacobian (R / |v|) (I - v v^T / |v|^2) is symmetric."""
+        offset = np.asarray(raw, dtype=np.float64) - self.center
+        norm = np.linalg.norm(offset, axis=-1)
+        out = norm > self.radius
+        if np.any(out):
+            v, w, r = offset[out], weight[out], norm[out, None]
+            radial = np.einsum("sk,sk->s", v, w)[:, None] / r**2
+            weight[out] = (self.radius / r) * (w - radial * v)
+        return weight
 
     def contains(self, v, tol=1e-9):
         v = np.asarray(v, dtype=np.float64)

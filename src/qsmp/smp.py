@@ -16,7 +16,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import adjoint as adjoint_mod
-from .bsde import RegressionBasis, solve_linear_bsde, solve_quadratic_bsde
+from . import bmo
+from .bsde import (
+    RegressionBasis,
+    at_step,
+    backward_sweep,
+    quadratic_defaults,
+    solve_linear_bsde,
+    solve_quadratic_bsde,
+)
 from .model import ProblemSpec
 from .paths import (
     DEFAULT_EPSILONS,
@@ -31,6 +39,7 @@ from .paths import (
     realize_control_along,
     solve_forward_sde,
     solve_variational_sde,
+    step_major,
 )
 from .regression import StepRegressor
 
@@ -209,6 +218,10 @@ class AffineFeedbackPolicy:
     def control(self) -> Control:
         return _PolicyControl(self)
 
+    def raw(self, i: int, states: np.ndarray) -> np.ndarray:
+        """The affine map at step i before projection, shape (M, k)."""
+        return self.offsets[i] + np.einsum("kn,mn->mk", self.gains[i], states)
+
     def copy(self) -> "AffineFeedbackPolicy":
         return AffineFeedbackPolicy(self.offsets.copy(), self.gains.copy(), self.domain)
 
@@ -218,8 +231,7 @@ class _PolicyControl(Control):
         self.policy = policy
 
     def values(self, i, t, states):
-        raw = self.policy.offsets[i] + np.einsum("kn,mn->mk", self.policy.gains[i], states)
-        return self.policy.domain.project(raw)
+        return self.policy.domain.project(self.policy.raw(i, states))
 
 
 @dataclass
@@ -243,15 +255,38 @@ class DescentResult:
 
 def _policy_gradient(spec, grid, noise, policy, basis):
     """(cost, its standard error, offset gradient (N, k), gain gradient
-    (N, k, n)) at the policy. The path arrays are dropped on return, so one
-    iteration's arrays are never alive next to the previous one's."""
+    (N, k, n)) at the policy.
+
+    One sweep solves the state and costate equations at storage width 2
+    (see :mod:`qsmp.bsde`), so Y, Z, p and q are kept at two steps only.
+    At each step the costate step is followed by the control gradient of the
+    Hamiltonian, chained through the policy's projection, and the step of
+    log Gamma. Besides the forward batch, the path arrays kept are these
+    weights (M, N, k) and Gamma (M, N+1), which is cumulated after the
+    sweep. They are dropped on return, so one iteration's arrays are never
+    alive next to the previous one's."""
     forward = solve_forward_sde(spec, grid, noise, policy.control())
-    backward, adj = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
-    gamma = adjoint_mod.gamma_process(spec, grid, noise, forward, backward)
-    weighted = adjoint_mod.optimality_weight(spec, grid, forward, backward, adj)
-    weighted *= gamma.values[:, : grid.N, None]  # (M, N, k)
-    grad_offsets = weighted.mean(axis=0)  # (N, k)
-    grad_gains = np.einsum("mik,min->ikn", weighted, forward.states[:, : grid.N]) / noise.M
+    basis, radius, constants = quadratic_defaults(spec, basis)
+    quad, costate = adjoint_mod.state_and_costate_equations(spec, grid, forward, radius, constants, width=2)
+    y_vals, z_vals = quad.values[:, :, 0], quad.integrands[:, :, 0]
+    weight = step_major((noise.M, grid.N, spec.k))
+    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
+    costate_step = costate.step
+
+    def step(i, cond, q):
+        p_i, q_i = costate_step(i, cond, q)
+        x_i, u_i, y_i, z_i = forward.states[:, i], forward.controls[:, i], at_step(y_vals, i), at_step(z_vals, i)
+        grad = adjoint_mod.control_gradient(spec, grid.times[i], x_i, u_i, y_i, z_i, p_i, q_i)
+        weight[:, i] = policy.domain.pullback(policy.raw(i, x_i), grad)
+        log_gamma[:, i + 1] = adjoint_mod.gamma_log_increment(spec, grid, noise, i, x_i, u_i, y_i, z_i)
+        return p_i, q_i
+
+    costate.step = step
+    backward_sweep(grid, noise, forward.states, [quad, costate], basis)
+    weight *= bmo.cumulate_log_exponential(log_gamma, "exponential weight")[:, : grid.N, None]
+    grad_offsets = weight.mean(axis=0)  # (N, k)
+    grad_gains = np.einsum("mik,min->ikn", weight, forward.states[:, : grid.N]) / noise.M
+    backward = quad.scalar_solution(basis, radius)
     return backward.y0, backward.y0_standard_error, grad_offsets, grad_gains
 
 
@@ -271,16 +306,19 @@ def projected_gradient_descent(
     along the trajectory, and moves the per-step parameters against its
     Monte Carlo average (offsets against the plain average, gains against
     the state-weighted one). The policy output itself is projected into the
-    control domain, so the parameters stay unconstrained. Halts early if the
-    cost increases five times in a row.
+    control domain, so the parameters stay unconstrained, and the gradient
+    is chained through that projection (``domain.pullback``): a control
+    clipped to a box bound contributes nothing to its component. Halts
+    early if the cost ends more than its standard error above the best cost
+    so far five times in a row: with clipped controls a diverging descent
+    can stall on a plateau without rising at every iteration.
     """
     eta = float(step_schedule)
     policy = u_init.copy()
     trace = []
     best: AffineFeedbackPolicy = policy.copy()
     best_cost = math.inf
-    consecutive_up = 0
-    previous_cost = math.inf
+    above_best = 0
     halted = False
 
     for iteration in range(max_iters):
@@ -290,17 +328,16 @@ def projected_gradient_descent(
         )
         trace.append(DescentRow(iteration, cost, cost_se, grad_norm))
 
-        if cost < best_cost:
-            best_cost = cost
-            best = policy.copy()
-        if cost > previous_cost:
-            consecutive_up += 1
-            if consecutive_up >= 5:
+        if cost > best_cost + cost_se:
+            above_best += 1
+            if above_best >= 5:
                 halted = True
                 break
         else:
-            consecutive_up = 0
-        previous_cost = cost
+            above_best = 0
+        if cost < best_cost:
+            best_cost = cost
+            best = policy.copy()
 
         policy.offsets[: grid.N] -= eta * grad_offsets
         policy.gains[: grid.N] -= eta * grad_gains

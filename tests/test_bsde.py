@@ -340,3 +340,12 @@ class TestAprioriBound:
         assert report.combined_passed
         assert report.combined < 0.5 * constants.A  # comfortable margin
         assert all(m.passed for m in report.moment_checks)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_truncation_matches_linalg_norm_bits(d):
+    z = np.random.default_rng(d).normal(0.0, 2.0, size=(20000, d))
+    radius = 1.5 * math.sqrt(d)
+    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    expected = z * np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
+    assert np.array_equal(bsde._truncate_rows(z, radius), expected)
