@@ -3,10 +3,12 @@
 The costate pair (p, q) solves a linear vector backward equation on the
 trajectory and states of the quadratic pair (Y, Z), with coefficients taken
 at (Y, Z): :func:`solve_state_and_costate` runs both in one backward sweep
-(one regression per step). Also: the scalar auxiliary equation whose
-time-zero value is the cost derivative, the positive exponential weight
-process, the Hamiltonian and its control gradient (:func:`control_gradient`),
-and the decoupling between the backward linearisation and the costate.
+(one regression per step) and hands each solved step, with the slopes f_y
+and f_z the costate step evaluated, to ``visit`` as a :class:`StepPoint`.
+The control gradient H_u and the step of log Gamma read that point, so a
+visitor can form them at storage width 2. Also: the auxiliary equation whose
+value at zero is the cost derivative, the Hamiltonian, and the decoupling
+between the backward linearisation and the costate.
 """
 
 from __future__ import annotations
@@ -38,13 +40,37 @@ _STATE_DERIVATIVES = frozenset(("b_x", "b_u", "sigma_x", "sigma_u"))
 
 @dataclass
 class AdjointSolution:
-    """Costate pair on the grid: p (M, N+1, n), q (M, N+1, n, d)."""
+    """Costate pair at storage width w: p (M, w, n), q (M, w, n, d), p_N (M, n)."""
 
     p: np.ndarray
     q: np.ndarray
+    terminal: np.ndarray
     basis: RegressionBasis
     p_fits: list = field(default_factory=list)
     q_fits: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class StepPoint:
+    """Step i of the trajectory and costate on S points, with the slopes f_y
+    and f_z there. Inside a sweep the arrays are views a later step overwrites."""
+
+    i: int
+    t: float
+    x: np.ndarray  # (S, n)
+    u: np.ndarray  # (S, k)
+    y: np.ndarray  # (S,)
+    z: np.ndarray  # (S, d)
+    p: np.ndarray  # (S, n)
+    q: np.ndarray  # (S, n, d)
+    f_y: np.ndarray  # (S,)
+    f_z: np.ndarray  # (S, d)
+
+    @staticmethod
+    def at(spec: ProblemSpec, i: int, t, x, u, y, z, p, q) -> "StepPoint":
+        """The point at given states, with the slopes evaluated there."""
+        f_y, f_z = _coefficients(spec, t, x, u, y, z, "f_y", "f_z")
+        return StepPoint(i, t, x, u, y, z, p, q, f_y, f_z)
 
 
 def _coefficients(spec: ProblemSpec, t, x, u, y, z, *names):
@@ -64,7 +90,7 @@ def _along(forward: ForwardBatch, backward: BackwardSolution, i: int):
 
 
 def costate_equation(
-    spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y_vals, z_vals, width: int | None = None
+    spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y_vals, z_vals, width: int | None = None, visit=None
 ) -> BackwardEquation:
     """The costate equation along ``forward`` and the backward pair
     ``y_vals`` (M, w), ``z_vals`` (M, w, d), read at step i only, through
@@ -73,16 +99,17 @@ def costate_equation(
     Each q-column is recovered from the martingale increment of p against the
     matching Brownian component; the drift couples p and q through the
     state-sensitivity and generator-slope terms and is resolved implicitly in
-    p (an (n x n) solve per path, scalar division when n = 1).
+    p (an (n x n) solve per path, scalar division when n = 1). Once step i
+    is solved, ``visit`` (if given) receives its :class:`StepPoint`.
     """
     n = spec.n
     dt, times = grid.dt, grid.times
     eye = np.eye(n)
 
     def step(i, cond_p, q_i):
-        x_i, u_i = forward.states[:, i], forward.controls[:, i]
+        x_i, u_i, y_i, z_i = forward.states[:, i], forward.controls[:, i], at_step(y_vals, i), at_step(z_vals, i)
         f_x, f_y, f_z, b_x, sigma_x = _coefficients(
-            spec, times[i], x_i, u_i, at_step(y_vals, i), at_step(z_vals, i), "f_x", "f_y", "f_z", "b_x", "sigma_x"
+            spec, times[i], x_i, u_i, y_i, z_i, "f_x", "f_y", "f_z", "b_x", "sigma_x"
         )
         # drift matrix acting on p:  sum_i f_{z_i} (sigma_x^i)^T + f_y I + b_x^T
         mat = np.einsum("mi,miba->mab", f_z, sigma_x)
@@ -106,6 +133,8 @@ def costate_equation(
                 raise SolverError("implicit costate step is singular", step=i) from None
         if not np.all(np.isfinite(p_i)):
             raise SolverError("costate turned non-finite", step=i)
+        if visit is not None:
+            visit(StepPoint(i, times[i], x_i, u_i, y_i, z_i, p_i, q_i, f_y, f_z))
         return p_i, q_i
 
     terminal = np.asarray(spec.coeffs.Phi_x(forward.states[:, grid.N]), dtype=np.float64)
@@ -125,22 +154,7 @@ def solve_adjoint(
     basis = basis or RegressionBasis("polynomial", 3)
     eq = costate_equation(spec, grid, forward, backward.Y, backward.Z)
     backward_sweep(grid, noise, forward.states, [eq], basis, ridge)
-    return AdjointSolution(eq.values, eq.integrands, basis, eq.value_fits, eq.integrand_fits)
-
-
-def state_and_costate_equations(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    forward: ForwardBatch,
-    truncation_radius: float,
-    constants,
-    width: int | None = None,
-) -> tuple[BackwardEquation, BackwardEquation]:
-    """The quadratic equation and the costate equation that reads it, both
-    of storage width ``width``, in the order one sweep solves them."""
-    quad = quadratic_equation(spec, grid, forward, truncation_radius, constants, width)
-    costate = costate_equation(spec, grid, forward, quad.values[:, :, 0], quad.integrands[:, :, 0], width)
-    return quad, costate
+    return AdjointSolution(eq.values, eq.integrands, eq.terminal, basis, eq.value_fits, eq.integrand_fits)
 
 
 def solve_state_and_costate(
@@ -151,143 +165,66 @@ def solve_state_and_costate(
     basis: RegressionBasis | None = None,
     ridge: float | None = None,
     truncation_radius: float | None = None,
+    width: int | None = None,
+    visit=None,
 ) -> tuple[BackwardSolution, AdjointSolution]:
     """``solve_quadratic_bsde`` then ``solve_adjoint`` on the same forward
-    batch, with the same results, in one sweep with one regression per step."""
+    batch, with the same results, in one sweep with one regression per step;
+    ``visit`` receives each step's :class:`StepPoint`, from N-1 down to 0.
+    At ``width`` 2 the solutions hold step 0 and the terminal values only."""
     basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius)
-    quad, costate = state_and_costate_equations(spec, grid, forward, truncation_radius, constants)
+    quad = quadratic_equation(spec, grid, forward, truncation_radius, constants, width)
+    costate = costate_equation(spec, grid, forward, quad.values[:, :, 0], quad.integrands[:, :, 0], width, visit)
     backward_sweep(grid, noise, forward.states, [quad, costate], basis, ridge)
-    adj = AdjointSolution(costate.values, costate.integrands, basis, costate.value_fits, costate.integrand_fits)
+    adj = AdjointSolution(
+        costate.values, costate.integrands, costate.terminal, basis, costate.value_fits, costate.integrand_fits
+    )
     return quad.scalar_solution(basis, truncation_radius), adj
 
 
-@dataclass(frozen=True)
-class GammaPath:
-    """Positive exponential weight exp(int f_y ds) * E(int f_z . dW)."""
-
-    values: np.ndarray  # (M, N+1), strictly positive, 1 at time zero
+GAMMA_NAME = "exponential weight"  # what a Gamma overflow is reported as
 
 
-def gamma_process(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-) -> GammaPath:
-    """Exact multiplicative stepping of the weight process; positivity holds
-    by construction and the running exponent is guarded against overflow."""
-    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
-    for i in range(grid.N):
-        log_gamma[:, i + 1] = gamma_log_increment(spec, grid, noise, i, *_along(forward, backward, i))
-    return GammaPath(bmo.cumulate_log_exponential(log_gamma, "exponential weight"))
+def gamma_log_increment(point: StepPoint, noise: BrownianBatch, dt: float) -> np.ndarray:
+    """Step i of log Gamma for the positive weight Gamma = exp(int f_y ds)
+    E(int f_z . dW): f_y dt + f_z . dW - |f_z|^2 dt / 2, shape (S,)."""
+    return bmo.log_exponential_increment(point.f_y, point.f_z, noise.increments[:, point.i], dt)
 
 
-def gamma_log_increment(spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, i: int, x, u, y, z) -> np.ndarray:
-    """Step i of log Gamma, f_y dt + f_z . dW - |f_z|^2 dt / 2, shape (M,),
-    with the slopes at the step's (x, u, y, z)."""
-    f_y, f_z = _coefficients(spec, grid.times[i], x, u, y, z, "f_y", "f_z")
-    return bmo.log_exponential_increment(f_y, f_z, noise.increments[:, i], grid.dt)
-
-
-def control_gradient(spec: ProblemSpec, t, x, u, y, z, p, q) -> np.ndarray:
-    """Control gradient of the Hamiltonian at S points, shape (S, k):
-    b_u^T p + sum_i (sigma_u^i)^T q^i + sum_i f_{z_i} (sigma_u^i)^T p + f_u.
-
-    x (S, n), u (S, k), y (S,), z (S, d), p (S, n), q (S, n, d).
-    """
-    b_u, sigma_u, f_u, f_z = _coefficients(spec, t, x, u, y, z, "b_u", "sigma_u", "f_u", "f_z")
-    grad = np.einsum("sak,sa->sk", b_u, p)
-    grad += np.einsum("sai,siak->sk", q, sigma_u)
-    grad += np.einsum("si,siak,sa->sk", f_z, sigma_u, p)
+def control_gradient(spec: ProblemSpec, point: StepPoint) -> np.ndarray:
+    """Control gradient of the Hamiltonian at the point, shape (S, k):
+    b_u^T p + sum_i (sigma_u^i)^T q^i + sum_i f_{z_i} (sigma_u^i)^T p + f_u."""
+    b_u, sigma_u, f_u = _coefficients(spec, point.t, point.x, point.u, point.y, point.z, "b_u", "sigma_u", "f_u")
+    grad = np.einsum("sak,sa->sk", b_u, point.p)
+    grad += np.einsum("sai,siak->sk", point.q, sigma_u)
+    grad += np.einsum("si,siak,sa->sk", point.f_z, sigma_u, point.p)
     grad += f_u
     return grad
 
 
-def optimality_weight(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-    adjoint: AdjointSolution,
-) -> np.ndarray:
-    """:func:`control_gradient` along the trajectory, shape (M, N, k)."""
-    m_paths = forward.states.shape[0]
-    out = step_major((m_paths, grid.N, spec.k))
-    times = grid.times
-    for i in range(grid.N):
-        out[:, i] = control_gradient(
-            spec, times[i], *_along(forward, backward, i), adjoint.p[:, i], adjoint.q[:, i]
-        )
-    return out
+def auxiliary_sweep(
+    spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, forward: ForwardBatch, uhat: np.ndarray, basis=None
+) -> tuple[BackwardSolution, LinearBSDEData, np.ndarray]:
+    """One state-costate sweep at width 2. Returns its quadratic solution,
+    the data of the auxiliary equation for the direction ``uhat`` (zero
+    terminal value, slopes f_y, f_z, forcing phi = H_u . uhat) and Gamma."""
+    data = LinearBSDEData.from_broadcast(noise.M, grid.N, spec.d, 0.0)
+    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
+
+    def visit(point):
+        data.lam[:, point.i], data.mu[:, point.i] = point.f_y, point.f_z
+        np.einsum("mk,mk->m", control_gradient(spec, point), uhat[:, point.i], out=data.phi[:, point.i])
+        log_gamma[:, point.i + 1] = gamma_log_increment(point, noise, grid.dt)
+
+    backward, _ = solve_state_and_costate(spec, grid, noise, forward, basis=basis, width=2, visit=visit)
+    return backward, data, bmo.cumulate_log_exponential(log_gamma, GAMMA_NAME)
 
 
-def auxiliary_data(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-    adjoint: AdjointSolution,
-    uhat: np.ndarray,
-) -> LinearBSDEData:
-    """Data of the auxiliary equation: zero terminal value, slopes f_y and
-    f_z along the trajectory, and the forcing phi = H_u . uhat (M, N), which
-    collects every first-order cost effect of the perturbation direction."""
-    m_paths, n_steps = forward.states.shape[0], grid.N
-    times = grid.times
-    lam = step_major((m_paths, n_steps))
-    mu = step_major((m_paths, n_steps, spec.d))
-    for i in range(n_steps):
-        lam[:, i], mu[:, i] = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z")
-    phi = _auxiliary_phi(spec, grid, forward, backward, adjoint, uhat)
-    return LinearBSDEData(np.zeros(m_paths), lam, mu, phi)
-
-
-def _auxiliary_phi(spec, grid, forward, backward, adjoint, uhat) -> np.ndarray:
-    """H_u . uhat along the trajectory, shape (M, N)."""
-    weight = optimality_weight(spec, grid, forward, backward, adjoint)
-    out = step_major(weight.shape[:2])
-    return np.einsum("mik,mik->mi", weight, uhat[:, : grid.N], out=out)
-
-
-def solve_auxiliary(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-    adjoint: AdjointSolution,
-    uhat: np.ndarray,
-    basis: RegressionBasis | None = None,
-    ridge: float | None = None,
-) -> BackwardSolution:
-    """Scalar linear backward equation of :func:`auxiliary_data`, whose
-    time-zero value is the cost derivative in the direction ``uhat``."""
-    data = auxiliary_data(spec, grid, forward, backward, adjoint, uhat)
-    return solve_linear_bsde(data, grid, noise, forward.states, basis=basis, ridge=ridge)
-
-
-def gamma_weighted_integral(gamma: GammaPath, phi: np.ndarray, dt: float) -> tuple[float, float]:
+def gamma_weighted_integral(gamma: np.ndarray, phi: np.ndarray, dt: float) -> tuple[float, float]:
     """Monte Carlo mean and standard error of int Gamma phi dt, for the
-    auxiliary forcing phi (M, N)."""
-    integrals = np.einsum("mi,mi->m", gamma.values[:, : phi.shape[1]], phi) * dt
+    auxiliary forcing phi (M, N): the cost derivative as a weighted integral."""
+    integrals = np.einsum("mi,mi->m", gamma[:, : phi.shape[1]], phi) * dt
     return float(integrals.mean()), float(integrals.std() / math.sqrt(integrals.shape[0]))
-
-
-def yhat0_via_gamma(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-    adjoint: AdjointSolution,
-    gamma: GammaPath,
-    uhat: np.ndarray,
-) -> tuple[float, float]:
-    """Weighted time-integral representation of the cost derivative at zero:
-    Monte Carlo estimate and its standard error."""
-    phi = _auxiliary_phi(spec, grid, forward, backward, adjoint, uhat)
-    return gamma_weighted_integral(gamma, phi, grid.dt)
 
 
 def solve_variational_bsde(
@@ -378,7 +315,7 @@ def hamiltonian_u(inp: HamiltonianInputs, spec: ProblemSpec) -> np.ndarray:
     at a batch of one, with z shifted."""
     z_arg = np.asarray(inp.z, dtype=np.float64) + _diffusion_shift(spec, inp)
     x, u, p, q = (np.asarray(v, dtype=np.float64)[None] for v in (inp.x, inp.u, inp.p, inp.q))
-    return control_gradient(spec, inp.t, x, u, np.array([inp.y]), z_arg[None], p, q)[0]
+    return control_gradient(spec, StepPoint.at(spec, 0, inp.t, x, u, np.array([inp.y]), z_arg[None], p, q))[0]
 
 
 @dataclass

@@ -15,7 +15,8 @@ Each equation stores ``width`` time slices, and step i lives in slice
 ``i % width`` (:func:`at_step`). A solve that returns the whole path uses
 width N+1, so slice i is step i. Step i reads only step i+1 and the slices
 written at step i, so width 2 is enough for a caller that consumes each
-step inside the sweep, such as the descent's policy gradient.
+step inside the sweep: an equation's step may hand what it solved to a
+callback, as the costate's ``visit`` does (:mod:`qsmp.adjoint`).
 """
 
 from __future__ import annotations

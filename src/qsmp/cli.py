@@ -243,28 +243,35 @@ def _pipeline_adjoint(cfg):
     import numpy as np
 
     from . import adjoint as adjoint_mod
-    from .paths import solve_forward_sde
+    from .bmo import cumulate_log_exponential
+    from .paths import solve_forward_sde, step_major
 
     noise, basis = _setup(cfg)
-    control = cfg.control("u_bar")
-    forward = solve_forward_sde(cfg.spec, cfg.grid, noise, control)
-    backward, adj = adjoint_mod.solve_state_and_costate(
-        cfg.spec, cfg.grid, noise, forward, basis=basis,
-        ridge=cfg.overrides.ridge, truncation_radius=cfg.overrides.truncation_radius,
+    grid = cfg.grid
+    forward = solve_forward_sde(cfg.spec, grid, noise, cfg.control("u_bar"))
+    rows = [[float(t)] for t in grid.times]  # t, mean |p|, mean |q|, mean Gamma
+    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
+
+    def add_norms(i, p, q):
+        rows[i] += [float(np.linalg.norm(p, axis=1).mean()), float(np.sqrt((q**2).sum(axis=(1, 2))).mean())]
+
+    def visit(point):
+        add_norms(point.i, point.p, point.q)
+        log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
+
+    _, adj = adjoint_mod.solve_state_and_costate(
+        cfg.spec, grid, noise, forward, basis=basis,
+        ridge=cfg.overrides.ridge, truncation_radius=cfg.overrides.truncation_radius, width=2, visit=visit,
     )
-    gamma = adjoint_mod.gamma_process(cfg.spec, cfg.grid, noise, forward, backward)
+    add_norms(grid.N, adj.terminal, np.zeros_like(adj.q[:, 0]))  # no step solves step N, where q is zero
+    gamma = cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)
+    for i, row in enumerate(rows):
+        row.append(float(gamma[:, i].mean()))
     report = {
         "p0_mean": [float(v) for v in adj.p[:, 0].mean(axis=0)],
-        "gamma_terminal_mean": float(gamma.values[:, -1].mean()),
-        "gamma_min": float(gamma.values.min()),
+        "gamma_terminal_mean": float(gamma[:, -1].mean()),
+        "gamma_min": float(gamma.min()),
     }
-    times = cfg.grid.times
-    rows = [
-        [float(times[i]), float(np.linalg.norm(adj.p[:, i], axis=1).mean()),
-         float(np.sqrt((adj.q[:, i] ** 2).sum(axis=(1, 2))).mean()),
-         float(gamma.values[:, i].mean())]
-        for i in range(cfg.grid.N + 1)
-    ]
     tables = {"adjoint_steps": (["t", "mean_p_norm", "mean_q_norm", "mean_gamma"], rows)}
     lines = [
         f"p0 mean = {report['p0_mean']}",

@@ -245,6 +245,20 @@ class HalfspaceDomain(ControlDomain):
             flat[todo] = self._dykstra(flat[todo])
         return flat.reshape(v.shape)
 
+    def pullback(self, raw, weight):
+        """Outside the domain, J = I - A_F^T (A_F A_F^T)^+ A_F = J^T for the
+        faces F active at the projection (slack above -1e-9; Dykstra's steps
+        stop at 1e-13): the projection onto their common tangent space."""
+        out = ~self.contains(raw, tol=0.0)
+        if np.any(out):
+            a_mat, c_vec = self._arrays()
+            active = self._dykstra(raw[out]) @ a_mat.T - c_vec > -1e-9
+            a_f = active[:, :, None] * a_mat  # (S, H, k), zero rows off F
+            a_f_t = np.swapaxes(a_f, 1, 2)
+            w = weight[out][:, :, None]
+            weight[out] = (w - a_f_t @ np.linalg.pinv(a_f @ a_f_t) @ a_f @ w)[:, :, 0]
+        return weight
+
     def _dykstra(self, pts):
         a_mat, c_vec = self._arrays()
         norms_sq = np.einsum("hk,hk->h", a_mat, a_mat)

@@ -17,14 +17,7 @@ import numpy as np
 
 from . import adjoint as adjoint_mod
 from . import bmo
-from .bsde import (
-    RegressionBasis,
-    at_step,
-    backward_sweep,
-    quadratic_defaults,
-    solve_linear_bsde,
-    solve_quadratic_bsde,
-)
+from .bsde import RegressionBasis, solve_linear_bsde, solve_quadratic_bsde
 from .model import ProblemSpec
 from .paths import (
     DEFAULT_EPSILONS,
@@ -92,9 +85,14 @@ def gateaux_check(
     with both computations of the adjoint-based derivative."""
     eps_list = check_epsilons(epsilons)
     forward = solve_forward_sde(spec, grid, noise, u_bar)
-    backward, adj = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
     u_table = realize_control_along(u, grid, forward.states)
     uhat = u_table - forward.controls
+    # Both adjoint derivatives, from one forcing phi = H_u . uhat; their arrays die before the chains.
+    backward, aux_data, gamma = adjoint_mod.auxiliary_sweep(spec, grid, noise, forward, uhat, basis)
+    aux = solve_linear_bsde(aux_data, grid, noise, forward.states, basis=basis)
+    yhat0, yhat0_se = aux.y0, aux.y0_standard_error
+    y0_gamma, y0_gamma_se = adjoint_mod.gamma_weighted_integral(gamma, aux_data.phi, grid.dt)
+    del aux_data, gamma, aux
 
     quotients = []
     ses = []
@@ -104,12 +102,6 @@ def gateaux_check(
         ses.append(se)
 
     intercept, intercept_se, slope = _weighted_affine_intercept(eps_list, quotients, ses)
-
-    # One auxiliary forcing phi = H_u . uhat feeds both computations of the derivative.
-    aux_data = adjoint_mod.auxiliary_data(spec, grid, forward, backward, adj, uhat)
-    aux = solve_linear_bsde(aux_data, grid, noise, forward.states, basis=basis)
-    gamma = adjoint_mod.gamma_process(spec, grid, noise, forward, backward)
-    y0_gamma, y0_gamma_se = adjoint_mod.gamma_weighted_integral(gamma, aux_data.phi, grid.dt)
 
     # The check is inconclusive when the fitted trend over the eps-range is
     # smaller than the statistical resolution of the quotients.
@@ -123,8 +115,8 @@ def gateaux_check(
         fd_slope_ses=ses,
         extrapolated_intercept=intercept,
         intercept_se=intercept_se,
-        yhat0=aux.y0,
-        yhat0_se=aux.y0_standard_error,
+        yhat0=yhat0,
+        yhat0_se=yhat0_se,
         yhat0_gamma=y0_gamma,
         yhat0_gamma_se=y0_gamma_se,
         inconclusive=inconclusive,
@@ -255,38 +247,24 @@ class DescentResult:
 
 def _policy_gradient(spec, grid, noise, policy, basis):
     """(cost, its standard error, offset gradient (N, k), gain gradient
-    (N, k, n)) at the policy.
-
-    One sweep solves the state and costate equations at storage width 2
-    (see :mod:`qsmp.bsde`), so Y, Z, p and q are kept at two steps only.
-    At each step the costate step is followed by the control gradient of the
-    Hamiltonian, chained through the policy's projection, and the step of
-    log Gamma. Besides the forward batch, the path arrays kept are these
-    weights (M, N, k) and Gamma (M, N+1), which is cumulated after the
-    sweep. They are dropped on return, so one iteration's arrays are never
-    alive next to the previous one's."""
+    (N, k, n)) at the policy, from one state-costate sweep at width 2 whose
+    visitor forms H_u, chained through the policy's projection, and the
+    step of log Gamma. Besides the forward batch, the path arrays kept are
+    the weights (M, N, k) and Gamma (M, N+1); they die on return, so one
+    iteration's arrays are never alive next to the previous one's."""
     forward = solve_forward_sde(spec, grid, noise, policy.control())
-    basis, radius, constants = quadratic_defaults(spec, basis)
-    quad, costate = adjoint_mod.state_and_costate_equations(spec, grid, forward, radius, constants, width=2)
-    y_vals, z_vals = quad.values[:, :, 0], quad.integrands[:, :, 0]
     weight = step_major((noise.M, grid.N, spec.k))
     log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
-    costate_step = costate.step
 
-    def step(i, cond, q):
-        p_i, q_i = costate_step(i, cond, q)
-        x_i, u_i, y_i, z_i = forward.states[:, i], forward.controls[:, i], at_step(y_vals, i), at_step(z_vals, i)
-        grad = adjoint_mod.control_gradient(spec, grid.times[i], x_i, u_i, y_i, z_i, p_i, q_i)
-        weight[:, i] = policy.domain.pullback(policy.raw(i, x_i), grad)
-        log_gamma[:, i + 1] = adjoint_mod.gamma_log_increment(spec, grid, noise, i, x_i, u_i, y_i, z_i)
-        return p_i, q_i
+    def visit(point):
+        grad = adjoint_mod.control_gradient(spec, point)
+        weight[:, point.i] = policy.domain.pullback(policy.raw(point.i, point.x), grad)
+        log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
 
-    costate.step = step
-    backward_sweep(grid, noise, forward.states, [quad, costate], basis)
-    weight *= bmo.cumulate_log_exponential(log_gamma, "exponential weight")[:, : grid.N, None]
+    backward, _ = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis, width=2, visit=visit)
+    weight *= bmo.cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)[:, : grid.N, None]
     grad_offsets = weight.mean(axis=0)  # (N, k)
     grad_gains = np.einsum("mik,min->ikn", weight, forward.states[:, : grid.N]) / noise.M
-    backward = quad.scalar_solution(basis, radius)
     return backward.y0, backward.y0_standard_error, grad_offsets, grad_gains
 
 
@@ -396,14 +374,12 @@ def check_maximum_principle(
 
     check_steps = sorted(set(np.linspace(1, grid.N - 1, n_times, dtype=int)))
     query_paths = rng.choice(m_paths, size=min(n_states, m_paths), replace=False)
-    # Per check step, the query points (x, u, y, z, p, q) and the control
-    # gradient there; the full solution is not needed after this.
-    points = [
-        tuple(a[query_paths, i] for a in (forward.states, forward.controls, backward.Y, backward.Z, adj.p, adj.q))
-        for i in check_steps
-    ]
-    fields = [adjoint_mod.control_gradient(spec, times[i], *pt) for i, pt in zip(check_steps, points)]
-    del backward, adj
+    # Per check step, the point at the query paths and the control gradient
+    # there; the full solution is not needed after this.
+    arrays = (forward.states, forward.controls, backward.Y, backward.Z, adj.p, adj.q)
+    points = [adjoint_mod.StepPoint.at(spec, i, times[i], *(a[query_paths, i] for a in arrays)) for i in check_steps]
+    fields = [adjoint_mod.control_gradient(spec, point) for point in points]
+    del backward, adj, arrays
 
     replicates = []  # per group, the control gradient at every check step
     if tolerance is None:
@@ -412,14 +388,14 @@ def check_maximum_principle(
             raise ValueError("too few paths per replication group; pass a fixed tolerance")
         for g in range(groups):
             sel = slice(g * size, (g + 1) * size)
-            replicates.append(_replicate_fields(spec, grid, noise, forward, sel, basis, check_steps, points))
+            replicates.append(_replicate_fields(spec, grid, noise, forward, sel, basis, points))
 
     min_inner = math.inf
     per_time_min = []
     violations = 0
     total = 0
     for j, field in enumerate(fields):
-        u_q = points[j][1]
+        u_q = points[j].u
         candidates = spec.domain.sample(rng, len(query_paths) * n_candidates, boundary_bias=boundary_bias)
         candidates = candidates.reshape(len(query_paths), n_candidates, spec.k)
         directions = candidates - u_q[:, None, :]
@@ -449,7 +425,7 @@ def check_maximum_principle(
     )
 
 
-def _replicate_fields(spec, grid, noise, forward, sel, basis, check_steps, points):
+def _replicate_fields(spec, grid, noise, forward, sel, basis, points):
     """The control gradient at each check step's query points, from the
     solve chain replicated on the paths ``sel``. The group's path arrays are
     dropped on return, so only one group is alive at a time."""
@@ -458,14 +434,16 @@ def _replicate_fields(spec, grid, noise, forward, sel, basis, check_steps, point
     g_backward, g_adj = adjoint_mod.solve_state_and_costate(spec, grid, g_noise, g_forward, basis=basis)
     n, d = spec.n, spec.d
     fields = []
-    for i, (x_q, u_q, *_) in zip(check_steps, points):
+    for query in points:
         # The replicate solution at the query states: one regression on the
         # group's states serves the four fitted functions.
+        i, x_q = query.i, query.x
         reg = StepRegressor(basis, g_forward.states[:, i])
         gy, gz, gp, gq = (
             reg.fit(values)[1].evaluate(x_q)
             for values in (g_backward.Y[:, i], g_backward.Z[:, i], g_adj.p[:, i], g_adj.q[:, i].reshape(-1, n * d))
         )
         gq = gq.reshape(len(x_q), n, d)
-        fields.append(adjoint_mod.control_gradient(spec, grid.times[i], x_q, u_q, gy[:, 0], gz, gp, gq))
+        point = adjoint_mod.StepPoint.at(spec, i, query.t, x_q, query.u, gy[:, 0], gz, gp, gq)
+        fields.append(adjoint_mod.control_gradient(spec, point))
     return fields

@@ -65,7 +65,7 @@ def save_container(path: str, metadata: dict, arrays: dict) -> None:
             handle.write(_pack_name(name) + struct.pack("<d", float(value)))
         handle.write(struct.pack("<Q", len(arrays)))
         for name, array in arrays.items():
-            array = np.atleast_1d(np.asarray(array, dtype="<f8"))
+            array = np.asarray(array, dtype="<f8")
             handle.write(_pack_name(name) + struct.pack(f"<{1 + array.ndim}Q", array.ndim, *array.shape))
             if array.flags.c_contiguous:
                 handle.write(memoryview(array))

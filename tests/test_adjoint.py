@@ -18,6 +18,19 @@ def _override(spec, **replacements):
     )
 
 
+def auxiliary_solution(spec, grid, noise, forward, uhat):
+    """The auxiliary solution for the direction ``uhat``, the Gamma-weighted
+    integral (mean, SE) and Gamma, from one state-costate sweep."""
+    _, data, gamma = adj.auxiliary_sweep(spec, grid, noise, forward, uhat)
+    aux = bsde.solve_linear_bsde(data, grid, noise, forward.states)
+    return aux, adj.gamma_weighted_integral(gamma, data.phi, grid.dt), gamma
+
+
+def gamma_path(spec, grid, noise, forward):
+    """Gamma (M, N+1) along the trajectory."""
+    return adj.auxiliary_sweep(spec, grid, noise, forward, np.zeros_like(forward.controls))[2]
+
+
 @pytest.fixture(scope="module")
 def tanh_chain(tanh_spec):
     """Full solve chain on the bounded tanh family, shared by several tests."""
@@ -31,6 +44,17 @@ def tanh_chain(tanh_spec):
     u_table = paths.realize_control_along(u_other, grid, forward.states)
     uhat = u_table - forward.controls
     return grid, noise, forward, backward, adjoint, uhat
+
+
+@pytest.fixture(scope="module")
+def tanh_auxiliary(tanh_chain, tanh_spec):
+    """:func:`auxiliary_solution` on the tanh chain, in its direction and in
+    the zero direction."""
+    grid, noise, forward, _, _, uhat = tanh_chain
+    return {
+        name: auxiliary_solution(tanh_spec, grid, noise, forward, direction)
+        for name, direction in (("uhat", uhat), ("zero", np.zeros_like(forward.controls)))
+    }
 
 
 class TestAdjointSolver:
@@ -172,12 +196,8 @@ class TestGammaProcess:
             f_z=lambda t, x, y, z, u: np.zeros((x.shape[0], 1)),
         )
         forward = paths.solve_forward_sde(spec, small_grid, small_noise, paths.ConstantControl((0.0,)))
-        backward = bsde.solve_quadratic_bsde(
-            spec, small_grid, small_noise, forward,
-            constants=model.DerivedConstants(1.0, 100.0, 2.0, 1.0, 2.0, 8.0),
-        )
-        gamma = adj.gamma_process(spec, small_grid, small_noise, forward, backward)
-        assert np.all(gamma.values == 1.0)
+        gamma = gamma_path(spec, small_grid, small_noise, forward)
+        assert np.all(gamma == 1.0)
 
     def test_deterministic_slope(self, exp_utility_spec, small_grid, small_noise):
         a_coef = 0.6
@@ -188,19 +208,14 @@ class TestGammaProcess:
             f_z=lambda t, x, y, z, u: np.zeros((x.shape[0], 1)),
         )
         forward = paths.solve_forward_sde(spec, small_grid, small_noise, paths.ConstantControl((0.0,)))
-        backward = bsde.solve_quadratic_bsde(
-            spec, small_grid, small_noise, forward,
-            constants=model.DerivedConstants(1.0, 100.0, 2.0, 1.0, 2.0, 8.0),
-        )
-        gamma = adj.gamma_process(spec, small_grid, small_noise, forward, backward)
+        gamma = gamma_path(spec, small_grid, small_noise, forward)
         expected = np.exp(a_coef * small_grid.times)
-        assert np.allclose(gamma.values, expected[None, :], rtol=1e-10)
+        assert np.allclose(gamma, expected[None, :], rtol=1e-10)
 
-    def test_positivity_and_unit_start(self, tanh_chain, tanh_spec):
-        grid, noise, forward, backward, _, _ = tanh_chain
-        gamma = adj.gamma_process(tanh_spec, grid, noise, forward, backward)
-        assert np.all(gamma.values[:, 0] == 1.0)
-        assert np.all(gamma.values > 0.0)
+    def test_positivity_and_unit_start(self, tanh_auxiliary):
+        gamma = tanh_auxiliary["uhat"][2]
+        assert np.all(gamma[:, 0] == 1.0)
+        assert np.all(gamma > 0.0)
 
     def test_martingale_mean_when_slope_free(self, exp_utility_spec):
         # f_y = 0 for this family, so the weight is a pure stochastic
@@ -208,19 +223,14 @@ class TestGammaProcess:
         grid = paths.TimeGrid(50, 1.0)
         noise = paths.simulate_brownian(grid, 100000, 1, seed=33)
         forward = paths.solve_forward_sde(exp_utility_spec, grid, noise, paths.ConstantControl((0.0,)))
-        backward = bsde.solve_quadratic_bsde(exp_utility_spec, grid, noise, forward)
-        gamma = adj.gamma_process(exp_utility_spec, grid, noise, forward, backward)
-        terminal = gamma.values[:, -1]
+        terminal = gamma_path(exp_utility_spec, grid, noise, forward)[:, -1]
         se = terminal.std() / math.sqrt(noise.M)
         assert abs(terminal.mean() - 1.0) <= 4.0 * se
 
 
 class TestAuxiliaryEquation:
-    def test_zero_direction_is_zero(self, tanh_chain, tanh_spec):
-        grid, noise, forward, backward, adjoint, _ = tanh_chain
-        aux = adj.solve_auxiliary(
-            tanh_spec, grid, noise, forward, backward, adjoint, np.zeros_like(forward.controls)
-        )
+    def test_zero_direction_is_zero(self, tanh_auxiliary):
+        aux = tanh_auxiliary["zero"][0]
         assert np.all(aux.Y == 0.0)
         assert np.all(aux.Z == 0.0)
 
@@ -236,46 +246,26 @@ class TestAuxiliaryEquation:
             Phi_x=lambda x: np.full((x.shape[0], 1), v_const),
         )
         forward = paths.solve_forward_sde(spec, small_grid, small_noise, paths.ConstantControl((0.0,)))
-        backward = bsde.solve_quadratic_bsde(
-            spec, small_grid, small_noise, forward,
-            constants=model.DerivedConstants(1.0, 100.0, 2.0, 1.0, 2.0, 8.0),
-        )
-        adjoint = adj.solve_adjoint(spec, small_grid, small_noise, forward, backward)
         uhat = np.full_like(forward.controls, direction)
-        aux = adj.solve_auxiliary(spec, small_grid, small_noise, forward, backward, adjoint, uhat)
+        aux = auxiliary_solution(spec, small_grid, small_noise, forward, uhat)[0]
         expected = v_const * b_const * direction * small_grid.T
         assert aux.y0 == pytest.approx(expected, rel=1e-3)
 
-    def test_two_representations_agree(self, tanh_chain, tanh_spec):
-        grid, noise, forward, backward, adjoint, uhat = tanh_chain
-        aux = adj.solve_auxiliary(tanh_spec, grid, noise, forward, backward, adjoint, uhat)
-        gamma = adj.gamma_process(tanh_spec, grid, noise, forward, backward)
-        via_gamma, se_gamma = adj.yhat0_via_gamma(
-            tanh_spec, grid, noise, forward, backward, adjoint, gamma, uhat
-        )
+    def test_two_representations_agree(self, tanh_auxiliary):
+        aux, (via_gamma, se_gamma), _ = tanh_auxiliary["uhat"]
         combined = math.hypot(aux.y0_standard_error, se_gamma)
         assert abs(aux.y0 - via_gamma) <= 3.0 * combined
 
 
 class TestWeightedIntegralRepresentation:
-    def test_zero_direction_exact_zero(self, tanh_chain, tanh_spec):
-        grid, noise, forward, backward, adjoint, _ = tanh_chain
-        gamma = adj.gamma_process(tanh_spec, grid, noise, forward, backward)
-        value, _ = adj.yhat0_via_gamma(
-            tanh_spec, grid, noise, forward, backward, adjoint, gamma,
-            np.zeros_like(forward.controls),
-        )
+    def test_zero_direction_exact_zero(self, tanh_auxiliary):
+        value, _ = tanh_auxiliary["zero"][1]
         assert value == 0.0
 
-    def test_sign_flip_exact(self, tanh_chain, tanh_spec):
-        grid, noise, forward, backward, adjoint, uhat = tanh_chain
-        gamma = adj.gamma_process(tanh_spec, grid, noise, forward, backward)
-        plus, _ = adj.yhat0_via_gamma(
-            tanh_spec, grid, noise, forward, backward, adjoint, gamma, uhat
-        )
-        minus, _ = adj.yhat0_via_gamma(
-            tanh_spec, grid, noise, forward, backward, adjoint, gamma, -uhat
-        )
+    def test_sign_flip_exact(self, tanh_chain, tanh_spec, tanh_auxiliary):
+        grid, noise, forward, _, _, uhat = tanh_chain
+        plus, _ = tanh_auxiliary["uhat"][1]
+        minus, _ = auxiliary_solution(tanh_spec, grid, noise, forward, -uhat)[1]
         assert plus == -minus
 
 
@@ -336,14 +326,14 @@ class TestHamiltonian:
 
 
 class TestDecoupling:
-    def test_zero_direction_all_residuals_vanish(self, tanh_chain, tanh_spec):
+    def test_zero_direction_all_residuals_vanish(self, tanh_chain, tanh_spec, tanh_auxiliary):
         grid, noise, forward, backward, adjoint, _ = tanh_chain
         zero = np.zeros_like(forward.controls)
         variational = paths.solve_variational_sde(tanh_spec, grid, noise, forward, zero)
         var_backward = adj.solve_variational_bsde(
             tanh_spec, grid, noise, forward, backward, variational
         )
-        aux = adj.solve_auxiliary(tanh_spec, grid, noise, forward, backward, adjoint, zero)
+        aux = tanh_auxiliary["zero"][0]
         report = adj.check_decoupling(
             tanh_spec, grid, noise, forward, backward, adjoint,
             variational, var_backward, aux, zero,
@@ -352,13 +342,13 @@ class TestDecoupling:
         assert all(z.max == 0.0 for z in report.z_residuals)
         assert report.t0_gap == 0.0
 
-    def test_time_zero_identity(self, tanh_chain, tanh_spec):
+    def test_time_zero_identity(self, tanh_chain, tanh_spec, tanh_auxiliary):
         grid, noise, forward, backward, adjoint, uhat = tanh_chain
         variational = paths.solve_variational_sde(tanh_spec, grid, noise, forward, uhat)
         var_backward = adj.solve_variational_bsde(
             tanh_spec, grid, noise, forward, backward, variational
         )
-        aux = adj.solve_auxiliary(tanh_spec, grid, noise, forward, backward, adjoint, uhat)
+        aux = tanh_auxiliary["uhat"][0]
         report = adj.check_decoupling(
             tanh_spec, grid, noise, forward, backward, adjoint,
             variational, var_backward, aux, uhat,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qsmp import adjoint, paths
+from qsmp import adjoint, paths, smp
 
 M, N = 300, 6
 
@@ -21,11 +21,21 @@ def chain(tanh_spec):
     return grid, noise, forward, backward, costate
 
 
-def test_step_slices_are_contiguous(tanh_spec, chain):
+def test_step_slices_are_contiguous(tanh_spec, chain, monkeypatch):
     grid, noise, forward, backward, costate = chain
     n, d, k = tanh_spec.n, tanh_spec.d, tanh_spec.k
     uhat = paths.realize_control_along(paths.ConstantControl((0.3,)), grid, forward.states) - forward.controls
-    aux = adjoint.auxiliary_data(tanh_spec, grid, forward, backward, costate, uhat)
+    _, aux, gamma = adjoint.auxiliary_sweep(tanh_spec, grid, noise, forward, uhat)
+    # The descent's weights live inside the policy gradient: record what it allocates.
+    allocated = []
+
+    def recording_step_major(shape, fill=None):
+        allocated.append(paths.step_major(shape, fill))
+        return allocated[-1]
+
+    monkeypatch.setattr(smp, "step_major", recording_step_major)
+    smp._policy_gradient(tanh_spec, grid, noise, smp.AffineFeedbackPolicy.zeros(grid, n, k, tanh_spec.domain), None)
+    (weight,) = [a for a in allocated if a.shape == (M, N, k)]
     arrays = {
         "increments": (noise.increments, (M, N, d)),
         "states": (forward.states, (M, N + 1, n)),
@@ -34,8 +44,8 @@ def test_step_slices_are_contiguous(tanh_spec, chain):
         "Z": (backward.Z, (M, N + 1, d)),
         "p": (costate.p, (M, N + 1, n)),
         "q": (costate.q, (M, N + 1, n, d)),
-        "gamma": (adjoint.gamma_process(tanh_spec, grid, noise, forward, backward).values, (M, N + 1)),
-        "weight": (adjoint.optimality_weight(tanh_spec, grid, forward, backward, costate), (M, N, k)),
+        "gamma": (gamma, (M, N + 1)),
+        "weight": (weight, (M, N, k)),
         "lam": (aux.lam, (M, N)),
         "mu": (aux.mu, (M, N, d)),
         "phi": (aux.phi, (M, N)),

@@ -1,8 +1,10 @@
 """The descent's policy gradient, which the shared backward sweep forms step
 by step while keeping two time slices of Y, Z, p and q: it must give the same
-numbers as the full-storage route, hold less memory, chain the gradient
-through the control projection, and guard Gamma as `gamma_process` does."""
+numbers as an after-the-fact loop over whole paths, evaluate the generator's
+slopes once per step, hold less memory, chain the gradient through the
+control projection, and guard Gamma."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,19 +13,27 @@ import pytest
 from qsmp import adjoint, bmo, bsde, families, model, paths, smp
 from qsmp.config import build_expression_problem
 from qsmp.errors import SolverError
-from qsmp.model import BallDomain, BoxDomain
+from qsmp.model import BallDomain, BoxDomain, HalfspaceDomain
 from test_multidim import CONSTANTS, SOURCES
 
 
 def full_storage_gradient(spec, grid, noise, policy, basis=None):
-    """The policy gradient from whole-path Y, Z, p, q, Gamma and weights."""
+    """The policy gradient after the fact: whole-path Y, Z, p and q, then a
+    loop over the steps that evaluates the slopes again and forms the
+    control gradient and the step of log Gamma."""
     forward = paths.solve_forward_sde(spec, grid, noise, policy.control())
     backward, costate = adjoint.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
-    gamma = adjoint.gamma_process(spec, grid, noise, forward, backward)
-    weight = adjoint.optimality_weight(spec, grid, forward, backward, costate)
+    weight = paths.step_major((noise.M, grid.N, spec.k))
+    log_gamma = paths.step_major((noise.M, grid.N + 1), fill=0.0)
     for i in range(grid.N):
-        policy.domain.pullback(policy.raw(i, forward.states[:, i]), weight[:, i])
-    weight *= gamma.values[:, : grid.N, None]
+        x_i, u_i = forward.states[:, i], forward.controls[:, i]
+        point = adjoint.StepPoint.at(
+            spec, i, grid.times[i], x_i, u_i, backward.Y[:, i], backward.Z[:, i], costate.p[:, i], costate.q[:, i]
+        )
+        weight[:, i] = policy.domain.pullback(policy.raw(i, x_i), adjoint.control_gradient(spec, point))
+        log_gamma[:, i + 1] = bmo.log_exponential_increment(point.f_y, point.f_z, noise.increments[:, i], grid.dt)
+    gamma = bmo.cumulate_log_exponential(log_gamma, "exponential weight")
+    weight *= gamma[:, : grid.N, None]
     grad_gains = np.einsum("mik,min->ikn", weight, forward.states[:, : grid.N]) / noise.M
     return backward.y0, backward.y0_standard_error, weight.mean(axis=0), grad_gains, gamma
 
@@ -42,7 +52,7 @@ def test_streamed_gradient_equals_full_storage_on_tanh(tanh_spec):
     policy = smp.AffineFeedbackPolicy.random(grid, 1, 1, tanh_spec.domain, np.random.default_rng(62), scale=0.8)
     gamma = assert_streamed_equals_full(tanh_spec, grid, noise, policy, bsde.RegressionBasis("polynomial", 2))
     # f_y and f_z are nonzero here, so Gamma is not identically one
-    assert np.abs(gamma.values - 1.0).max() > 1e-3
+    assert np.abs(gamma - 1.0).max() > 1e-3
 
 
 def test_streamed_gradient_equals_full_storage_in_two_dimensions():
@@ -54,6 +64,33 @@ def test_streamed_gradient_equals_full_storage_in_two_dimensions():
     noise = paths.simulate_brownian(grid, 2000, 2, seed=63)
     policy = smp.AffineFeedbackPolicy.random(grid, 2, 2, spec.domain, np.random.default_rng(64), scale=0.5)
     assert_streamed_equals_full(spec, grid, noise, policy)
+
+
+def test_slopes_are_evaluated_once_per_step(tanh_spec):
+    # The costate step evaluates f_y and f_z; the control gradient, the step
+    # of log Gamma and the auxiliary data read them from the visited point.
+    calls = {"f_y": 0, "f_z": 0}
+
+    def counted(name):
+        fn = getattr(tanh_spec.coeffs, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    spec = dataclasses.replace(
+        tanh_spec, coeffs=dataclasses.replace(tanh_spec.coeffs, **{name: counted(name) for name in calls})
+    )
+    grid = paths.TimeGrid(12, 1.0)
+    noise = paths.simulate_brownian(grid, 1000, 1, seed=68)
+    smp._policy_gradient(spec, grid, noise, smp.AffineFeedbackPolicy.zeros(grid, 1, 1, spec.domain), None)
+    assert calls == {"f_y": grid.N, "f_z": grid.N}
+    calls.update(f_y=0, f_z=0)
+    # The perturbed chains of the gradient check evaluate f only.
+    smp.gateaux_check(spec, grid, noise, paths.ConstantControl((0.1,)), paths.ConstantControl((0.4,)))
+    assert calls == {"f_y": grid.N, "f_z": grid.N}
 
 
 def test_policy_gradient_peak_memory(lq_spec):
@@ -84,10 +121,8 @@ def test_gamma_overflow_raises_at_the_same_step(lq_spec):
     grid = paths.TimeGrid(50, 1.0)
     noise = paths.simulate_brownian(grid, 4000, 1, seed=3)
     policy = smp.AffineFeedbackPolicy.zeros(grid, 1, 1, spec.domain)
-    forward = paths.solve_forward_sde(spec, grid, noise, policy.control())
-    backward = bsde.solve_quadratic_bsde(spec, grid, noise, forward)
     with pytest.raises(SolverError) as full:
-        adjoint.gamma_process(spec, grid, noise, forward, backward)
+        full_storage_gradient(spec, grid, noise, policy)
     with pytest.raises(SolverError) as streamed:
         smp._policy_gradient(spec, grid, noise, policy, None)
     assert "exponential weight exponent overflow" in str(streamed.value)
@@ -103,8 +138,13 @@ def test_non_finite_exponent_raises():
 
 @pytest.mark.parametrize(
     "domain",
-    [BoxDomain((-1.0, 0.0), (1.0, 0.5)), BallDomain((0.3, -0.2), 0.7)],
-    ids=["box", "ball"],
+    [
+        BoxDomain((-1.0, 0.0), (1.0, 0.5)),
+        BallDomain((0.3, -0.2), 0.7),
+        # 118 of the 200 raw points lie outside, 31 of them past the corner
+        HalfspaceDomain(((1.0, 0.2), (-0.3, 1.0)), (0.3, 0.4)),
+    ],
+    ids=["box", "ball", "halfspace"],
 )
 def test_pullback_is_the_transposed_jacobian_of_project(domain):
     rng = np.random.default_rng(66)

@@ -274,17 +274,13 @@ class TestMaximumPrincipleCheck:
         residual_grad = result.trace[-1].gradient_norm
 
         forward = paths.solve_forward_sde(spec, grid, noise, policy.control())
-        backward = bsde.solve_quadratic_bsde(spec, grid, noise, forward, basis=basis)
-        adjoint = adj.solve_adjoint(spec, grid, noise, forward, backward, basis=basis)
-        gamma = adj.gamma_process(spec, grid, noise, forward, backward)
 
         rng = np.random.default_rng(51)
         for _ in range(5):
             candidate = spec.domain.sample(rng, 1)[0]
             uhat = np.broadcast_to(candidate, forward.controls.shape) - forward.controls
-            value, se = adj.yhat0_via_gamma(
-                spec, grid, noise, forward, backward, adjoint, gamma, uhat
-            )
+            _, data, gamma = adj.auxiliary_sweep(spec, grid, noise, forward, uhat, basis=basis)
+            value, se = adj.gamma_weighted_integral(gamma, data.phi, grid.dt)
             direction_norm = math.sqrt(
                 float(np.einsum("mik,mik->", uhat[:, : grid.N], uhat[:, : grid.N]))
                 * grid.dt / noise.M

@@ -27,6 +27,13 @@ class TestContainer:
         assert np.array_equal(arrays["Y"], backward.Y)
         assert np.array_equal(arrays["Z"], backward.Z)
 
+    def test_scalar_round_trips_with_ndim_zero(self, tmp_path):
+        path = str(tmp_path / "scalar.qsmp")
+        storage.save_container(path, {}, {"s": np.float64(2.5), "v": np.arange(3.0)})
+        _, arrays = storage.load_container(path)
+        assert arrays["s"].shape == () and arrays["s"] == 2.5
+        assert np.array_equal(arrays["v"], np.arange(3.0))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.qsmp"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -49,7 +56,8 @@ class TestContainer:
         arrays = {"a": step_major, "b": step_major[:, 1:3, 0], "c": np.float64(2.5), "d": np.zeros((0, 3))}
         p1, p2 = str(tmp_path / "step_major.qsmp"), str(tmp_path / "c_order.qsmp")
         storage.save_container(p1, {"M": 7.0}, arrays)
-        storage.save_container(p2, {"M": 7.0}, {k: np.ascontiguousarray(v) for k, v in arrays.items()})
+        # np.array, not np.ascontiguousarray, which would promote the 0-d "c" to shape (1,)
+        storage.save_container(p2, {"M": 7.0}, {k: np.array(v, order="C") for k, v in arrays.items()})
         assert open(p1, "rb").read() == open(p2, "rb").read()
         assert np.array_equal(storage.load_container(p1)[1]["a"], step_major)
 
