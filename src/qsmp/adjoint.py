@@ -14,7 +14,7 @@ between the backward linearisation and the costate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class AdjointSolution:
     p: np.ndarray
     q: np.ndarray
     terminal: np.ndarray
-    basis: RegressionBasis
-    p_fits: list = field(default_factory=list)
-    q_fits: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -141,22 +138,6 @@ def costate_equation(
     return BackwardEquation(terminal, grid.N, spec.d, step, width=width)
 
 
-def solve_adjoint(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-    basis: RegressionBasis | None = None,
-    ridge: float | None = None,
-) -> AdjointSolution:
-    """Costate pair along a solved backward pair (see :func:`costate_equation`)."""
-    basis = basis or RegressionBasis("polynomial", 3)
-    eq = costate_equation(spec, grid, forward, backward.Y, backward.Z)
-    backward_sweep(grid, noise, forward.states, [eq], basis, ridge)
-    return AdjointSolution(eq.values, eq.integrands, eq.terminal, basis, eq.value_fits, eq.integrand_fits)
-
-
 def solve_state_and_costate(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -168,18 +149,16 @@ def solve_state_and_costate(
     width: int | None = None,
     visit=None,
 ) -> tuple[BackwardSolution, AdjointSolution]:
-    """``solve_quadratic_bsde`` then ``solve_adjoint`` on the same forward
-    batch, with the same results, in one sweep with one regression per step;
-    ``visit`` receives each step's :class:`StepPoint`, from N-1 down to 0.
-    At ``width`` 2 the solutions hold step 0 and the terminal values only."""
+    """The quadratic backward pair (as :func:`qsmp.bsde.solve_quadratic_bsde`
+    gives it) and the costate along it (:func:`costate_equation`), in one
+    sweep with one regression per step; ``visit`` receives each step's
+    :class:`StepPoint`, from N-1 down to 0. At ``width`` 2 the solutions hold
+    step 0 and the terminal values only."""
     basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius)
     quad = quadratic_equation(spec, grid, forward, truncation_radius, constants, width)
     costate = costate_equation(spec, grid, forward, quad.values[:, :, 0], quad.integrands[:, :, 0], width, visit)
     backward_sweep(grid, noise, forward.states, [quad, costate], basis, ridge)
-    adj = AdjointSolution(
-        costate.values, costate.integrands, costate.terminal, basis, costate.value_fits, costate.integrand_fits
-    )
-    return quad.scalar_solution(basis, truncation_radius), adj
+    return quad.scalar_solution(), AdjointSolution(costate.values, costate.integrands, costate.terminal)
 
 
 GAMMA_NAME = "exponential weight"  # what a Gamma overflow is reported as
@@ -246,9 +225,7 @@ def solve_variational_bsde(
     extrapolate wildly on extreme paths without adding expressiveness.
     """
     if basis is None:
-        basis = RegressionBasis(
-            "polynomial", 3, max_degrees=(3,) * spec.n + (1,) * spec.n
-        )
+        basis = RegressionBasis(3, max_degrees=(3,) * spec.n + (1,) * spec.n)
     m_paths, n_steps = noise.M, grid.N
     times = grid.times
     uhat = variational.perturbation

@@ -162,7 +162,7 @@ def _tail_sup_profile(integrand, grid, features, basis, ridge, quantile=None):
     # tails[:, j] = sum_{i >= j} |H_i|^2 dt
     tails = step_major((m_paths, n_steps + 1), fill=0.0)
     np.cumsum(sq[:, ::-1], axis=1, out=tails[:, -2::-1])
-    basis = basis or RegressionBasis("polynomial", 2)
+    basis = basis or RegressionBasis(2)
     best_max = 0.0
     best_q = 0.0
     for j in range(n_steps):

@@ -30,15 +30,7 @@ from . import bmo
 from .errors import SolverError
 from .model import DerivedConstants, ProblemSpec, derive_constants
 from .paths import BrownianBatch, ForwardBatch, TimeGrid, step_major
-from .regression import (  # noqa: F401  (re-exported: the public regression surface)
-    IllConditionedBasisError,
-    RegressionBasis,
-    RegressionResult,
-    StepFit,
-    StepRegressor,
-    default_ridge,
-    regress_conditional_expectation,
-)
+from .regression import RegressionBasis, StepRegressor
 
 _FIXED_POINT_MAX = 50
 _FIXED_POINT_TOL = 1e-13
@@ -49,17 +41,11 @@ class BackwardSolution:
     """Discrete (Y, Z) pair on a path batch.
 
     ``Z[:, i]`` is the regressed integrand on [t_i, t_{i+1}) (zero at the
-    terminal index, where no regression happens); ``y_fits``/``z_fits`` hold
-    the per-step regression coefficients so the solution can be re-evaluated
-    at arbitrary states and exported for diagnosis.
+    terminal index, where no regression happens).
     """
 
     Y: np.ndarray  # (M, N+1)
     Z: np.ndarray  # (M, N+1, d)
-    basis: RegressionBasis
-    truncation_radius: float
-    y_fits: list  # StepFit per step 0..N-1
-    z_fits: list
     #: Pathwise terminal-plus-driver sums xi_m + sum_i f_m(t_i) dt. Because
     #: every regression preserves batch means, Y_0 equals the mean of these,
     #: and their spread yields an honest standard error for Y_0.
@@ -106,7 +92,7 @@ class BackwardEquation:
 
     Holds values (M, width, K) from the terminal ones (M, K), integrands
     (M, width, K, d), zero until a step writes them, both stored step-major
-    (see :func:`qsmp.paths.step_major`), the per-step fits, and
+    (see :func:`qsmp.paths.step_major`), and
     ``step(i, cond, z) -> (value, integrand)``, which resolves step i from
     the conditional mean (M, K) of the next value and the regressed
     integrand (M, K, d). Step i lives in slice ``i % width``
@@ -125,18 +111,15 @@ class BackwardEquation:
         self.values = step_major((m_paths, width, k))
         at_step(self.values, n_steps)[...] = terminal
         self.integrands = step_major((m_paths, width, k, d), fill=0.0)
-        self.value_fits = [None] * n_steps
-        self.integrand_fits = [None] * n_steps
         self.driver_sum = driver_sum
         self.step = step
 
-    def scalar_solution(self, basis: RegressionBasis, truncation_radius: float) -> BackwardSolution:
+    def scalar_solution(self) -> BackwardSolution:
         """The K = 1 equation as a (Y, Z) pair on views of its storage. After
         a sweep, slice 0 is step 0 for every width, so ``y0`` and its
         standard error hold; Y and Z are whole paths only at width N+1."""
         return BackwardSolution(
-            self.values[:, :, 0], self.integrands[:, :, 0], basis, truncation_radius,
-            self.value_fits, self.integrand_fits, self.terminal[:, 0] + self.driver_sum,
+            self.values[:, :, 0], self.integrands[:, :, 0], self.terminal[:, 0] + self.driver_sum
         )
 
 
@@ -150,12 +133,12 @@ def backward_sweep(
         reg = StepRegressor(basis, states[:, i], ridge)
         for eq in equations:
             nxt = at_step(eq.values, i + 1)
-            cond, eq.value_fits[i] = reg.fit(nxt)
+            cond, _ = reg.fit(nxt)
             # Martingale control variate: centering the target leaves the
             # conditional expectation unchanged but removes the O(1/dt) variance
             # the conditional mean would otherwise inject into the Z estimate.
             z_target = ((nxt - cond)[:, :, None] * noise.increments[:, i, None, :] / dt).reshape(m_paths, -1)
-            z_flat, eq.integrand_fits[i] = reg.fit(z_target)
+            z_flat, _ = reg.fit(z_target)
             z_i = z_flat.reshape(m_paths, -1, d)
             at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i)
 
@@ -165,7 +148,7 @@ def quadratic_defaults(spec: ProblemSpec, basis=None, truncation_radius=None, co
     constants = constants or derive_constants(spec)
     if truncation_radius is None:
         truncation_radius = default_truncation_radius(constants, spec.T)
-    return basis or RegressionBasis("polynomial", 3), truncation_radius, constants
+    return basis or RegressionBasis(3), truncation_radius, constants
 
 
 def quadratic_equation(
@@ -230,7 +213,7 @@ def solve_quadratic_bsde(
     basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius, constants)
     eq = quadratic_equation(spec, grid, forward, truncation_radius, constants)
     backward_sweep(grid, noise, forward.states, [eq], basis, ridge)
-    return eq.scalar_solution(basis, truncation_radius)
+    return eq.scalar_solution()
 
 
 @dataclass(frozen=True)
@@ -275,7 +258,7 @@ def solve_linear_bsde(
     forward states for Markovian problems, or an augmented state when the
     solution depends on more than the base trajectory.
     """
-    basis = basis or RegressionBasis("polynomial", 3)
+    basis = basis or RegressionBasis(3)
     dt = grid.dt
     if data.lam.shape != (noise.M, grid.N):
         raise ValueError("lam must have shape (M, N)")
@@ -295,7 +278,7 @@ def solve_linear_bsde(
 
     eq = BackwardEquation(data.xi[:, None], grid.N, noise.d, step, driver_sum)
     backward_sweep(grid, noise, features, [eq], basis, ridge)
-    return eq.scalar_solution(basis, math.inf)
+    return eq.scalar_solution()
 
 
 @dataclass

@@ -160,7 +160,7 @@ def _setup(cfg):
     noise = paths.simulate_brownian(cfg.grid, cfg.M, cfg.spec.d, cfg.seed)
     basis = None
     if cfg.overrides.basis_degree is not None:
-        basis = RegressionBasis("polynomial", cfg.overrides.basis_degree)
+        basis = RegressionBasis(cfg.overrides.basis_degree)
     return noise, basis
 
 

@@ -92,9 +92,14 @@ def _choice(default, *others):
     return field(default=default, metadata={"choices": (default, *others)})
 
 
+def _bounded(default, **bounds):
+    """A key whose values below ``min`` or above ``max`` mean nothing."""
+    return field(default=default, metadata=bounds)
+
+
 @dataclass
 class DescentParams:
-    iterations: int = 25
+    iterations: int = _bounded(25, min=1)
     step: float = 0.5
     init: str = _choice("zeros", "random")
     init_scale: float = 0.5
@@ -103,25 +108,25 @@ class DescentParams:
 
 @dataclass
 class CheckParams:
-    times: int = 12
-    states: int = 48
-    candidates: int = 8
-    groups: int = 8
-    se_multiplier: float = 5.0
-    boundary_bias: float = 0.5
+    times: int = _bounded(12, min=1)
+    states: int = _bounded(48, min=1)
+    candidates: int = _bounded(8, min=1)
+    groups: int = _bounded(8, min=2)  # the replicate standard error needs two
+    se_multiplier: float = _bounded(5.0, min=0)
+    boundary_bias: float = _bounded(0.5, min=0, max=1)
 
 
 @dataclass
 class BmoParams:
     source: str = _choice("backward", "constant")
     level: float = 0.3
-    n_max: int = field(default=3, metadata={"max": 6})
+    n_max: int = _bounded(3, min=1, max=6)
 
 
-def _used_by(*pipelines, default=None):
+def _used_by(*pipelines, default=None, **bounds):
     """A [tolerances] key that only the named pipelines use; any other
     pipeline rejects it rather than ignore it."""
-    return field(default=default, metadata={"pipelines": pipelines})
+    return field(default=default, metadata={"pipelines": pipelines, **bounds})
 
 
 _SOLVERS = ("solve", "adjoint", "bmo")
@@ -129,10 +134,10 @@ _SOLVERS = ("solve", "adjoint", "bmo")
 
 @dataclass
 class Overrides:
-    basis_degree: int | None = None  # every pipeline
-    truncation_radius: float | None = _used_by(*_SOLVERS)
-    ridge: float | None = _used_by(*_SOLVERS)
-    validation_samples: int = _used_by("constants", default=256)
+    basis_degree: int | None = _bounded(None, min=0)  # every pipeline
+    truncation_radius: float | None = _used_by(*_SOLVERS, min=0)
+    ridge: float | None = _used_by(*_SOLVERS, min=0)
+    validation_samples: int = _used_by("constants", default=256, min=1)
 
 
 def unused_tolerances(pipeline: str, keys) -> list:
@@ -142,7 +147,8 @@ def unused_tolerances(pipeline: str, keys) -> list:
 
 
 # Sections parsed from a dataclass: each field is a key, its annotation gives
-# the type and its default the default; metadata may add "choices" or "max".
+# the type and its default the default; metadata may add "choices", "min" or
+# "max" (both inclusive).
 # A new key in one of these sections is one field line.
 _SCHEMAS = {"descent": DescentParams, "check": CheckParams, "bmo": BmoParams, "tolerances": Overrides}
 
@@ -200,11 +206,14 @@ def _parse_section(section: str, values: dict):
         # ``int | None`` parses as int
         kind = next(t for t in typing.get_args(hints[spec.name]) or (hints[spec.name],) if t is not type(None))
         value = _scalar(kind, section, spec.name, values[spec.name])
-        choices, limit = spec.metadata.get("choices"), spec.metadata.get("max")
+        choices, low, high = (spec.metadata.get(key) for key in ("choices", "min", "max"))
         if choices is not None and value not in choices:
             raise ConfigError(f"{spec.name} must be {' or '.join(choices)}", f"[{section}] {spec.name}")
-        if limit is not None and value > limit:
-            raise ConfigError(f"{spec.name} must be <= {limit}", f"[{section}] {spec.name}")
+        # Written so that NaN fails too.
+        if low is not None and not value >= low:
+            raise ConfigError(f"{spec.name} must be >= {low}", f"[{section}] {spec.name}")
+        if high is not None and not value <= high:
+            raise ConfigError(f"{spec.name} must be <= {high}", f"[{section}] {spec.name}")
         setattr(parsed, spec.name, value)
     return parsed
 

@@ -253,12 +253,6 @@ FAMILIES = {
 }
 
 
-def make_family(name: str, **params) -> ProblemSpec:
-    if name not in FAMILIES:
-        raise ValueError(f"unknown problem family {name!r}; available: {sorted(FAMILIES)}")
-    return FAMILIES[name](**params)
-
-
 @dataclass
 class RiccatiSolution:
     """Closed-form reference of the scalar control problem with linear

@@ -33,11 +33,10 @@ def default_ridge(n_samples: int) -> float:
 
 @dataclass(frozen=True)
 class RegressionBasis:
-    """Feature map used for per-time-step regressions.
-
-    ``polynomial`` expands all monomials of the state variables up to the
-    given total degree (the constant is always included); ``none`` keeps only
-    the constant, which turns every regression into a plain batch mean.
+    """Feature map used for per-time-step regressions: all monomials of the
+    state variables up to the given total degree, the constant included
+    (degree 0 keeps only the constant, which turns every regression into a
+    plain batch mean).
 
     ``max_degrees`` is an extension hook: an optional per-variable degree cap
     (one entry per state variable) that drops monomials exceeding it. Fitting
@@ -46,13 +45,10 @@ class RegressionBasis:
     extreme paths without giving up richness in the other coordinates.
     """
 
-    kind: str = "polynomial"
-    degree: int = 2
+    degree: int
     max_degrees: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "none"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         if self.max_degrees is not None:
@@ -61,16 +57,12 @@ class RegressionBasis:
                 raise ValueError("max_degrees entries must be >= 0")
 
     def feature_count(self, state_dim: int) -> int:
-        if self.kind == "none":
-            return 1
         if self.max_degrees is None:
             return math.comb(state_dim + self.degree, self.degree)
         return self.exponents(state_dim).shape[0]
 
     def exponents(self, state_dim: int) -> np.ndarray:
         """Exponent matrix (F, state_dim); row 0 is the constant feature."""
-        if self.kind == "none":
-            return np.zeros((1, state_dim), dtype=np.int64)
         caps = self.max_degrees
         if caps is not None and len(caps) != state_dim:
             raise ValueError(f"max_degrees needs one entry per state variable ({state_dim})")
@@ -91,8 +83,6 @@ class RegressionBasis:
         if states.ndim == 1:
             states = states[:, None]
         m_paths, state_dim = states.shape
-        if self.kind == "none":
-            return np.ones((m_paths, 1))
         if shift is None:
             shift = np.zeros(state_dim)
         if scale is None:
@@ -116,13 +106,6 @@ class RegressionBasis:
                 if p:
                     feats[f_idx] *= pows[j][p]
         return feats.T
-
-
-@dataclass
-class RegressionResult:
-    coefficients: np.ndarray  # (F,) or (F, K)
-    fitted: np.ndarray  # (M,) or (M, K)
-    fitted_se: np.ndarray | None = None  # pointwise prediction standard errors
 
 
 def _chunked_matvec(features: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -178,41 +161,6 @@ def _project(features: np.ndarray, chol: np.ndarray, targets: np.ndarray):
 def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     y = np.linalg.solve(chol, rhs)
     return np.linalg.solve(chol.T, y)
-
-
-def regress_conditional_expectation(
-    features: np.ndarray,
-    targets: np.ndarray,
-    ridge: float | None = None,
-    return_se: bool = False,
-) -> RegressionResult:
-    """Ridge-regularised least squares on a given feature matrix; the fitted
-    values are the empirical conditional expectation of ``targets`` given the
-    features. Same factorisation as :class:`StepRegressor`.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    squeeze = targets.ndim == 1
-    if squeeze:
-        targets = targets[:, None]
-    chol = _factorise(features, ridge)
-    coeffs, fitted = _project(features, chol, targets)
-
-    fitted_se = None
-    if return_se:
-        m_paths, n_feat = features.shape
-        resid = targets - fitted
-        dof = max(m_paths - n_feat, 1)
-        sigma2 = np.einsum("mk,mk->k", resid, resid) / dof
-        half = np.linalg.solve(chol, features.T)  # (F, M)
-        lever = np.einsum("fm,fm->m", half, half)
-        fitted_se = np.sqrt(np.maximum(lever[:, None] * sigma2[None, :], 0.0))
-        if squeeze:
-            fitted_se = fitted_se[:, 0]
-
-    if squeeze:
-        return RegressionResult(coeffs[:, 0], fitted[:, 0], fitted_se)
-    return RegressionResult(coeffs, fitted, fitted_se)
 
 
 @dataclass

@@ -332,7 +332,6 @@ class MpCheckReport:
     violation_fraction: float
     n_samples: int
     se_multiplier: float
-    fixed_tolerance: float | None
     per_time_min: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -344,7 +343,6 @@ def check_maximum_principle(
     grid: TimeGrid,
     noise: BrownianBatch,
     u_bar: Control,
-    tolerance: float | None = None,
     n_times: int = 12,
     n_states: int = 48,
     n_candidates: int = 8,
@@ -357,14 +355,15 @@ def check_maximum_principle(
     """Sample times, states, and feasible candidate controls and test the
     variational inequality at the candidate-optimal control.
 
-    The default tolerance at each sampled point is ``se_multiplier`` times a
+    The tolerance at each sampled point is ``se_multiplier`` times a
     pointwise standard error obtained by replicating the whole solve chain on
-    disjoint path groups and evaluating the replicate solutions (as fitted
-    state functions) at the common query points. A ``tolerance`` value skips
-    the replication and applies a fixed threshold instead.
+    ``groups`` (at least 2) disjoint path groups and evaluating the replicate
+    solutions (as fitted state functions) at the common query points.
     """
+    if groups < 2:
+        raise ValueError("the replicate standard error needs at least 2 groups")
     if basis is None:
-        basis = RegressionBasis("polynomial", 3)
+        basis = RegressionBasis(3)
     rng = np.random.default_rng([seed, 0xC0])
     m_paths = noise.M
     times = grid.times
@@ -381,14 +380,14 @@ def check_maximum_principle(
     fields = [adjoint_mod.control_gradient(spec, point) for point in points]
     del backward, adj, arrays
 
-    replicates = []  # per group, the control gradient at every check step
-    if tolerance is None:
-        size = m_paths // groups
-        if size < 64:
-            raise ValueError("too few paths per replication group; pass a fixed tolerance")
-        for g in range(groups):
-            sel = slice(g * size, (g + 1) * size)
-            replicates.append(_replicate_fields(spec, grid, noise, forward, sel, basis, points))
+    size = m_paths // groups
+    if size < 64:
+        raise ValueError("too few paths per replication group")
+    # Per group, the control gradient at every check step.
+    replicates = [
+        _replicate_fields(spec, grid, noise, forward, slice(g * size, (g + 1) * size), basis, points)
+        for g in range(groups)
+    ]
 
     min_inner = math.inf
     per_time_min = []
@@ -400,14 +399,8 @@ def check_maximum_principle(
         candidates = candidates.reshape(len(query_paths), n_candidates, spec.k)
         directions = candidates - u_q[:, None, :]
         inner = np.einsum("sk,sck->sc", field, directions)
-        if replicates:
-            g_inner = np.stack(
-                [np.einsum("sk,sck->sc", rep[j], directions) for rep in replicates], axis=0
-            )
-            point_se = g_inner.std(axis=0, ddof=1) / math.sqrt(len(replicates))
-            threshold = se_multiplier * point_se
-        else:
-            threshold = np.full_like(inner, tolerance)
+        g_inner = np.stack([np.einsum("sk,sck->sc", rep[j], directions) for rep in replicates], axis=0)
+        threshold = se_multiplier * (g_inner.std(axis=0, ddof=1) / math.sqrt(groups))
 
         violations += int(np.count_nonzero(inner < -threshold))
         total += inner.size
@@ -420,7 +413,6 @@ def check_maximum_principle(
         violation_fraction=violations / max(total, 1),
         n_samples=total,
         se_multiplier=se_multiplier,
-        fixed_tolerance=tolerance,
         per_time_min=per_time_min,
     )
 

@@ -156,13 +156,3 @@ def export_paths_csv(path: str, grid, forward, backward, max_paths: int = 64) ->
             rows.append(row)
     write_csv(path, header, rows)
 
-
-def export_regression_coefficients(path: str, solution) -> None:
-    """Per-step regression coefficients of a backward solution as CSV."""
-    rows = []
-    for fits, label in ((solution.y_fits, lambda j: f"y{j}"), (solution.z_fits, lambda j: f"z{j + 1}")):
-        for i, fit in enumerate(fits):
-            for target_idx, coeff_row in enumerate(np.atleast_2d(fit.coefficients.T)):
-                for feat_idx, value in enumerate(coeff_row):
-                    rows.append([i, label(target_idx), feat_idx, float(value)])
-    write_csv(path, ["step", "target", "feature", "coefficient"], rows)

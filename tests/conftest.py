@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsmp import families, paths
+from qsmp import adjoint, bsde, families, paths
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,11 @@ def gauss_hermite_log_moment(gamma: float = 1.0, mean: float = 0.0, var: float =
     samples = mean + np.sqrt(2.0 * var) * nodes
     value = np.sum(weights * np.exp(gamma * np.tanh(samples))) / np.sqrt(np.pi)
     return float(np.log(value) / gamma)
+
+
+def costate_alone(spec, grid, noise, forward, backward):
+    """The costate pair along a solved backward pair, in a sweep of its own:
+    the reference for the costate that the shared state-costate sweep solves."""
+    eq = adjoint.costate_equation(spec, grid, forward, backward.Y, backward.Z)
+    bsde.backward_sweep(grid, noise, forward.states, [eq], bsde.RegressionBasis(3))
+    return adjoint.AdjointSolution(eq.values, eq.integrands, eq.terminal)

@@ -9,6 +9,8 @@ from scipy.linalg import expm
 from qsmp import adjoint as adj
 from qsmp import bsde, families, model, paths
 
+from conftest import costate_alone
+
 
 def _override(spec, **replacements):
     coeffs = model.CoefficientSet(**{**spec.coeffs.__dict__, **replacements})
@@ -40,7 +42,7 @@ def tanh_chain(tanh_spec):
     u_other = paths.FeedbackControl(lambda t, x: np.clip(0.5 * np.tanh(x), -1, 1), k=1)
     forward = paths.solve_forward_sde(tanh_spec, grid, noise, u_bar)
     backward = bsde.solve_quadratic_bsde(tanh_spec, grid, noise, forward)
-    adjoint = adj.solve_adjoint(tanh_spec, grid, noise, forward, backward)
+    adjoint = costate_alone(tanh_spec, grid, noise, forward, backward)
     u_table = paths.realize_control_along(u_other, grid, forward.states)
     uhat = u_table - forward.controls
     return grid, noise, forward, backward, adjoint, uhat
@@ -83,13 +85,6 @@ class TestAdjointSolver:
             (shared_adjoint.q, adjoint.q),
         ):
             assert np.array_equal(ours, theirs)
-        for fits, others in (
-            (shared_backward.y_fits, backward.y_fits),
-            (shared_backward.z_fits, backward.z_fits),
-            (shared_adjoint.p_fits, adjoint.p_fits),
-            (shared_adjoint.q_fits, adjoint.q_fits),
-        ):
-            assert all(np.array_equal(f.coefficients, o.coefficients) for f, o in zip(fits, others))
 
     def test_constant_terminal_zero_generator(self, exp_utility_spec, small_grid, small_noise):
         # all state sensitivities vanish and Phi_x is constant: p = v, q = 0
@@ -106,7 +101,7 @@ class TestAdjointSolver:
             spec, small_grid, small_noise, forward,
             constants=model.DerivedConstants(1.0, 100.0, 2.0, 1.0, 2.0, 8.0),
         )
-        adjoint = adj.solve_adjoint(spec, small_grid, small_noise, forward, backward)
+        adjoint = costate_alone(spec, small_grid, small_noise, forward, backward)
         assert np.allclose(adjoint.p, v_const, atol=2e-5)
         assert np.abs(adjoint.q).max() <= 1e-4
 
@@ -146,7 +141,7 @@ class TestAdjointSolver:
             spec, grid, noise, forward,
             constants=model.DerivedConstants(10.0, 1000.0, 2.0, 1.0, 2.0, 8.0),
         )
-        adjoint = adj.solve_adjoint(spec, grid, noise, forward, backward)
+        adjoint = costate_alone(spec, grid, noise, forward, backward)
         for idx in (0, grid.N // 2):
             expected = expm(b_mat.T * (grid.T - grid.times[idx])) @ v_vec
             observed = adjoint.p[:, idx].mean(axis=0)
@@ -178,7 +173,7 @@ class TestAdjointSolver:
             noise = paths.simulate_brownian(grid, 4000, 1, seed=seed)
             forward = paths.solve_forward_sde(spec, grid, noise, ctrl)
             backward = bsde.solve_quadratic_bsde(spec, grid, noise, forward)
-            adjoint = adj.solve_adjoint(spec, grid, noise, forward, backward)
+            adjoint = costate_alone(spec, grid, noise, forward, backward)
             return float(adjoint.p[:, 0].mean())
 
         coarse = [p0_at(512, seed) for seed in (1, 2, 3)]

@@ -8,7 +8,7 @@ import pytest
 
 from qsmp import bsde, families, model, paths
 from qsmp.errors import IllConditionedBasisError, SolverError
-from qsmp.regression import RegressionBasis, regress_conditional_expectation
+from qsmp.regression import RegressionBasis, StepRegressor
 
 from conftest import gauss_hermite_log_moment
 
@@ -21,47 +21,58 @@ def brownian_paths(noise):
 class TestRegression:
     def test_constant_targets(self):
         rng = np.random.default_rng(0)
-        feats = RegressionBasis("polynomial", 2).features(rng.standard_normal((500, 1)))
-        res = regress_conditional_expectation(feats, np.full(500, 3.25))
-        assert np.allclose(res.fitted, 3.25, atol=1e-9)
+        states = rng.standard_normal((500, 1))
+        fitted, _ = StepRegressor(RegressionBasis(2), states, ridge=0.0).fit(np.full(500, 3.25))
+        assert np.allclose(fitted, 3.25, atol=1e-9)
+        # The default ridge (1e-8 M) shifts the fit by a few parts in 1e8.
+        fitted, _ = StepRegressor(RegressionBasis(2), states).fit(np.full(500, 3.25))
+        assert np.allclose(fitted, 3.25, rtol=1e-7, atol=0.0)
 
     def test_exact_linear_recovery(self):
         rng = np.random.default_rng(1)
         states = rng.standard_normal((400, 2))
-        feats = RegressionBasis("polynomial", 1).features(states)
         targets = 0.7 - 1.3 * states[:, 0] + 2.1 * states[:, 1]
-        res = regress_conditional_expectation(feats, targets, ridge=0.0)
-        assert np.abs(res.fitted - targets).max() <= 1e-10
+        fitted, _ = StepRegressor(RegressionBasis(1), states, ridge=0.0).fit(targets)
+        assert np.abs(fitted - targets).max() <= 1e-10
 
     def test_martingale_projection_slope(self):
-        # E[W_T | W_{T/2}] = W_{T/2}: degree-1 regression recovers unit slope
+        # E[W_T | W_{T/2}] = W_{T/2}: degree-1 regression recovers unit slope.
+        # The coefficients are in standardised coordinates, so the slope is
+        # read from the fit evaluated at two states.
         rng = np.random.default_rng(2)
         m = 100000
         w_half = rng.standard_normal(m) * math.sqrt(0.5)
         w_full = w_half + rng.standard_normal(m) * math.sqrt(0.5)
-        feats = RegressionBasis("polynomial", 1).features(w_half[:, None])
-        res = regress_conditional_expectation(feats, w_full)
-        slope = res.coefficients[1]
-        assert 0.95 <= slope <= 1.05
+        _, fit = StepRegressor(RegressionBasis(1), w_half).fit(w_full)
+        at_zero, at_one = fit.evaluate(np.array([[0.0], [1.0]]))[:, 0]
+        assert 0.95 <= at_one - at_zero <= 1.05
 
     def test_rank_deficiency_raises_without_ridge(self):
         states = np.ones((100, 1))  # constant state: degree-1 features collinear
-        feats = RegressionBasis("polynomial", 1).features(states)
         with pytest.raises(IllConditionedBasisError):
-            regress_conditional_expectation(feats, np.arange(100.0), ridge=0.0)
+            StepRegressor(RegressionBasis(1), states, ridge=0.0)
 
     def test_more_features_than_samples_rejected(self):
-        feats = np.ones((3, 5))
+        states = np.random.default_rng(7).standard_normal((3, 1))
         with pytest.raises(IllConditionedBasisError):
-            regress_conditional_expectation(feats, np.zeros(3))
+            StepRegressor(RegressionBasis(4), states)  # 5 features
 
     def test_feature_count(self):
-        basis = RegressionBasis("polynomial", 3)
+        basis = RegressionBasis(3)
         assert basis.feature_count(2) == math.comb(2 + 3, 3)
-        assert RegressionBasis("none").feature_count(5) == 1
+
+    def test_degree_zero_fit_is_the_batch_mean(self):
+        rng = np.random.default_rng(8)
+        reg = StepRegressor(RegressionBasis(0), rng.standard_normal((1000, 5)))
+        targets = rng.standard_normal((1000, 2)) + 3.0
+        fitted, fit = reg.fit(targets)
+        assert reg.features.shape == (1000, 1) and np.all(reg.features == 1.0)
+        # The default ridge 1e-8 M divides the sum by M (1 + 1e-8).
+        assert np.allclose(fit.coefficients[0] * (1.0 + 1e-8), targets.mean(axis=0), rtol=1e-13, atol=0.0)
+        assert np.all(fitted == fit.coefficients[0])
 
     def test_constant_feature_included(self):
-        feats = RegressionBasis("polynomial", 2).features(np.random.default_rng(3).standard_normal((10, 2)))
+        feats = RegressionBasis(2).features(np.random.default_rng(3).standard_normal((10, 2)))
         assert np.allclose(feats[:, 0], 1.0)
 
     @pytest.mark.parametrize("state_dim,degree,caps", [(1, 3, None), (2, 2, None), (3, 3, (3, 1, 2)), (2, 0, None)])
@@ -69,7 +80,7 @@ class TestRegression:
         rng = np.random.default_rng(5)
         states = rng.standard_normal((257, state_dim))
         shift, scale = rng.standard_normal(state_dim), rng.uniform(0.5, 2.0, state_dim)
-        basis = RegressionBasis("polynomial", degree, max_degrees=caps)
+        basis = RegressionBasis(degree, max_degrees=caps)
         # Reference: every monomial filled column by column into a C-order (M, F) array.
         z = (states - shift) / scale
         expected = np.ones((len(states), basis.feature_count(state_dim)))
@@ -92,7 +103,7 @@ class TestRegression:
             "rng = np.random.default_rng(6)\n"
             "h = hashlib.sha256()\n"
             "for dim, degree in ((1, 0), (1, 3), (4, 3)):\n"
-            "    reg = StepRegressor(RegressionBasis('polynomial', degree), rng.standard_normal((20000, dim)))\n"
+            "    reg = StepRegressor(RegressionBasis(degree), rng.standard_normal((20000, dim)))\n"
             "    for k in (1, 3):\n"
             "        fitted, fit = reg.fit(rng.standard_normal((20000, k)))\n"
             "        h.update(fitted.tobytes() + fit.coefficients.tobytes())\n"
@@ -107,17 +118,6 @@ class TestRegression:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout)
         assert digests[0] == digests[1]
-
-    def test_pointwise_prediction_se(self):
-        rng = np.random.default_rng(4)
-        states = rng.standard_normal((2000, 1))
-        feats = RegressionBasis("polynomial", 1).features(states)
-        targets = states[:, 0] + rng.standard_normal(2000)
-        res = regress_conditional_expectation(feats, targets, return_se=True)
-        assert res.fitted_se is not None
-        assert np.all(res.fitted_se > 0)
-        # noise level 1 over 2000 samples: central fitted values carry se ~ 1/sqrt(2000)
-        assert np.median(res.fitted_se) == pytest.approx(1.0 / math.sqrt(2000), rel=0.5)
 
 
 class TestQuadraticSolver:
@@ -253,7 +253,7 @@ class TestLinearSolver:
         spec2 = model.ProblemSpec(n=1, d=1, k=1, T=1.0, x0=np.zeros(1), coeffs=coeffs,
                                   domain=spec.domain, constants=spec.constants)
         fwd = paths.solve_forward_sde(spec2, small_grid, noise, paths.ConstantControl((0.0,)))
-        basis = bsde.RegressionBasis("polynomial", 3)
+        basis = bsde.RegressionBasis(3)
         quad = bsde.solve_quadratic_bsde(
             spec2, small_grid, noise, fwd, basis=basis, truncation_radius=math.inf
         )

@@ -446,6 +446,22 @@ class TestSchema:
             ("[check]\nse_multiplier = lots", "[check] se_multiplier", "expected a number"),
             ("[tolerances]\nbasis_degree = 1.5", "[tolerances] basis_degree", "expected an integer"),
             ("[descent]\nwarp = 1", "[descent] warp", "unknown key 'warp'"),
+            # Values that mean nothing below (or above) a bound.
+            ("[check]\ngroups = 1", "[check] groups", "groups must be >= 2"),
+            ("[check]\ngroups = 0", "[check] groups", "groups must be >= 2"),
+            ("[check]\ntimes = 0", "[check] times", "times must be >= 1"),
+            ("[check]\nstates = 0", "[check] states", "states must be >= 1"),
+            ("[check]\ncandidates = 0", "[check] candidates", "candidates must be >= 1"),
+            ("[check]\nse_multiplier = -1", "[check] se_multiplier", "se_multiplier must be >= 0"),
+            ("[check]\nse_multiplier = nan", "[check] se_multiplier", "se_multiplier must be >= 0"),
+            ("[check]\nboundary_bias = 1.5", "[check] boundary_bias", "boundary_bias must be <= 1"),
+            ("[check]\nboundary_bias = -0.5", "[check] boundary_bias", "boundary_bias must be >= 0"),
+            ("[descent]\niterations = 0", "[descent] iterations", "iterations must be >= 1"),
+            ("[bmo]\nn_max = 0", "[bmo] n_max", "n_max must be >= 1"),
+            ("[tolerances]\nbasis_degree = -1", "[tolerances] basis_degree", "basis_degree must be >= 0"),
+            ("[tolerances]\nridge = -1", "[tolerances] ridge", "ridge must be >= 0"),
+            ("[tolerances]\ntruncation_radius = -1", "[tolerances] truncation_radius", "truncation_radius must be >= 0"),
+            ("[tolerances]\nvalidation_samples = 0", "[tolerances] validation_samples", "validation_samples must be >= 1"),
         ):
             with pytest.raises(ConfigError) as err:
                 config.load_config(write(tmp_path, BASE + "\n" + text + "\n"))
@@ -462,7 +478,7 @@ class TestTolerancesReachThePipeline:
         grid = config.load_config(path).grid
         expected = bmo.estimate_bmo2(
             arrays["Z"][:, : grid.N], grid, features=arrays["states"],
-            basis=RegressionBasis("polynomial", 1), ridge=1e-3,
+            basis=RegressionBasis(1), ridge=1e-3,
         )
         assert report["bound"]["bmo2_estimate"] == pytest.approx(expected, rel=1e-12)
 

@@ -2,7 +2,9 @@
 (M, steps, ...) and indexing, while each step's slice ``a[:, i]`` is one
 contiguous block."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -69,3 +71,53 @@ def test_step_major_keeps_indexing():
     assert a.shape == (4, 3, 2) and np.all(a == 1.5)
     a[2, 1] = [7.0, 8.0]
     assert a[2, 1, 1] == 8.0 and a[:, 1].flags.c_contiguous
+
+
+#: Public top-level names of ``src/qsmp`` that no other code in ``src``
+#: refers to, each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    "hamiltonian": "the paper's Hamiltonian; its finite differences check hamiltonian_u",
+    "hamiltonian_u": "H_u at one point with the diffusion shift, the paper's form of the gradient",
+    "check_decoupling": "the relation Y1 = Yhat + p . X1, reached from tests only (ROADMAP item 5)",
+    "psi": "the critical-exponent function of the BMO bounds, beside psi_of_offset",
+    "psi_inverse": "the inverse of psi as a plain exponent, beside psi_inverse_offset",
+    "stochastic_exponential": "the BMO martingale's exponential, whose positivity tests check",
+    "pretty_print": "renders an expression that re-parses to the same tree",
+    "ConstantControl": "the simplest control for library callers; configs write constants as expressions",
+    "expansion_rate_check": "the forward expansion rate, reached from tests only (ROADMAP item 5)",
+    "cost_functional": "the cost J(u) as one call for library callers",
+    "y_expansion_rate_check": "the backward expansion rate, reached from tests only (ROADMAP item 5)",
+    "load_container": "reads back what save_container writes",
+}
+
+
+def _defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_public_name_in_src_is_referenced():
+    """A public name that nothing in ``src`` refers to is a second copy or a
+    capability no pipeline runs; it goes, or it is allowed above with a reason."""
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "qsmp"
+    defined, referenced = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            own = _defined_names(node)
+            defined |= {name for name in own if not name.startswith("_")}
+            # Names, attributes and imports; a definition's use of its own name
+            # (recursion) does not count.
+            used = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    used.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    used.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    used.add(sub.name)
+            referenced |= used - own
+    unreferenced = defined - referenced
+    assert unreferenced - set(UNREFERENCED_ALLOWED) == set()
+    assert set(UNREFERENCED_ALLOWED) - unreferenced == set(), "allowed names that are referenced now"

@@ -81,7 +81,7 @@ class TestValidateAssumptions:
 
     def test_all_builtin_families_validate(self):
         for name in families.FAMILIES:
-            report = validate_assumptions(families.make_family(name), 300)
+            report = validate_assumptions(families.FAMILIES[name](), 300)
             failures = [c.name for c in report.checks if not c.passed]
             assert report.passed, f"{name}: {failures}"
 
@@ -138,7 +138,7 @@ class TestDeriveConstants:
 
     def test_conjugate_exponent_identity(self):
         for name in families.FAMILIES:
-            derived = derive_constants(families.make_family(name))
+            derived = derive_constants(families.FAMILIES[name]())
             # exact through the stored offset, regardless of how close to 1
             lhs = derived.p_bar_star * derived.p_bar_minus_one
             assert lhs == pytest.approx(1.0 + derived.p_bar_minus_one, rel=1e-10)

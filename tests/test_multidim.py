@@ -12,6 +12,8 @@ from qsmp.errors import SolverError
 from qsmp.model import AssumptionConstants, BoxDomain
 from qsmp.paths import FeedbackControl, TimeGrid, simulate_brownian, solve_forward_sde
 
+from conftest import costate_alone
+
 SOURCES = {
     "b": "[0.2*x2 + u1, -0.3*x1 + u2]",
     "sigma": "[[0.5, 0.2*tanh(x2)], [0.1, 0.4 + 0.1*tanh(x1)]]",
@@ -49,7 +51,7 @@ def test_shared_sweep_equals_separate_solves(spec):
     forward = solve_forward_sde(spec, grid, noise, constant_control([0.3, -0.2]))
     backward, costate = adjoint.solve_state_and_costate(spec, grid, noise, forward)
     alone = bsde.solve_quadratic_bsde(spec, grid, noise, forward)
-    alone_costate = adjoint.solve_adjoint(spec, grid, noise, forward, alone)
+    alone_costate = costate_alone(spec, grid, noise, forward, alone)
     assert np.array_equal(backward.Y, alone.Y) and np.array_equal(backward.Z, alone.Z)
     assert np.array_equal(costate.p, alone_costate.p) and np.array_equal(costate.q, alone_costate.q)
     assert costate.p.shape == (m_paths, grid.N + 1, 2)

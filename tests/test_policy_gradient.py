@@ -50,7 +50,7 @@ def test_streamed_gradient_equals_full_storage_on_tanh(tanh_spec):
     grid = paths.TimeGrid(30, 1.0)
     noise = paths.simulate_brownian(grid, 3000, 1, seed=61)
     policy = smp.AffineFeedbackPolicy.random(grid, 1, 1, tanh_spec.domain, np.random.default_rng(62), scale=0.8)
-    gamma = assert_streamed_equals_full(tanh_spec, grid, noise, policy, bsde.RegressionBasis("polynomial", 2))
+    gamma = assert_streamed_equals_full(tanh_spec, grid, noise, policy, bsde.RegressionBasis(2))
     # f_y and f_z are nonzero here, so Gamma is not identically one
     assert np.abs(gamma - 1.0).max() > 1e-3
 
@@ -100,7 +100,7 @@ def test_policy_gradient_peak_memory(lq_spec):
     m_paths = 4000
     noise = paths.simulate_brownian(grid, m_paths, 1, seed=65)
     policy = smp.AffineFeedbackPolicy.zeros(grid, 1, 1, lq_spec.domain)
-    basis = bsde.RegressionBasis("polynomial", 2)
+    basis = bsde.RegressionBasis(2)
     smp._policy_gradient(lq_spec, grid, noise, policy, basis)
     tracemalloc.start()
     try:

@@ -12,7 +12,7 @@ def lq_setup():
     riccati = families.solve_lq_riccati(a=0.5, b=1.0, sigma0=0.5, q=1.0, r=1.0, g=1.0, T=1.0, x0=1.0)
     grid = paths.TimeGrid(100, 1.0)
     noise = paths.simulate_brownian(grid, 20000, 1, seed=41)
-    basis = bsde.RegressionBasis("polynomial", 2)
+    basis = bsde.RegressionBasis(2)
     return spec, riccati, grid, noise, basis
 
 
@@ -139,7 +139,7 @@ class TestYExpansionRates:
         report = smp.y_expansion_rate_check(
             lq_spec, grid, noise,
             paths.ConstantControl((0.0,)), paths.ConstantControl((1.0,)),
-            basis=bsde.RegressionBasis("polynomial", 2),
+            basis=bsde.RegressionBasis(2),
         )
         assert 1.8 <= report.first_order_slope <= 2.2
         assert report.remainder_slope > 2.3
@@ -148,7 +148,7 @@ class TestYExpansionRates:
         noise = paths.simulate_brownian(small_grid, 2000, 1, seed=49)
         ctrl = paths.ConstantControl((0.2,))
         report = smp.y_expansion_rate_check(
-            lq_spec, small_grid, noise, ctrl, ctrl, basis=bsde.RegressionBasis("polynomial", 2)
+            lq_spec, small_grid, noise, ctrl, ctrl, basis=bsde.RegressionBasis(2)
         )
         assert all(e == 0.0 for e in report.first_order_errors)
         assert report.remainder_degenerate
@@ -249,14 +249,12 @@ class TestMaximumPrincipleCheck:
         assert report.min_inner < 0.0
         assert report.violation_fraction > 0.05
 
-    def test_fixed_tolerance_skips_replication(self, lq_setup):
+    @pytest.mark.parametrize("groups", [1, 0])
+    def test_fewer_than_two_groups_rejected(self, lq_setup, groups):
+        # One group has no spread to estimate a standard error from.
         spec, riccati, grid, noise, basis = lq_setup
-        report = smp.check_maximum_principle(
-            spec, grid, noise, riccati.feedback(), tolerance=0.05,
-            n_times=4, n_states=8, n_candidates=4, basis=basis,
-        )
-        assert report.fixed_tolerance == 0.05
-        assert report.violation_fraction <= 0.01
+        with pytest.raises(ValueError, match="at least 2 groups"):
+            smp.check_maximum_principle(spec, grid, noise, riccati.feedback(), groups=groups, basis=basis)
 
     def test_sign_of_derivative_at_converged_descent_point(self, lq_setup):
         # first-order optimality in integrated form: at the point the descent

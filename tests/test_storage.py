@@ -79,13 +79,3 @@ class TestCsvExport:
         assert float(first[3]) == forward.states[0, 0, 0]
         # shortest round-trip float formatting: parsing back is exact
         assert float(lines[2].split(",")[6]) == backward.Z[0, 1, 0]
-
-    def test_regression_coefficients_export(self, tmp_path, solved):
-        grid, forward, backward = solved
-        path = tmp_path / "coeffs.csv"
-        storage.export_regression_coefficients(str(path), backward)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,target,feature,coefficient"
-        # one block per step and target with one row per feature
-        n_feats = backward.basis.feature_count(1)
-        assert len(lines) - 1 == grid.N * n_feats * 2  # y and one z component
