@@ -6,9 +6,11 @@ at (Y, Z): :func:`solve_state_and_costate` runs both in one backward sweep
 (one regression per step) and hands each solved step, with the slopes f_y
 and f_z the costate step evaluated, to ``visit`` as a :class:`StepPoint`.
 The control gradient H_u and the step of log Gamma read that point, so a
-visitor can form them at storage width 2. Also: the auxiliary equation whose
-value at zero is the cost derivative, the Hamiltonian, and the decoupling
-between the backward linearisation and the costate.
+visitor can form them at storage width 2, and an equation swept after the
+costate (such as the auxiliary equation whose value at zero is the cost
+derivative, :func:`qsmp.smp.gateaux_check`) can read them at the same step.
+Also: the Gamma-weighted form of the cost derivative, the Hamiltonian, and
+the decoupling between the backward linearisation and the costate.
 """
 
 from __future__ import annotations
@@ -148,16 +150,19 @@ def solve_state_and_costate(
     truncation_radius: float | None = None,
     width: int | None = None,
     visit=None,
+    after=(),
 ) -> tuple[BackwardSolution, AdjointSolution]:
     """The quadratic backward pair (as :func:`qsmp.bsde.solve_quadratic_bsde`
     gives it) and the costate along it (:func:`costate_equation`), in one
     sweep with one regression per step; ``visit`` receives each step's
-    :class:`StepPoint`, from N-1 down to 0. At ``width`` 2 the solutions hold
-    step 0 and the terminal values only."""
+    :class:`StepPoint`, from N-1 down to 0. The equations ``after`` run at
+    each step after the costate and its visit, in order, on the same
+    regression. At ``width`` 2 the solutions hold step 0 and the terminal
+    values only."""
     basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius)
     quad = quadratic_equation(spec, grid, forward, truncation_radius, constants, width)
     costate = costate_equation(spec, grid, forward, quad.values[:, :, 0], quad.integrands[:, :, 0], width, visit)
-    backward_sweep(grid, noise, forward.states, [quad, costate], basis, ridge)
+    backward_sweep(grid, noise, forward.states, [quad, costate, *after], basis, ridge)
     return quad.scalar_solution(), AdjointSolution(costate.values, costate.integrands, costate.terminal)
 
 
@@ -179,24 +184,6 @@ def control_gradient(spec: ProblemSpec, point: StepPoint) -> np.ndarray:
     grad += np.einsum("si,siak,sa->sk", point.f_z, sigma_u, point.p)
     grad += f_u
     return grad
-
-
-def auxiliary_sweep(
-    spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, forward: ForwardBatch, uhat: np.ndarray, basis=None
-) -> tuple[BackwardSolution, LinearBSDEData, np.ndarray]:
-    """One state-costate sweep at width 2. Returns its quadratic solution,
-    the data of the auxiliary equation for the direction ``uhat`` (zero
-    terminal value, slopes f_y, f_z, forcing phi = H_u . uhat) and Gamma."""
-    data = LinearBSDEData.from_broadcast(noise.M, grid.N, spec.d, 0.0)
-    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
-
-    def visit(point):
-        data.lam[:, point.i], data.mu[:, point.i] = point.f_y, point.f_z
-        np.einsum("mk,mk->m", control_gradient(spec, point), uhat[:, point.i], out=data.phi[:, point.i])
-        log_gamma[:, point.i + 1] = gamma_log_increment(point, noise, grid.dt)
-
-    backward, _ = solve_state_and_costate(spec, grid, noise, forward, basis=basis, width=2, visit=visit)
-    return backward, data, bmo.cumulate_log_exponential(log_gamma, GAMMA_NAME)
 
 
 def gamma_weighted_integral(gamma: np.ndarray, phi: np.ndarray, dt: float) -> tuple[float, float]:

@@ -6,10 +6,14 @@ a fixed order, it fits the conditional mean of the next value, recovers the
 integrand Z by regressing the centred increment (Y_{i+1} - E[Y_{i+1} | state])
 dW_i / dt, and calls the equation's implicit step. A scalar equation is the
 K = 1 case of a vector one, and a later equation may read what an earlier
-one wrote at the same step (the costate reads Y_i and Z_i). The quadratic
-step iterates the implicit y-argument to a fixed point (a contraction while
-dt * |f_y| < 1) and caps |Z| inside the generator; the affine step inverts
-its y-dependence exactly.
+one wrote at the same step: the costate reads Y_i and Z_i, and the
+gradient check's auxiliary equation reads the slopes and the forcing that
+the costate's visitor formed at step i. The quadratic step
+(:func:`quadratic_equation`) iterates the implicit y-argument to a fixed
+point (a contraction while dt * |f_y| < 1) and caps |Z| inside the
+generator; the affine step (:func:`linear_equation`, written once for
+:func:`solve_linear_bsde` and for equations whose data is formed inside the
+sweep) inverts its y-dependence exactly.
 
 Each equation stores ``width`` time slices, and step i lives in slice
 ``i % width`` (:func:`at_step`). A solve that returns the whole path uses
@@ -208,10 +212,13 @@ def solve_quadratic_bsde(
     truncation_radius: float | None = None,
     constants: DerivedConstants | None = None,
     ridge: float | None = None,
+    width: int | None = None,
 ) -> BackwardSolution:
-    """Backward component of the state system (see :func:`quadratic_equation`)."""
+    """Backward component of the state system (see :func:`quadratic_equation`).
+    At ``width`` 2 the solution holds step 0 and the terminal values only,
+    which is all that ``y0`` and its standard error read."""
     basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius, constants)
-    eq = quadratic_equation(spec, grid, forward, truncation_radius, constants)
+    eq = quadratic_equation(spec, grid, forward, truncation_radius, constants, width)
     backward_sweep(grid, noise, forward.states, [eq], basis, ridge)
     return eq.scalar_solution()
 
@@ -243,6 +250,32 @@ class LinearBSDEData:
         )
 
 
+def linear_equation(terminal: np.ndarray, grid: TimeGrid, d: int, coefficients_at, width: int | None = None):
+    """The scalar affine equation with generator lam y + mu . z + phi and
+    terminal values ``terminal`` (M, 1): ``coefficients_at(i)`` gives step
+    i's (lam (M,), mu (M, d), phi (M,)) when the sweep reaches that step,
+    so the data may be formed inside the sweep by an earlier equation's
+    visitor. No truncation and no fixed point: the y-dependence is inverted
+    exactly."""
+    dt = grid.dt
+    driver_sum = np.zeros(terminal.shape[0])
+
+    def step(i, cond, z):
+        nonlocal driver_sum
+        lam, mu, phi = coefficients_at(i)
+        denom = 1.0 - dt * lam
+        if np.abs(denom).min() < 1e-8:
+            raise SolverError("implicit linear step is singular (dt * lam too close to 1)", step=i)
+        drift = np.einsum("md,md->m", mu, z[:, 0]) + phi
+        y_i = (cond[:, 0] + dt * drift) / denom
+        if not np.all(np.isfinite(y_i)):
+            raise SolverError("backward value turned non-finite", step=i)
+        driver_sum += (lam * y_i + drift) * dt
+        return y_i[:, None], z
+
+    return BackwardEquation(terminal, grid.N, d, step, driver_sum, width)
+
+
 def solve_linear_bsde(
     data: LinearBSDEData,
     grid: TimeGrid,
@@ -251,32 +284,19 @@ def solve_linear_bsde(
     basis: RegressionBasis | None = None,
     ridge: float | None = None,
 ) -> BackwardSolution:
-    """Same backward sweep with an affine generator lam y + mu . z + phi;
-    no truncation and no fixed point (the y-dependence is inverted exactly).
+    """Same backward sweep with the affine generator of ``data``
+    (:func:`linear_equation`).
 
     ``features`` (M, N+1, m) supplies the regression state per step; pass the
     forward states for Markovian problems, or an augmented state when the
     solution depends on more than the base trajectory.
     """
     basis = basis or RegressionBasis(3)
-    dt = grid.dt
     if data.lam.shape != (noise.M, grid.N):
         raise ValueError("lam must have shape (M, N)")
-    driver_sum = np.zeros(noise.M)
-
-    def step(i, cond, z):
-        nonlocal driver_sum
-        denom = 1.0 - dt * data.lam[:, i]
-        if np.abs(denom).min() < 1e-8:
-            raise SolverError("implicit linear step is singular (dt * lam too close to 1)", step=i)
-        drift = np.einsum("md,md->m", data.mu[:, i], z[:, 0]) + data.phi[:, i]
-        y_i = (cond[:, 0] + dt * drift) / denom
-        if not np.all(np.isfinite(y_i)):
-            raise SolverError("backward value turned non-finite", step=i)
-        driver_sum += (data.lam[:, i] * y_i + drift) * dt
-        return y_i[:, None], z
-
-    eq = BackwardEquation(data.xi[:, None], grid.N, noise.d, step, driver_sum)
+    eq = linear_equation(
+        data.xi[:, None], grid, noise.d, lambda i: (data.lam[:, i], data.mu[:, i], data.phi[:, i])
+    )
     backward_sweep(grid, noise, features, [eq], basis, ridge)
     return eq.scalar_solution()
 

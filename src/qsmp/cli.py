@@ -353,8 +353,12 @@ def _pipeline_descend(cfg):
 
 
 def _pipeline_mp_check(cfg):
-    from .smp import check_maximum_principle
+    from .smp import check_maximum_principle, replicate_group_size
 
+    try:
+        replicate_group_size(cfg.M, cfg.check.groups)
+    except ValueError as err:
+        raise ConfigError(f"{err} with [monte_carlo] M = {cfg.M}", "[check] groups") from None
     noise, basis = _setup(cfg)
     rep = check_maximum_principle(
         cfg.spec, cfg.grid, noise, cfg.control("u_bar"),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import adjoint as adjoint_mod
 from . import bmo
-from .bsde import RegressionBasis, solve_linear_bsde, solve_quadratic_bsde
+from .bsde import RegressionBasis, linear_equation, solve_quadratic_bsde
 from .model import ProblemSpec
 from .paths import (
     DEFAULT_EPSILONS,
@@ -42,9 +42,9 @@ def cost_functional(spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, con
     return _solve_chain(spec, grid, noise, control)[1].y0
 
 
-def _solve_chain(spec, grid, noise, control, basis=None):
+def _solve_chain(spec, grid, noise, control, basis=None, width=None):
     forward = solve_forward_sde(spec, grid, noise, control)
-    backward = solve_quadratic_bsde(spec, grid, noise, forward, basis=basis)
+    backward = solve_quadratic_bsde(spec, grid, noise, forward, basis=basis, width=width)
     return forward, backward
 
 
@@ -82,17 +82,17 @@ def gateaux_check(
 ) -> GradientCheckReport:
     """Difference quotients of J under the convex perturbation
     u_bar + eps (u - u_bar), Richardson-extrapolated to eps = 0 and compared
-    with both computations of the adjoint-based derivative."""
+    with both computations of the adjoint-based derivative, which one
+    state-costate sweep gives (:func:`_derivative_sweep`). Every chain keeps
+    two time slices of its backward solution."""
     eps_list = check_epsilons(epsilons)
     forward = solve_forward_sde(spec, grid, noise, u_bar)
-    u_table = realize_control_along(u, grid, forward.states)
-    uhat = u_table - forward.controls
-    # Both adjoint derivatives, from one forcing phi = H_u . uhat; their arrays die before the chains.
-    backward, aux_data, gamma = adjoint_mod.auxiliary_sweep(spec, grid, noise, forward, uhat, basis)
-    aux = solve_linear_bsde(aux_data, grid, noise, forward.states, basis=basis)
+    uhat = realize_control_along(u, grid, forward.states)
+    uhat -= forward.controls
+    backward, aux, phi, gamma = _derivative_sweep(spec, grid, noise, forward, uhat, basis)
     yhat0, yhat0_se = aux.y0, aux.y0_standard_error
-    y0_gamma, y0_gamma_se = adjoint_mod.gamma_weighted_integral(gamma, aux_data.phi, grid.dt)
-    del aux_data, gamma, aux
+    y0_gamma, y0_gamma_se = adjoint_mod.gamma_weighted_integral(gamma, phi, grid.dt)
+    del aux, phi, gamma
 
     quotients = []
     ses = []
@@ -123,11 +123,37 @@ def gateaux_check(
     )
 
 
+def _derivative_sweep(spec, grid, noise, forward, uhat, basis, width=2):
+    """One state-costate sweep that also solves the auxiliary equation for
+    the direction ``uhat``: zero terminal value, slopes f_y and f_z, and
+    forcing phi = H_u . uhat. Returns the quadratic solution, the auxiliary
+    solution (both at ``width``), phi (M, N) and Gamma (M, N+1)."""
+    phi = step_major((noise.M, grid.N))
+    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
+    visited = []
+
+    def visit(point):
+        np.einsum("mk,mk->m", adjoint_mod.control_gradient(spec, point), uhat[:, point.i], out=phi[:, point.i])
+        log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
+        visited[:] = [point]
+
+    def coefficients_at(i):
+        # The auxiliary step i runs after the costate's, whose point the visit just kept.
+        (point,) = visited
+        return point.f_y, point.f_z, phi[:, i]
+
+    aux = linear_equation(np.zeros((noise.M, 1)), grid, spec.d, coefficients_at, width)
+    backward, _ = adjoint_mod.solve_state_and_costate(
+        spec, grid, noise, forward, basis, width=width, visit=visit, after=[aux]
+    )
+    return backward, aux.scalar_solution(), phi, bmo.cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)
+
+
 def _difference_quotient(spec, grid, noise, forward, backward, uhat, eps, basis):
     """(J(u_bar + eps uhat) - J(u_bar)) / eps on the same noise, and its
-    standard error. The perturbed chain is dropped on return, so no two
-    chains' arrays are alive together."""
-    perturbed = _solve_chain(spec, grid, noise, OpenLoopControl(forward.controls + eps * uhat), basis)[1]
+    standard error. The perturbed chain keeps two time slices and is dropped
+    on return, so no two chains' arrays are alive together."""
+    perturbed = _solve_chain(spec, grid, noise, OpenLoopControl(forward.controls + eps * uhat), basis, width=2)[1]
     diff = perturbed.pathwise_targets - backward.pathwise_targets
     return (perturbed.y0 - backward.y0) / eps, float(diff.std() / (eps * math.sqrt(noise.M)))
 
@@ -338,6 +364,18 @@ class MpCheckReport:
         return asdict(self)
 
 
+def replicate_group_size(m_paths: int, groups: int) -> int:
+    """Paths in each of the ``groups`` replicate groups of
+    :func:`check_maximum_principle`; raises ValueError unless there are at
+    least 2 groups of at least 64 paths."""
+    if groups < 2:
+        raise ValueError("the replicate standard error needs at least 2 groups")
+    size = m_paths // groups
+    if size < 64:
+        raise ValueError(f"too few paths per replication group ({m_paths} // {groups} = {size} < 64)")
+    return size
+
+
 def check_maximum_principle(
     spec: ProblemSpec,
     grid: TimeGrid,
@@ -355,34 +393,24 @@ def check_maximum_principle(
     """Sample times, states, and feasible candidate controls and test the
     variational inequality at the candidate-optimal control.
 
-    The tolerance at each sampled point is ``se_multiplier`` times a
-    pointwise standard error obtained by replicating the whole solve chain on
-    ``groups`` (at least 2) disjoint path groups and evaluating the replicate
-    solutions (as fitted state functions) at the common query points.
+    The check steps are up to ``n_times`` regression steps spread over
+    1..N-1 (step 0 when N = 1). The tolerance at each sampled point is
+    ``se_multiplier`` times a pointwise standard error obtained by
+    replicating the whole solve chain on ``groups`` disjoint path groups
+    (:func:`replicate_group_size`, checked before any solve) and evaluating
+    the replicate solutions (as fitted state functions) at the common query
+    points. Every sweep runs at width 2 and keeps only what it reads at the
+    check steps.
     """
-    if groups < 2:
-        raise ValueError("the replicate standard error needs at least 2 groups")
+    size = replicate_group_size(noise.M, groups)
     if basis is None:
         basis = RegressionBasis(3)
     rng = np.random.default_rng([seed, 0xC0])
-    m_paths = noise.M
-    times = grid.times
-
+    check_steps = _check_steps(grid.N, n_times)
+    query_paths = rng.choice(noise.M, size=min(n_states, noise.M), replace=False)
     forward = solve_forward_sde(spec, grid, noise, u_bar)
-    backward, adj = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis)
-
-    check_steps = sorted(set(np.linspace(1, grid.N - 1, n_times, dtype=int)))
-    query_paths = rng.choice(m_paths, size=min(n_states, m_paths), replace=False)
-    # Per check step, the point at the query paths and the control gradient
-    # there; the full solution is not needed after this.
-    arrays = (forward.states, forward.controls, backward.Y, backward.Z, adj.p, adj.q)
-    points = [adjoint_mod.StepPoint.at(spec, i, times[i], *(a[query_paths, i] for a in arrays)) for i in check_steps]
+    points = _query_points(spec, grid, noise, forward, basis, check_steps, query_paths)
     fields = [adjoint_mod.control_gradient(spec, point) for point in points]
-    del backward, adj, arrays
-
-    size = m_paths // groups
-    if size < 64:
-        raise ValueError("too few paths per replication group")
     # Per group, the control gradient at every check step.
     replicates = [
         _replicate_fields(spec, grid, noise, forward, slice(g * size, (g + 1) * size), basis, points)
@@ -417,25 +445,53 @@ def check_maximum_principle(
     )
 
 
+def _check_steps(n_steps: int, n_times: int) -> list:
+    """Up to ``n_times`` distinct steps spread evenly over 1..N-1, among the
+    regression steps 0..N-1 (the terminal step has no fitted Z or q)."""
+    return sorted(set(np.linspace(min(1, n_steps - 1), n_steps - 1, n_times, dtype=int)))
+
+
+def _query_points(spec, grid, noise, forward, basis, check_steps, query_paths):
+    """The :class:`qsmp.adjoint.StepPoint` at the rows ``query_paths`` of
+    each check step, from one state-costate sweep at width 2 over all paths;
+    the visit copies the rows out before the sweep overwrites them."""
+    points = {}
+
+    def visit(point):
+        if point.i in check_steps:
+            rows = (a[query_paths] for a in (point.x, point.u, point.y, point.z, point.p, point.q))
+            points[point.i] = adjoint_mod.StepPoint.at(spec, point.i, point.t, *rows)
+
+    adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis, width=2, visit=visit)
+    return [points[i] for i in check_steps]
+
+
 def _replicate_fields(spec, grid, noise, forward, sel, basis, points):
     """The control gradient at each check step's query points, from the
-    solve chain replicated on the paths ``sel``. The group's path arrays are
-    dropped on return, so only one group is alive at a time."""
+    solve chain replicated on the paths ``sel`` at width 2. At each check
+    step the visit regresses the group's Y, Z, p and q on the group's states
+    and evaluates the fits at the query states, so no group path array but
+    the forward batch's views outlives the sweep."""
     g_noise = BrownianBatch(noise.increments[sel], noise.seed, noise.stream_id)
     g_forward = ForwardBatch(forward.states[sel], forward.controls[sel])
-    g_backward, g_adj = adjoint_mod.solve_state_and_costate(spec, grid, g_noise, g_forward, basis=basis)
+    queries = {query.i: query for query in points}
     n, d = spec.n, spec.d
-    fields = []
-    for query in points:
+    fields = {}
+
+    def visit(point):
+        query = queries.get(point.i)
+        if query is None:
+            return
         # The replicate solution at the query states: one regression on the
         # group's states serves the four fitted functions.
-        i, x_q = query.i, query.x
-        reg = StepRegressor(basis, g_forward.states[:, i])
+        x_q = query.x
+        reg = StepRegressor(basis, point.x)
         gy, gz, gp, gq = (
-            reg.fit(values)[1].evaluate(x_q)
-            for values in (g_backward.Y[:, i], g_backward.Z[:, i], g_adj.p[:, i], g_adj.q[:, i].reshape(-1, n * d))
+            reg.fit(values)[1].evaluate(x_q) for values in (point.y, point.z, point.p, point.q.reshape(-1, n * d))
         )
         gq = gq.reshape(len(x_q), n, d)
-        point = adjoint_mod.StepPoint.at(spec, i, query.t, x_q, query.u, gy[:, 0], gz, gp, gq)
-        fields.append(adjoint_mod.control_gradient(spec, point))
-    return fields
+        at_query = adjoint_mod.StepPoint.at(spec, point.i, query.t, x_q, query.u, gy[:, 0], gz, gp, gq)
+        fields[point.i] = adjoint_mod.control_gradient(spec, at_query)
+
+    adjoint_mod.solve_state_and_costate(spec, grid, g_noise, g_forward, basis=basis, width=2, visit=visit)
+    return [fields[query.i] for query in points]

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from qsmp import adjoint as adj
-from qsmp import bsde, families, model, paths
+from qsmp import bsde, families, model, paths, smp
 
 from conftest import costate_alone
 
@@ -21,16 +21,16 @@ def _override(spec, **replacements):
 
 
 def auxiliary_solution(spec, grid, noise, forward, uhat):
-    """The auxiliary solution for the direction ``uhat``, the Gamma-weighted
-    integral (mean, SE) and Gamma, from one state-costate sweep."""
-    _, data, gamma = adj.auxiliary_sweep(spec, grid, noise, forward, uhat)
-    aux = bsde.solve_linear_bsde(data, grid, noise, forward.states)
-    return aux, adj.gamma_weighted_integral(gamma, data.phi, grid.dt), gamma
+    """The auxiliary solution for the direction ``uhat`` (whole paths), the
+    Gamma-weighted integral (mean, SE) and Gamma, from the gradient check's
+    one state-costate sweep."""
+    _, aux, phi, gamma = smp._derivative_sweep(spec, grid, noise, forward, uhat, None, width=None)
+    return aux, adj.gamma_weighted_integral(gamma, phi, grid.dt), gamma
 
 
 def gamma_path(spec, grid, noise, forward):
     """Gamma (M, N+1) along the trajectory."""
-    return adj.auxiliary_sweep(spec, grid, noise, forward, np.zeros_like(forward.controls))[2]
+    return auxiliary_solution(spec, grid, noise, forward, np.zeros_like(forward.controls))[2]
 
 
 @pytest.fixture(scope="module")

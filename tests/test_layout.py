@@ -27,7 +27,7 @@ def test_step_slices_are_contiguous(tanh_spec, chain, monkeypatch):
     grid, noise, forward, backward, costate = chain
     n, d, k = tanh_spec.n, tanh_spec.d, tanh_spec.k
     uhat = paths.realize_control_along(paths.ConstantControl((0.3,)), grid, forward.states) - forward.controls
-    _, aux, gamma = adjoint.auxiliary_sweep(tanh_spec, grid, noise, forward, uhat)
+    _, _, phi, gamma = smp._derivative_sweep(tanh_spec, grid, noise, forward, uhat, None)
     # The descent's weights live inside the policy gradient: record what it allocates.
     allocated = []
 
@@ -48,9 +48,7 @@ def test_step_slices_are_contiguous(tanh_spec, chain, monkeypatch):
         "q": (costate.q, (M, N + 1, n, d)),
         "gamma": (gamma, (M, N + 1)),
         "weight": (weight, (M, N, k)),
-        "lam": (aux.lam, (M, N)),
-        "mu": (aux.mu, (M, N, d)),
-        "phi": (aux.phi, (M, N)),
+        "phi": (phi, (M, N)),
     }
     for name, (array, shape) in arrays.items():
         assert array.shape == shape, name

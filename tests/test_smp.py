@@ -277,8 +277,8 @@ class TestMaximumPrincipleCheck:
         for _ in range(5):
             candidate = spec.domain.sample(rng, 1)[0]
             uhat = np.broadcast_to(candidate, forward.controls.shape) - forward.controls
-            _, data, gamma = adj.auxiliary_sweep(spec, grid, noise, forward, uhat, basis=basis)
-            value, se = adj.gamma_weighted_integral(gamma, data.phi, grid.dt)
+            _, _, phi, gamma = smp._derivative_sweep(spec, grid, noise, forward, uhat, basis)
+            value, se = adj.gamma_weighted_integral(gamma, phi, grid.dt)
             direction_norm = math.sqrt(
                 float(np.einsum("mik,mik->", uhat[:, : grid.N], uhat[:, : grid.N]))
                 * grid.dt / noise.M

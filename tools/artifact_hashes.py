@@ -5,7 +5,9 @@
 Runs each config in ``CHECKOUT/configs`` through its pipeline at ``--seed 1``,
 each in a fresh process with ``CHECKOUT/src`` on ``PYTHONPATH``, into a
 temporary directory, and writes one ``sha256  config/file`` line per artifact
-to OUT, sorted by config and file. Two checkouts are byte-identical on the
+to OUT, sorted by config and file. Each pipeline's peak resident set size
+(``ru_maxrss`` of its process) goes to stderr, one ``config pipeline MB``
+line each, so OUT holds hashes only. Two checkouts are byte-identical on the
 shipped configs when ``diff`` of their two files is empty:
 
     python3 tools/artifact_hashes.py . before.txt   # at the parent commit
@@ -45,6 +47,15 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _run(cmd: list, env: dict, cwd: str) -> tuple:
+    """(exit code, peak RSS in MB) of one child process; ``os.wait4`` reaps
+    it, so its resource usage is its own and not the sum over all children."""
+    proc = subprocess.Popen(cmd, env=env, cwd=cwd, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss / 1024.0  # kilobytes on Linux
+
+
 def artifact_lines(checkout: str) -> list:
     checkout = os.path.abspath(checkout)
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
@@ -57,7 +68,8 @@ def artifact_lines(checkout: str) -> list:
                 "--config", os.path.join(checkout, "configs", f"{config}.cfg"),
                 "--seed", "1", "--out", out_dir,
             ]
-            code = subprocess.run(cmd, env=env, cwd=checkout, stdout=subprocess.DEVNULL).returncode
+            code, peak_rss_mb = _run(cmd, env, checkout)
+            print(f"{config} {pipeline} {peak_rss_mb:.1f} MB", file=sys.stderr)
             if code not in _WRITTEN:
                 raise SystemExit(f"{config}: `{pipeline}` exited with code {code}")
             for name in sorted(os.listdir(out_dir)):
