@@ -9,8 +9,7 @@ The control gradient H_u and the step of log Gamma read that point, so a
 visitor can form them at storage width 2, and an equation swept after the
 costate (such as the auxiliary equation whose value at zero is the cost
 derivative, :func:`qsmp.smp.gateaux_check`) can read them at the same step.
-Also: the Gamma-weighted form of the cost derivative, the Hamiltonian, and
-the decoupling between the backward linearisation and the costate.
+Also: the Gamma-weighted form of the cost derivative.
 """
 
 from __future__ import annotations
@@ -21,19 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bmo
-from .bsde import (
-    BackwardEquation,
-    BackwardSolution,
-    LinearBSDEData,
-    at_step,
-    backward_sweep,
-    quadratic_defaults,
-    quadratic_equation,
-    solve_linear_bsde,
-)
+from .bsde import BackwardEquation, BackwardSolution, at_step, backward_sweep, quadratic_defaults, quadratic_equation
 from .errors import SolverError
 from .model import ProblemSpec
-from .paths import BrownianBatch, ForwardBatch, TimeGrid, VariationalForwardBatch, step_major
+from .paths import BrownianBatch, ForwardBatch, TimeGrid
 from .regression import RegressionBasis
 
 #: Derivatives that take (t, x, u); the others also take (y, z).
@@ -81,11 +71,6 @@ def _coefficients(spec: ProblemSpec, t, x, u, y, z, *names):
         value = fn(t, x, u) if name in _STATE_DERIVATIVES else fn(t, x, y, z, u)
         out.append(np.asarray(value, dtype=np.float64))
     return out
-
-
-def _along(forward: ForwardBatch, backward: BackwardSolution, i: int):
-    """(x, u, y, z) of the trajectory at step i."""
-    return forward.states[:, i], forward.controls[:, i], backward.Y[:, i], backward.Z[:, i]
 
 
 def costate_equation(
@@ -191,183 +176,3 @@ def gamma_weighted_integral(gamma: np.ndarray, phi: np.ndarray, dt: float) -> tu
     auxiliary forcing phi (M, N): the cost derivative as a weighted integral."""
     integrals = np.einsum("mi,mi->m", gamma[:, : phi.shape[1]], phi) * dt
     return float(integrals.mean()), float(integrals.std() / math.sqrt(integrals.shape[0]))
-
-
-def solve_variational_bsde(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-    variational: VariationalForwardBatch,
-    basis: RegressionBasis | None = None,
-    ridge: float | None = None,
-) -> BackwardSolution:
-    """First-order response of the backward pair to the control perturbation:
-    an affine backward equation driven by the state response and the
-    perturbation, regressed on the augmented state (base, response).
-
-    The solution is affine in the response coordinates, so the default basis
-    caps their degree at one; full-degree monomials in the response would
-    extrapolate wildly on extreme paths without adding expressiveness.
-    """
-    if basis is None:
-        basis = RegressionBasis(3, max_degrees=(3,) * spec.n + (1,) * spec.n)
-    m_paths, n_steps = noise.M, grid.N
-    times = grid.times
-    uhat = variational.perturbation
-    lam = step_major((m_paths, n_steps))
-    mu = step_major((m_paths, n_steps, spec.d))
-    phi = step_major((m_paths, n_steps))
-    for i in range(n_steps):
-        f_y, f_z, f_x, f_u = _coefficients(spec, times[i], *_along(forward, backward, i), "f_y", "f_z", "f_x", "f_u")
-        lam[:, i] = f_y
-        mu[:, i] = f_z
-        phi[:, i] = np.einsum("ma,ma->m", f_x, variational.states[:, i])
-        phi[:, i] += np.einsum("mk,mk->m", f_u, uhat[:, i])
-    phi_x = np.asarray(spec.coeffs.Phi_x(forward.states[:, n_steps]), dtype=np.float64)
-    xi = np.einsum("ma,ma->m", phi_x, variational.states[:, n_steps])
-    data = LinearBSDEData(xi, lam, mu, phi)
-    features = step_major((m_paths, n_steps + 1, 2 * spec.n))
-    features[:, :, : spec.n] = forward.states
-    features[:, :, spec.n :] = variational.states
-    return solve_linear_bsde(data, grid, noise, features, basis=basis, ridge=ridge)
-
-
-@dataclass(frozen=True)
-class HamiltonianInputs:
-    """Point at which the Hamiltonian is evaluated, together with the
-    reference state/control pair that anchors the diffusion shift."""
-
-    t: float
-    x: np.ndarray  # (n,)
-    y: float
-    z: np.ndarray  # (d,)
-    u: np.ndarray  # (k,)
-    p: np.ndarray  # (n,)
-    q: np.ndarray  # (n, d)
-    x_ref: np.ndarray  # (n,)
-    u_ref: np.ndarray  # (k,)
-
-
-def _diffusion_shift(spec: ProblemSpec, inp: HamiltonianInputs) -> np.ndarray:
-    """Shift added to the z-argument: per column, (sigma^i(t,x,u) -
-    sigma^i(t,x_ref,u_ref))^T p. Vanishes at the reference point."""
-    co = spec.coeffs
-    x, u, x_ref, u_ref = (np.asarray(v, dtype=np.float64)[None] for v in (inp.x, inp.u, inp.x_ref, inp.u_ref))
-    sig = np.asarray(co.sigma(inp.t, x, u), dtype=np.float64)[0]
-    sig_ref = np.asarray(co.sigma(inp.t, x_ref, u_ref), dtype=np.float64)[0]
-    return (sig - sig_ref).T @ np.asarray(inp.p, dtype=np.float64)
-
-
-def hamiltonian(inp: HamiltonianInputs, spec: ProblemSpec) -> float:
-    """p . b + sum_i q^i . sigma^i + f evaluated at the shifted z-argument."""
-    co = spec.coeffs
-    x = np.asarray(inp.x, dtype=np.float64)[None, :]
-    u = np.asarray(inp.u, dtype=np.float64)[None, :]
-    shift = _diffusion_shift(spec, inp)
-    b_val = np.asarray(co.b(inp.t, x, u), dtype=np.float64)[0]
-    sig = np.asarray(co.sigma(inp.t, x, u), dtype=np.float64)[0]
-    z_arg = (np.asarray(inp.z, dtype=np.float64) + shift)[None, :]
-    f_val = float(np.asarray(co.f(inp.t, x, np.array([inp.y]), z_arg, u))[0])
-    return float(inp.p @ b_val + np.einsum("ni,ni->", inp.q, sig) + f_val)
-
-
-def hamiltonian_u(inp: HamiltonianInputs, spec: ProblemSpec) -> np.ndarray:
-    """Control gradient of the Hamiltonian, including the chain-rule term of
-    the diffusion shift against the generator slope: :func:`control_gradient`
-    at a batch of one, with z shifted."""
-    z_arg = np.asarray(inp.z, dtype=np.float64) + _diffusion_shift(spec, inp)
-    x, u, p, q = (np.asarray(v, dtype=np.float64)[None] for v in (inp.x, inp.u, inp.p, inp.q))
-    return control_gradient(spec, StepPoint.at(spec, 0, inp.t, x, u, np.array([inp.y]), z_arg[None], p, q))[0]
-
-
-@dataclass
-class ResidualStats:
-    max: float
-    mean: float
-    quantiles: dict
-
-    def to_dict(self):
-        return {"max": self.max, "mean": self.mean, "quantiles": self.quantiles}
-
-
-def _residual_stats(values: np.ndarray) -> ResidualStats:
-    flat = np.abs(values).ravel()
-    qs = {str(q): float(np.quantile(flat, q)) for q in (0.5, 0.9, 0.99)}
-    return ResidualStats(float(flat.max()), float(flat.mean()), qs)
-
-
-@dataclass
-class RelationReport:
-    """Residuals of the decoupling between the backward linearisation and the
-    costate representation, plus the time-zero identity."""
-
-    y_residual: ResidualStats
-    z_residuals: list  # per Brownian component
-    y1_at_zero: float
-    yhat_at_zero: float
-    y1_se: float
-    yhat_se: float
-
-    @property
-    def t0_gap(self) -> float:
-        return abs(self.y1_at_zero - self.yhat_at_zero)
-
-    @property
-    def t0_combined_se(self) -> float:
-        return math.hypot(self.y1_se, self.yhat_se)
-
-    def to_dict(self) -> dict:
-        return {
-            "y_residual": self.y_residual.to_dict(),
-            "z_residuals": [r.to_dict() for r in self.z_residuals],
-            "y1_at_zero": self.y1_at_zero,
-            "yhat_at_zero": self.yhat_at_zero,
-            "t0_gap": self.t0_gap,
-            "t0_combined_se": self.t0_combined_se,
-        }
-
-
-def check_decoupling(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    forward: ForwardBatch,
-    backward: BackwardSolution,
-    adjoint: AdjointSolution,
-    variational: VariationalForwardBatch,
-    var_backward: BackwardSolution,
-    auxiliary: BackwardSolution,
-    uhat: np.ndarray,
-) -> RelationReport:
-    """Pathwise residuals of Y1 = Yhat + p . X1 (all grid times) and of the
-    componentwise Z relation (at the regression steps)."""
-    y_res = var_backward.Y - auxiliary.Y - np.einsum("mia,mia->mi", adjoint.p, variational.states)
-    z_reports = []
-    times = grid.times
-    for j in range(spec.d):
-        res_j = step_major((noise.M, grid.N))
-        for i in range(grid.N):
-            sigma_u, sigma_x = _coefficients(spec, times[i], *_along(forward, backward, i), "sigma_u", "sigma_x")
-            p_i = adjoint.p[:, i]
-            expected = auxiliary.Z[:, i, j]
-            expected = expected + np.einsum(
-                "ma,mak,mk->m", p_i, sigma_u[:, j], uhat[:, i]
-            )
-            expected = expected + np.einsum(
-                "ma,mab,mb->m", p_i, sigma_x[:, j], variational.states[:, i]
-            )
-            expected = expected + np.einsum(
-                "ma,ma->m", adjoint.q[:, i, :, j], variational.states[:, i]
-            )
-            res_j[:, i] = var_backward.Z[:, i, j] - expected
-        z_reports.append(_residual_stats(res_j))
-    return RelationReport(
-        y_residual=_residual_stats(y_res),
-        z_residuals=z_reports,
-        y1_at_zero=var_backward.y0,
-        yhat_at_zero=auxiliary.y0,
-        y1_se=var_backward.y0_standard_error,
-        yhat_se=auxiliary.y0_standard_error,
-    )

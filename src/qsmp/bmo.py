@@ -1,8 +1,9 @@
 """Bounded-mean-oscillation diagnostics for stochastic integrals on a grid.
 
-Covers the critical-exponent function and its inverse, a grid estimator of the
-BMO2 norm of an integral process, the energy inequality, the reverse Hoelder
-constant, and exact multiplicative stepping of stochastic exponentials.
+Covers the critical-exponent function and its inverse (both in the offset
+from 1), a grid estimator of the BMO2 norm of an integral process, the energy
+inequality, the reverse Hoelder constant, and exact multiplicative stepping
+of stochastic exponentials.
 """
 
 from __future__ import annotations
@@ -20,19 +21,10 @@ from .regression import RegressionBasis, StepRegressor
 P_INFINITE = math.inf
 
 
-def psi(x: float) -> float:
-    """Critical-exponent function on (1, inf); strictly decreasing.
-
-    Evaluates sqrt(1 + ln((2x-1)/(2x-2)) / x^2) - 1 in a cancellation-free
-    form so that both x near 1 and very large x stay accurate.
-    """
-    if not x > 1.0:
-        raise ValueError(f"psi requires x > 1, got {x}")
-    return psi_of_offset(x - 1.0)
-
-
 def psi_of_offset(h: float) -> float:
-    """psi(1 + h) computed from the offset h > 0.
+    """psi(1 + h) computed from the offset h > 0, for the critical-exponent
+    function psi(x) = sqrt(1 + ln((2x-1)/(2x-2)) / x^2) - 1 on (1, inf),
+    which is strictly decreasing, in a cancellation-free form.
 
     Working with the offset keeps the evaluation meaningful for h far below
     the float spacing around 1 (large targets push the root that close to 1).
@@ -46,19 +38,6 @@ def psi_of_offset(h: float) -> float:
     x = 1.0 + h
     t = log_ratio / (x * x)
     return math.expm1(0.5 * math.log1p(t))
-
-
-def psi_inverse(nu: float) -> float:
-    """Exponent p > 1 with psi(p) = nu, as a plain float.
-
-    nu = 0 returns the infinity marker. For very large targets the root lies
-    closer to 1 than one float spacing; the returned value then rounds to 1.0
-    and :func:`psi_inverse_offset` should be used instead.
-    """
-    h = psi_inverse_offset(nu)
-    if math.isinf(h):
-        return P_INFINITE
-    return 1.0 + h
 
 
 def psi_inverse_offset(nu: float) -> float:
@@ -245,22 +224,6 @@ def cumulate_log_exponential(log_values: np.ndarray, what: str) -> np.ndarray:
         if not np.abs(log_values[:, i + 1]).max() <= 700.0:
             raise SolverError(f"{what} exponent overflow", step=i)
     return np.exp(log_values, out=log_values)
-
-
-def stochastic_exponential(integrand: np.ndarray, grid, noise) -> np.ndarray:
-    """Pathwise stochastic exponential of the integral of H dW, shape (M, N+1).
-
-    Multiplicative exact stepping exp(H dW - |H|^2 dt / 2) keeps every value
-    strictly positive; the running exponent is guarded against overflow.
-    """
-    integrand = np.asarray(integrand, dtype=np.float64)
-    incs = noise.increments
-    if integrand.shape != incs.shape:
-        raise ValueError(f"integrand shape {integrand.shape} != increments shape {incs.shape}")
-    out = step_major((integrand.shape[0], integrand.shape[1] + 1), fill=0.0)
-    for i in range(integrand.shape[1]):
-        out[:, i + 1] = log_exponential_increment(0.0, integrand[:, i], incs[:, i], grid.dt)
-    return cumulate_log_exponential(out, "stochastic exponential")
 
 
 @dataclass

@@ -11,9 +11,8 @@ gradient check's auxiliary equation reads the slopes and the forcing that
 the costate's visitor formed at step i. The quadratic step
 (:func:`quadratic_equation`) iterates the implicit y-argument to a fixed
 point (a contraction while dt * |f_y| < 1) and caps |Z| inside the
-generator; the affine step (:func:`linear_equation`, written once for
-:func:`solve_linear_bsde` and for equations whose data is formed inside the
-sweep) inverts its y-dependence exactly.
+generator; the affine step (:func:`linear_equation`, whose data may be
+formed inside the sweep) inverts its y-dependence exactly.
 
 Each equation stores ``width`` time slices, and step i lives in slice
 ``i % width`` (:func:`at_step`). A solve that returns the whole path uses
@@ -223,33 +222,6 @@ def solve_quadratic_bsde(
     return eq.scalar_solution()
 
 
-@dataclass(frozen=True)
-class LinearBSDEData:
-    """Affine-generator data: terminal xi, bounded slope lam, integrand-load
-    mu, and driver phi, all given per path-step on the grid."""
-
-    xi: np.ndarray  # (M,)
-    lam: np.ndarray  # (M, N)
-    mu: np.ndarray  # (M, N, d)
-    phi: np.ndarray  # (M, N)
-
-    @staticmethod
-    def from_broadcast(m_paths: int, n_steps: int, d: int, xi, lam=0.0, mu=0.0, phi=0.0):
-        """Convenience constructor broadcasting scalars/vectors to full shape."""
-
-        def per_step(value, shape):
-            full = step_major(shape)
-            full[...] = np.broadcast_to(np.asarray(value, dtype=np.float64), shape)
-            return full
-
-        return LinearBSDEData(
-            xi=np.broadcast_to(np.asarray(xi, dtype=np.float64), (m_paths,)).copy(),
-            lam=per_step(lam, (m_paths, n_steps)),
-            mu=per_step(mu, (m_paths, n_steps, d)),
-            phi=per_step(phi, (m_paths, n_steps)),
-        )
-
-
 def linear_equation(terminal: np.ndarray, grid: TimeGrid, d: int, coefficients_at, width: int | None = None):
     """The scalar affine equation with generator lam y + mu . z + phi and
     terminal values ``terminal`` (M, 1): ``coefficients_at(i)`` gives step
@@ -274,31 +246,6 @@ def linear_equation(terminal: np.ndarray, grid: TimeGrid, d: int, coefficients_a
         return y_i[:, None], z
 
     return BackwardEquation(terminal, grid.N, d, step, driver_sum, width)
-
-
-def solve_linear_bsde(
-    data: LinearBSDEData,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    features: np.ndarray,
-    basis: RegressionBasis | None = None,
-    ridge: float | None = None,
-) -> BackwardSolution:
-    """Same backward sweep with the affine generator of ``data``
-    (:func:`linear_equation`).
-
-    ``features`` (M, N+1, m) supplies the regression state per step; pass the
-    forward states for Markovian problems, or an augmented state when the
-    solution depends on more than the base trajectory.
-    """
-    basis = basis or RegressionBasis(3)
-    if data.lam.shape != (noise.M, grid.N):
-        raise ValueError("lam must have shape (M, N)")
-    eq = linear_equation(
-        data.xi[:, None], grid, noise.d, lambda i: (data.lam[:, i], data.mu[:, i], data.phi[:, i])
-    )
-    backward_sweep(grid, noise, features, [eq], basis, ridge)
-    return eq.scalar_solution()
 
 
 @dataclass

@@ -205,9 +205,8 @@ def build_bounded_tanh(
 
 def build_controlled_geometric(mu: float = 0.0, vol: float = 0.2, x0: float = 1.0, u_max: float = 1.0) -> ProblemSpec:
     """Multiplicative dynamics dX = X (mu + u) dt + vol X dW with zero cost
-    coefficients; used for strong-rate and expansion-rate studies (the mixed
-    state-control drift makes the first-order remainder genuinely second
-    order)."""
+    coefficients. The drift is bilinear in state and control, so, unlike in
+    the linear-quadratic family, the state is not affine in the control."""
 
     coeffs = CoefficientSet(
         b=lambda t, x, u: x * (mu + u[:, 0])[:, None],

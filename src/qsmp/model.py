@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -275,12 +276,45 @@ class HalfspaceDomain(ControlDomain):
                 break
         return x
 
+    def _inscribed_ball(self):
+        """(centre, r): a ball of radius r inside the domain, r the largest
+        such radius capped at 1, and of those centres the one nearest the
+        origin (the projection of the origin onto the halfspaces moved
+        inwards by r)."""
+        a_mat, c_vec = self._arrays()
+        norms = np.linalg.norm(a_mat, axis=1)
+        radius = min(1.0, _chebyshev_radius(a_mat, c_vec, norms))
+        inner = HalfspaceDomain(self.normals, tuple(c_vec - radius * norms))
+        return inner.project(np.zeros(self.dim)), radius
+
     def sample(self, rng, size, boundary_bias=0.0):
+        """Normal draws about the centre of :meth:`_inscribed_ball`, scaled by
+        its radius, projected into the domain."""
+        centre, radius = self._inscribed_ball()
         draws = rng.standard_normal((size, self.dim))
         n_bias = int(round(boundary_bias * size))
         if n_bias:
             draws[:n_bias] = 3.0 * rng.standard_normal((n_bias, self.dim))
-        return self.project(draws)
+        return self.project(centre + radius * draws)
+
+
+def _chebyshev_radius(a_mat: np.ndarray, c_vec: np.ndarray, norms: np.ndarray) -> float:
+    """Radius of the largest ball in {v : A v <= c}, the linear program
+    max r s.t. A v + r |a| <= c, from its dual: the least c . y over y >= 0
+    with A^T y = 0 and |a| . y = 1. The dual optimum sits at a vertex, which
+    has at most k + 1 nonzero entries, so every support of up to k + 1 of
+    the H faces is tried (about H^(k+1) small solves). ``inf`` when no such
+    y exists (the domain holds any ball)."""
+    rows = np.vstack([a_mat.T, norms])
+    rhs = np.zeros(rows.shape[0])
+    rhs[-1] = 1.0
+    best = math.inf
+    for size in range(1, rows.shape[0] + 1):
+        for support in map(list, combinations(range(len(c_vec)), size)):
+            y = np.linalg.lstsq(rows[:, support], rhs, rcond=None)[0]
+            if np.all(y >= -1e-12) and np.allclose(rows[:, support] @ y, rhs, rtol=0.0, atol=1e-12):
+                best = min(best, float(y @ c_vec[support]))
+    return best
 
 
 @dataclass(frozen=True)

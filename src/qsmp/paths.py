@@ -1,5 +1,5 @@
 """Time discretisation, Brownian batches, and Euler stepping of the state
-dynamics and of their linearisation along a control perturbation.
+dynamics.
 
 Path-step arrays have the logical shape (M, N+1, ...) (or (M, N, ...)) and
 are stored step-major (:func:`step_major`): the scheme walks the grid one
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -155,14 +155,6 @@ class ForwardBatch:
     controls: np.ndarray  # (M, N+1, k)
 
 
-@dataclass(frozen=True)
-class VariationalForwardBatch:
-    """First-order state response to a control perturbation; starts at zero."""
-
-    states: np.ndarray  # (M, N+1, n)
-    perturbation: np.ndarray  # (M, N+1, k)
-
-
 def solve_forward_sde(
     spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, control: Control
 ) -> ForwardBatch:
@@ -192,41 +184,6 @@ def solve_forward_sde(
     return ForwardBatch(states, controls)
 
 
-def solve_variational_sde(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    base: ForwardBatch,
-    uhat: np.ndarray,
-) -> VariationalForwardBatch:
-    """Linearised dynamics along the base trajectory, driven by the table
-    ``uhat`` (M, N+1, k); same Euler scheme and noise as the base solve."""
-    expected = (base.states.shape[0], grid.N + 1, base.controls.shape[2])
-    if uhat.shape != expected:
-        raise ValueError(f"perturbation table has shape {uhat.shape}, expected {expected}")
-    m_paths = noise.M
-    times = grid.times
-    dt = grid.dt
-    states = step_major((m_paths, grid.N + 1, spec.n), fill=0.0)
-    co = spec.coeffs
-    for i in range(grid.N):
-        x_i = base.states[:, i]
-        u_i = base.controls[:, i]
-        v_i = states[:, i]
-        h_i = uhat[:, i]
-        bx = np.asarray(co.b_x(times[i], x_i, u_i), dtype=np.float64)
-        bu = np.asarray(co.b_u(times[i], x_i, u_i), dtype=np.float64)
-        sx = np.asarray(co.sigma_x(times[i], x_i, u_i), dtype=np.float64)
-        su = np.asarray(co.sigma_u(times[i], x_i, u_i), dtype=np.float64)
-        drift = np.einsum("mij,mj->mi", bx, v_i) + np.einsum("mik,mk->mi", bu, h_i)
-        cols = np.einsum("mdij,mj->mdi", sx, v_i) + np.einsum("mdik,mk->mdi", su, h_i)
-        nxt = v_i + drift * dt + np.einsum("mdi,md->mi", cols, noise.increments[:, i])
-        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > EXPLOSION_GUARD:
-            raise ExplosionError("variational state left the admissible range", step=i)
-        states[:, i + 1] = nxt
-    return VariationalForwardBatch(states, uhat)
-
-
 DEFAULT_EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
 
 
@@ -236,97 +193,3 @@ def check_epsilons(epsilons) -> list:
     if len(eps_list) < 4 or not all(isinstance(e, numbers.Real) and 0.0 < e <= 1.0 for e in eps_list):
         raise ValueError("need >= 4 epsilons in (0, 1]")
     return [float(e) for e in eps_list]
-
-
-#: Relative floor (on squared sup errors) below which a remainder is treated
-#: as exactly zero rather than fitted; roundoff accumulation sits well below.
-_DEGENERATE_FLOOR = 1e-20
-
-
-@dataclass
-class RateReport:
-    """Fitted log-log rates of the first-order error and of the expansion
-    remainder, both measured as E[sup_t |.|^2] against the perturbation size.
-
-    A remainder that vanishes to roundoff (exactly linear problems) reports an
-    infinite slope with the ``remainder_degenerate`` flag: the small-o claim
-    holds trivially, there is just no finite rate to fit.
-    """
-
-    epsilons: list
-    first_order_errors: list
-    remainder_errors: list
-    first_order_slope: float
-    remainder_slope: float
-    first_order_inconclusive: bool
-    remainder_inconclusive: bool
-    remainder_degenerate: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def fit_loglog_slope(epsilons, errors, floor) -> tuple[float, bool, bool]:
-    """(slope, inconclusive, degenerate): least-squares slope of log2(err)
-    against log2(eps), ignoring error levels at or below the floor."""
-    eps = np.asarray(epsilons, dtype=np.float64)
-    err = np.asarray(errors, dtype=np.float64)
-    valid = err > floor
-    if not np.any(valid):
-        return math.inf, True, True
-    if np.count_nonzero(valid) < 2:
-        return math.nan, True, False
-    lx = np.log2(eps[valid])
-    ly = np.log2(err[valid])
-    slope = float(np.polyfit(lx, ly, 1)[0])
-    return slope, False, False
-
-
-def rate_report(epsilons, first_errors, rem_errors, scale) -> RateReport:
-    """Both fitted rates; errors at or below ``_DEGENERATE_FLOOR * scale``
-    count as exact zeros."""
-    floor = _DEGENERATE_FLOOR * scale
-    first_slope, first_inc, _ = fit_loglog_slope(epsilons, first_errors, floor)
-    rem_slope, rem_inc, rem_degen = fit_loglog_slope(epsilons, rem_errors, floor)
-    return RateReport(epsilons, first_errors, rem_errors, first_slope, rem_slope, first_inc, rem_inc, rem_degen)
-
-
-def sup_sq_error(a: np.ndarray, b: np.ndarray) -> float:
-    """E over paths of sup over steps of |a - b|^2 (Euclidean in the state)."""
-    diff = a - b
-    sq = np.einsum("min,min->mi", diff, diff)
-    return float(sq.max(axis=1).mean())
-
-
-def expansion_rate_check(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    u_bar: Control,
-    u: Control,
-    epsilons=DEFAULT_EPSILONS,
-) -> RateReport:
-    """Empirical first-order expansion rates of the state under the convex
-    perturbation u_bar + eps (u - u_bar), all solves on common noise.
-
-    The first-order error E[sup |X^eps - X|^2] should decay with slope near 2;
-    the remainder against the linearised response should decay strictly
-    faster.
-    """
-    eps_list = check_epsilons(epsilons)
-    base = solve_forward_sde(spec, grid, noise, u_bar)
-    u_table = realize_control_along(u, grid, base.states)
-    uhat = u_table - base.controls
-    var = solve_variational_sde(spec, grid, noise, base, uhat)
-
-    first_errors = []
-    rem_errors = []
-    for eps in eps_list:
-        perturbed = solve_forward_sde(
-            spec, grid, noise, OpenLoopControl(base.controls + eps * uhat)
-        )
-        first_errors.append(sup_sq_error(perturbed.states, base.states))
-        rem_errors.append(sup_sq_error(perturbed.states, base.states + eps * var.states))
-
-    scale = max(1.0, sup_sq_error(base.states, np.zeros_like(base.states)))
-    return rate_report(eps_list, first_errors, rem_errors, scale)

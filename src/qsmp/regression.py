@@ -15,7 +15,6 @@ and 2 threads only: the machine measured has 2 cores.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -55,11 +54,6 @@ class RegressionBasis:
             object.__setattr__(self, "max_degrees", tuple(int(v) for v in self.max_degrees))
             if any(v < 0 for v in self.max_degrees):
                 raise ValueError("max_degrees entries must be >= 0")
-
-    def feature_count(self, state_dim: int) -> int:
-        if self.max_degrees is None:
-            return math.comb(state_dim + self.degree, self.degree)
-        return self.exponents(state_dim).shape[0]
 
     def exponents(self, state_dim: int) -> np.ndarray:
         """Exponent matrix (F, state_dim); row 0 is the constant feature."""

@@ -25,13 +25,10 @@ from .paths import (
     Control,
     ForwardBatch,
     OpenLoopControl,
-    RateReport,
     TimeGrid,
     check_epsilons,
-    rate_report,
     realize_control_along,
     solve_forward_sde,
-    solve_variational_sde,
     step_major,
 )
 from .regression import StepRegressor
@@ -178,42 +175,6 @@ def _weighted_affine_intercept(xs, ys, ses):
     return float(coef[0]), float(se), float(coef[1])
 
 
-def y_expansion_rate_check(
-    spec: ProblemSpec,
-    grid: TimeGrid,
-    noise: BrownianBatch,
-    u_bar: Control,
-    u: Control,
-    epsilons=DEFAULT_EPSILONS,
-    basis: RegressionBasis | None = None,
-) -> RateReport:
-    """Expansion rates of the backward value: E[sup_t |Y^eps - Y|^2] should
-    decay with slope near 2 and the remainder against eps * Y1 strictly
-    faster, mirroring the state-side check."""
-    eps_list = check_epsilons(epsilons)
-    forward, backward = _solve_chain(spec, grid, noise, u_bar, basis)
-    u_table = realize_control_along(u, grid, forward.states)
-    uhat = u_table - forward.controls
-    variational = solve_variational_sde(spec, grid, noise, forward, uhat)
-    var_backward = adjoint_mod.solve_variational_bsde(
-        spec, grid, noise, forward, backward, variational, basis=basis
-    )
-
-    first_errors = []
-    rem_errors = []
-    for eps in eps_list:
-        fwd_eps, bwd_eps = _solve_chain(
-            spec, grid, noise, OpenLoopControl(forward.controls + eps * uhat), basis
-        )
-        diff = bwd_eps.Y - backward.Y
-        first_errors.append(float((diff**2).max(axis=1).mean()))
-        rem = diff - eps * var_backward.Y
-        rem_errors.append(float((rem**2).max(axis=1).mean()))
-
-    scale = max(1.0, float((backward.Y**2).max(axis=1).mean()))
-    return rate_report(eps_list, first_errors, rem_errors, scale)
-
-
 @dataclass
 class AffineFeedbackPolicy:
     """Feedback map with per-step affine parameters, projected pointwise into
@@ -265,10 +226,6 @@ class DescentResult:
     policy: AffineFeedbackPolicy
     trace: list
     halted_on_divergence: bool
-
-    @property
-    def costs(self):
-        return [row.cost for row in self.trace]
 
 
 def _policy_gradient(spec, grid, noise, policy, basis):

@@ -44,3 +44,16 @@ def costate_alone(spec, grid, noise, forward, backward):
     eq = adjoint.costate_equation(spec, grid, forward, backward.Y, backward.Z)
     bsde.backward_sweep(grid, noise, forward.states, [eq], bsde.RegressionBasis(3))
     return adjoint.AdjointSolution(eq.values, eq.integrands, eq.terminal)
+
+
+def linear_alone(grid, noise, states, xi, lam=0.0, mu=0.0, phi=0.0, basis=None):
+    """The affine BSDE with generator lam y + mu . z + phi and terminal xi,
+    each broadcast to its per-path-step shape, solved by the gradient
+    check's affine step (``bsde.linear_equation``) in a sweep of its own."""
+    m_paths, n_steps, d = noise.M, grid.N, noise.d
+    lam, phi = (np.broadcast_to(np.asarray(c, dtype=np.float64), (m_paths, n_steps)) for c in (lam, phi))
+    mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), (m_paths, n_steps, d))
+    terminal = np.broadcast_to(np.asarray(xi, dtype=np.float64), (m_paths,))[:, None]
+    eq = bsde.linear_equation(terminal, grid, d, lambda i: (lam[:, i], mu[:, i], phi[:, i]))
+    bsde.backward_sweep(grid, noise, states, [eq], basis or bsde.RegressionBasis(3))
+    return eq.scalar_solution()

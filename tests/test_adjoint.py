@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from qsmp import adjoint as adj
-from qsmp import bsde, families, model, paths, smp
+from qsmp import bsde, model, paths, smp
 
 from conftest import costate_alone
 
@@ -264,94 +264,59 @@ class TestWeightedIntegralRepresentation:
         assert plus == -minus
 
 
+def _random_points(rng, spec, size):
+    """(t, x, u, y, z, p, q) for a batch of ``size`` random points."""
+    n, d, k = spec.n, spec.d, spec.k
+    return (
+        float(rng.uniform(0, spec.T)),
+        rng.uniform(-2, 2, (size, n)),
+        rng.uniform(-1, 1, (size, k)),
+        rng.uniform(-1, 1, size),
+        rng.uniform(-2, 2, (size, d)),
+        rng.uniform(-2, 2, (size, n)),
+        rng.uniform(-2, 2, (size, n, d)),
+    )
+
+
+def _hamiltonian(spec, t, x, u, y, z, p, q, u_bar):
+    """The paper's Hamiltonian p . b + sum_i q^i . sigma^i + f(y, z + (sigma(u) -
+    sigma(u_bar))^T p, u) at the reference control u_bar, shape (S,)."""
+    co = spec.coeffs
+    sigma = co.sigma(t, x, u)
+    shift = np.einsum("sai,sa->si", sigma - co.sigma(t, x, u_bar), p)
+    return (
+        np.einsum("sa,sa->s", p, co.b(t, x, u))
+        + np.einsum("sai,sai->s", q, sigma)
+        + co.f(t, x, y, z + shift, u)
+    )
+
+
 class TestHamiltonian:
-    def _inputs(self, rng, spec, with_ref_at_point=False):
-        point = adj.HamiltonianInputs(
-            t=float(rng.uniform(0, spec.T)),
-            x=rng.uniform(-2, 2, spec.n),
-            y=float(rng.uniform(-1, 1)),
-            z=rng.uniform(-2, 2, spec.d),
-            u=rng.uniform(-1, 1, spec.k),
-            p=rng.uniform(-2, 2, spec.n),
-            q=rng.uniform(-2, 2, (spec.n, spec.d)),
-            x_ref=rng.uniform(-2, 2, spec.n),
-            u_ref=rng.uniform(-1, 1, spec.k),
-        )
-        if with_ref_at_point:
-            point = adj.HamiltonianInputs(
-                t=point.t, x=point.x_ref.copy(), y=point.y, z=point.z,
-                u=point.u_ref.copy(), p=point.p, q=point.q,
-                x_ref=point.x_ref, u_ref=point.u_ref,
-            )
-        return point
-
-    def test_shift_vanishes_at_reference(self, tanh_spec):
-        rng = np.random.default_rng(34)
-        for _ in range(50):
-            point = self._inputs(rng, tanh_spec, with_ref_at_point=True)
-            assert np.allclose(adj._diffusion_shift(tanh_spec, point), 0.0)
-
-    def test_zero_generator_gradient(self, tanh_spec, lq_spec):
+    def test_zero_generator_gradient(self, lq_spec):
         # with f = 0 the gradient reduces to b_u^T p + sum_i (sigma_u^i)^T q^i
         spec = _override(
             lq_spec,
             f=lambda t, x, y, z, u: np.zeros(x.shape[0]),
             f_u=lambda t, x, y, z, u: np.zeros((x.shape[0], 1)),
         )
-        rng = np.random.default_rng(35)
-        point = self._inputs(rng, spec)
-        grad = adj.hamiltonian_u(point, spec)
-        expected = 1.0 * point.p  # b_u = b = 1, sigma_u = 0
+        t, x, u, y, z, p, q = _random_points(np.random.default_rng(35), spec, 20)
+        grad = adj.control_gradient(spec, adj.StepPoint.at(spec, 0, t, x, u, y, z, p, q))
+        expected = 1.0 * p  # b_u = b = 1, sigma_u = 0
         assert np.allclose(grad, expected)
 
     def test_gradient_matches_finite_differences(self, tanh_spec):
+        # H_u at u = u_bar, where the shift of z vanishes; its derivative
+        # brings in the f_z . sigma_u^T p term.
         rng = np.random.default_rng(36)
         step = 1e-5
-        for _ in range(100):
-            point = self._inputs(rng, tanh_spec)
-            grad = adj.hamiltonian_u(point, tanh_spec)
+        for _ in range(4):
+            t, x, u, y, z, p, q = _random_points(rng, tanh_spec, 25)
+            grad = adj.control_gradient(tanh_spec, adj.StepPoint.at(tanh_spec, 0, t, x, u, y, z, p, q))
             for j in range(tanh_spec.k):
                 bump = np.zeros(tanh_spec.k)
                 bump[j] = step
-                up = adj.HamiltonianInputs(**{**point.__dict__, "u": point.u + bump})
-                down = adj.HamiltonianInputs(**{**point.__dict__, "u": point.u - bump})
-                fd = (adj.hamiltonian(up, tanh_spec) - adj.hamiltonian(down, tanh_spec)) / (2 * step)
-                denom = max(abs(grad[j]), abs(fd), 1.0)
-                assert abs(grad[j] - fd) / denom <= 1e-6
-
-
-class TestDecoupling:
-    def test_zero_direction_all_residuals_vanish(self, tanh_chain, tanh_spec, tanh_auxiliary):
-        grid, noise, forward, backward, adjoint, _ = tanh_chain
-        zero = np.zeros_like(forward.controls)
-        variational = paths.solve_variational_sde(tanh_spec, grid, noise, forward, zero)
-        var_backward = adj.solve_variational_bsde(
-            tanh_spec, grid, noise, forward, backward, variational
-        )
-        aux = tanh_auxiliary["zero"][0]
-        report = adj.check_decoupling(
-            tanh_spec, grid, noise, forward, backward, adjoint,
-            variational, var_backward, aux, zero,
-        )
-        assert report.y_residual.max == 0.0
-        assert all(z.max == 0.0 for z in report.z_residuals)
-        assert report.t0_gap == 0.0
-
-    def test_time_zero_identity(self, tanh_chain, tanh_spec, tanh_auxiliary):
-        grid, noise, forward, backward, adjoint, uhat = tanh_chain
-        variational = paths.solve_variational_sde(tanh_spec, grid, noise, forward, uhat)
-        var_backward = adj.solve_variational_bsde(
-            tanh_spec, grid, noise, forward, backward, variational
-        )
-        aux = tanh_auxiliary["uhat"][0]
-        report = adj.check_decoupling(
-            tanh_spec, grid, noise, forward, backward, adjoint,
-            variational, var_backward, aux, uhat,
-        )
-        # the state response starts at zero, so the linearised value and the
-        # auxiliary value must agree at time zero
-        assert report.t0_gap <= 3.0 * report.t0_combined_se
-        # bulk residuals are small relative to the value scale
-        assert report.y_residual.quantiles["0.99"] <= 0.05
-        payload = report.to_dict()
-        assert "y_residual" in payload and "z_residuals" in payload
+                up = _hamiltonian(tanh_spec, t, x, u + bump, y, z, p, q, u)
+                down = _hamiltonian(tanh_spec, t, x, u - bump, y, z, p, q, u)
+                fd = (up - down) / (2 * step)
+                denom = np.maximum(np.maximum(np.abs(grad[:, j]), np.abs(fd)), 1.0)
+                assert np.all(np.abs(grad[:, j] - fd) / denom <= 1e-6)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsmp import bmo, paths
+from qsmp import bmo
 from qsmp.errors import SolverError
 
 
@@ -18,49 +18,51 @@ def psi_reference(x, digits=50):
 
 
 class TestPsi:
+    # psi(x) is psi_of_offset(x - 1), the form bmo_report evaluates.
     def test_large_argument_vanishes(self):
-        assert bmo.psi(1e6) < 1e-5
+        assert bmo.psi_of_offset(1e6 - 1.0) < 1e-5
 
     def test_at_two_matches_high_precision(self):
         # sqrt(1 + 0.25 ln 1.5) - 1 evaluated at 50 digits
-        assert bmo.psi(2.0) == pytest.approx(psi_reference(2.0), abs=1e-14)
-        assert bmo.psi(2.0) == pytest.approx(0.049459993056925005, abs=1e-15)
+        assert bmo.psi_of_offset(1.0) == pytest.approx(psi_reference(2.0), abs=1e-14)
+        assert bmo.psi_of_offset(1.0) == pytest.approx(0.049459993056925005, abs=1e-15)
 
     def test_strictly_decreasing_on_grid(self):
         xs = np.linspace(1.001, 50.0, 1000)
-        vals = [bmo.psi(x) for x in xs]
+        vals = [bmo.psi_of_offset(x - 1.0) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_pair(self):
-        assert bmo.psi(1.5) > bmo.psi(2.5)
+        assert bmo.psi_of_offset(0.5) > bmo.psi_of_offset(1.5)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            bmo.psi(1.0)
+            bmo.psi_of_offset(1.0 - 1.0)
         with pytest.raises(ValueError):
-            bmo.psi(0.5)
+            bmo.psi_of_offset(0.5 - 1.0)
 
     @given(st.floats(min_value=1.0 + 1e-9, max_value=1e9))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_everywhere(self, x):
-        assert bmo.psi(x) == pytest.approx(psi_reference(x), rel=1e-10, abs=1e-13)
+        assert bmo.psi_of_offset(x - 1.0) == pytest.approx(psi_reference(x), rel=1e-10, abs=1e-13)
 
 
 class TestPsiInverse:
+    # The exponent p with psi(p) = nu is 1 + psi_inverse_offset(nu).
     def test_round_trip_at_two(self):
-        p = bmo.psi_inverse(bmo.psi(2.0))
+        p = 1.0 + bmo.psi_inverse_offset(bmo.psi_of_offset(1.0))
         assert p == pytest.approx(2.0, abs=1e-8)
 
     def test_inverse_is_decreasing(self):
-        assert bmo.psi_inverse(0.1) > bmo.psi_inverse(0.5)
+        assert 1.0 + bmo.psi_inverse_offset(0.1) > 1.0 + bmo.psi_inverse_offset(0.5)
 
     def test_zero_target_gives_infinity_marker(self):
-        assert bmo.psi_inverse(0.0) == bmo.P_INFINITE
+        assert 1.0 + bmo.psi_inverse_offset(0.0) == bmo.P_INFINITE
         assert bmo.conjugate_exponent_from_offset(math.inf) == 1.0
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
-            bmo.psi_inverse(-0.1)
+            bmo.psi_inverse_offset(-0.1)
 
     @given(st.floats(min_value=1e-3, max_value=10.0))
     @settings(max_examples=150, deadline=None)
@@ -95,7 +97,7 @@ class TestReverseHolder:
 
     def test_undefined_beyond_critical_exponent(self):
         # p at the critical exponent: bracket hits zero from above
-        p_m = bmo.psi_inverse(0.5)
+        p_m = 1.0 + bmo.psi_inverse_offset(0.5)
         assert bmo.reverse_holder_K(p_m + 0.05, 0.5) is None
 
     def test_domain_error(self):
@@ -167,29 +169,16 @@ class TestEnergyInequality:
 
 
 class TestStochasticExponential:
-    def test_zero_integrand_is_one(self, small_grid, small_noise):
-        vals = bmo.stochastic_exponential(
-            np.zeros((small_noise.M, small_grid.N, 1)), small_grid, small_noise
-        )
-        assert np.all(vals == 1.0)
-
-    def test_positivity(self, small_grid, small_noise):
-        integrand = np.full((small_noise.M, small_grid.N, 1), 1.5)
-        vals = bmo.stochastic_exponential(integrand, small_grid, small_noise)
-        assert np.all(vals > 0.0)
-
-    def test_martingale_mean(self, small_grid):
-        noise = paths.simulate_brownian(small_grid, 100000, 1, seed=77)
-        integrand = np.full((noise.M, small_grid.N, 1), 0.5)
-        vals = bmo.stochastic_exponential(integrand, small_grid, noise)
-        terminal = vals[:, -1]
-        se = terminal.std() / math.sqrt(noise.M)
-        assert abs(terminal.mean() - 1.0) <= 3.0 * se
-
-    def test_overflow_guard(self, small_grid, small_noise):
-        integrand = np.full((small_noise.M, small_grid.N, 1), 1e5)
-        with pytest.raises(SolverError):
-            bmo.stochastic_exponential(integrand, small_grid, small_noise)
+    # A zero integrand, positivity and the martingale mean are tested on
+    # Gamma, which the state-costate sweep cumulates the same way
+    # (tests/test_adjoint.py::TestGammaProcess).
+    def test_overflow_guard(self):
+        # The running exponent reaches 700 after step 6 and 800 after step 7.
+        log_values = np.full((3, 11), 100.0)
+        log_values[:, 0] = 0.0
+        with pytest.raises(SolverError, match=r"stochastic exponential exponent overflow \(step 7\)") as err:
+            bmo.cumulate_log_exponential(log_values, "stochastic exponential")
+        assert err.value.step == 7
 
 
 class TestBmoReport:

@@ -10,7 +10,7 @@ from qsmp import bsde, families, model, paths
 from qsmp.errors import IllConditionedBasisError, SolverError
 from qsmp.regression import RegressionBasis, StepRegressor
 
-from conftest import gauss_hermite_log_moment
+from conftest import gauss_hermite_log_moment, linear_alone
 
 
 def brownian_paths(noise):
@@ -59,7 +59,7 @@ class TestRegression:
 
     def test_feature_count(self):
         basis = RegressionBasis(3)
-        assert basis.feature_count(2) == math.comb(2 + 3, 3)
+        assert basis.exponents(2).shape[0] == math.comb(2 + 3, 3)
 
     def test_degree_zero_fit_is_the_batch_mean(self):
         rng = np.random.default_rng(8)
@@ -83,7 +83,7 @@ class TestRegression:
         basis = RegressionBasis(degree, max_degrees=caps)
         # Reference: every monomial filled column by column into a C-order (M, F) array.
         z = (states - shift) / scale
-        expected = np.ones((len(states), basis.feature_count(state_dim)))
+        expected = np.ones((len(states), basis.exponents(state_dim).shape[0]))
         for f_idx, row in enumerate(basis.exponents(state_dim)):
             for j, p in enumerate(row):
                 if p:
@@ -201,8 +201,7 @@ class TestQuadraticSolver:
 class TestLinearSolver:
     def test_zero_data_constant_terminal(self, small_grid, small_noise):
         w = brownian_paths(small_noise)
-        data = bsde.LinearBSDEData.from_broadcast(small_noise.M, small_grid.N, 1, xi=2.5)
-        sol = bsde.solve_linear_bsde(data, small_grid, small_noise, w)
+        sol = linear_alone(small_grid, small_noise, w, xi=2.5)
         # default ridge shrinks the constant fit by ~1e-6 relative
         assert np.allclose(sol.Y, 2.5, atol=2e-5)
         assert np.abs(sol.Z).max() <= 5e-5
@@ -210,10 +209,7 @@ class TestLinearSolver:
     def test_scalar_ode(self, small_grid, small_noise):
         a_coef, constant = 0.7, 1.1
         w = brownian_paths(small_noise)
-        data = bsde.LinearBSDEData.from_broadcast(
-            small_noise.M, small_grid.N, 1, xi=constant, lam=np.array([a_coef])
-        )
-        sol = bsde.solve_linear_bsde(data, small_grid, small_noise, w)
+        sol = linear_alone(small_grid, small_noise, w, xi=constant, lam=a_coef)
         oracle = constant * math.exp(a_coef * small_grid.T)
         assert abs(sol.y0 - oracle) <= 3.0 * a_coef**2 * oracle * small_grid.dt
 
@@ -224,19 +220,13 @@ class TestLinearSolver:
         noise = paths.simulate_brownian(grid, 40000, 1, seed=15)
         w = brownian_paths(noise)
         m_load = 0.4
-        data = bsde.LinearBSDEData.from_broadcast(
-            noise.M, grid.N, 1, xi=w[:, -1, 0], mu=np.array([m_load])
-        )
-        sol = bsde.solve_linear_bsde(data, grid, noise, w)
+        sol = linear_alone(grid, noise, w, xi=w[:, -1, 0], mu=m_load)
         assert abs(sol.y0 - m_load * grid.T) <= 3.0 * sol.y0_standard_error + 2.0 * grid.dt
 
     def test_singular_implicit_step_detected(self, small_grid, small_noise):
         w = brownian_paths(small_noise)
-        data = bsde.LinearBSDEData.from_broadcast(
-            small_noise.M, small_grid.N, 1, xi=1.0, lam=np.array([1.0 / small_grid.dt])
-        )
         with pytest.raises(SolverError):
-            bsde.solve_linear_bsde(data, small_grid, small_noise, w)
+            linear_alone(small_grid, small_noise, w, xi=1.0, lam=1.0 / small_grid.dt)
 
     def test_quadratic_solver_degrades_to_linear_on_affine_generator(self, small_grid):
         # f = lam y + mu z + c with no z-quadratic part: both solvers must
@@ -257,12 +247,9 @@ class TestLinearSolver:
         quad = bsde.solve_quadratic_bsde(
             spec2, small_grid, noise, fwd, basis=basis, truncation_radius=math.inf
         )
-        data = bsde.LinearBSDEData.from_broadcast(
-            noise.M, small_grid.N, 1,
-            xi=np.tanh(fwd.states[:, -1, 0]), lam=np.array([lam_c]),
-            mu=np.array([mu_c]), phi=np.array([phi_c]),
+        lin = linear_alone(
+            small_grid, noise, fwd.states, xi=np.tanh(fwd.states[:, -1, 0]), lam=lam_c, mu=mu_c, phi=phi_c, basis=basis
         )
-        lin = bsde.solve_linear_bsde(data, small_grid, noise, fwd.states, basis=basis)
         assert np.abs(quad.Y - lin.Y).max() <= 1e-10
         assert np.abs(quad.Z - lin.Z).max() <= 1e-10
 
@@ -277,10 +264,7 @@ class TestLinearSolver:
             for seed in range(10):
                 noise = paths.simulate_brownian(grid, 20000, 1, seed=seed)
                 w = brownian_paths(noise)
-                data = bsde.LinearBSDEData.from_broadcast(
-                    noise.M, grid.N, 1, xi=constant + kappa * w[:, -1, 0], lam=np.array([a_coef])
-                )
-                sol = bsde.solve_linear_bsde(data, grid, noise, w)
+                sol = linear_alone(grid, noise, w, xi=constant + kappa * w[:, -1, 0], lam=a_coef)
                 errs.append(abs(sol.y0 - oracle))
             means.append(np.mean(errs))
         assert means[1] < means[0]
@@ -294,11 +278,7 @@ class TestLinearSolver:
             noise = paths.simulate_brownian(grid, 20000, 1, seed=seed)
             w = brownian_paths(noise)
             phi = 0.5 * w[:, : grid.N, 0]
-            data = bsde.LinearBSDEData.from_broadcast(
-                noise.M, grid.N, 1, xi=np.tanh(w[:, -1, 0]),
-                lam=np.array([0.3]), mu=np.array([0.4]), phi=phi,
-            )
-            sol = bsde.solve_linear_bsde(data, grid, noise, w)
+            sol = linear_alone(grid, noise, w, xi=np.tanh(w[:, -1, 0]), lam=0.3, mu=0.4, phi=phi)
             sup_y2 = (sol.Y**2).max(axis=1)
             int_z2 = (sol.Z[:, : grid.N, 0] ** 2).sum(axis=1) * grid.dt
             lhs = float((sup_y2 + int_z2).mean())

@@ -71,22 +71,19 @@ def test_step_major_keeps_indexing():
     assert a[2, 1, 1] == 8.0 and a[:, 1].flags.c_contiguous
 
 
-#: Public top-level names of ``src/qsmp`` that no other code in ``src``
-#: refers to, each with the reason it stays.
+#: Public top-level names of ``src/qsmp``, and public methods and properties
+#: (``Class.member``) of its classes, that no other code in ``src`` refers
+#: to, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
-    "hamiltonian": "the paper's Hamiltonian; its finite differences check hamiltonian_u",
-    "hamiltonian_u": "H_u at one point with the diffusion shift, the paper's form of the gradient",
-    "check_decoupling": "the relation Y1 = Yhat + p . X1, reached from tests only (ROADMAP item 5)",
-    "psi": "the critical-exponent function of the BMO bounds, beside psi_of_offset",
-    "psi_inverse": "the inverse of psi as a plain exponent, beside psi_inverse_offset",
-    "stochastic_exponential": "the BMO martingale's exponential, whose positivity tests check",
     "pretty_print": "renders an expression that re-parses to the same tree",
     "ConstantControl": "the simplest control for library callers; configs write constants as expressions",
-    "expansion_rate_check": "the forward expansion rate, reached from tests only (ROADMAP item 5)",
     "cost_functional": "the cost J(u) as one call for library callers",
-    "y_expansion_rate_check": "the backward expansion rate, reached from tests only (ROADMAP item 5)",
     "load_container": "reads back what save_container writes",
+    "RiccatiSolution.optimal_cost": "the linear-quadratic oracle J* that descent results are compared against",
+    "RiccatiSolution.value_offset": "the constant term c(t) of the Riccati value function, part of the oracle J*",
 }
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qsmp"
 
 
 def _defined_names(node):
@@ -96,26 +93,68 @@ def _defined_names(node):
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
+def _units(tree):
+    """(public names it defines, names it refers to) for each top-level
+    statement; a class is split into one unit per method and one for the
+    rest of its body. A definition's use of its own name (recursion) does
+    not count as a reference."""
+    for node in tree.body:
+        own = _defined_names(node)
+        members = []
+        if isinstance(node, ast.ClassDef):
+            members = [m for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for member in members:
+                public = set() if member.name.startswith("_") else {f"{node.name}.{member.name}"}
+                yield public, _used_names(member) - {node.name, member.name}
+        public = {name for name in own if not name.startswith("_")}
+        yield public, _used_names(node, skip=members) - own
+
+
+def _used_names(node, skip=()):
+    """Names, attributes and imported names anywhere under ``node``, except
+    under the nodes in ``skip``."""
+    used, todo = set(), [node]
+    while todo:
+        sub = todo.pop()
+        if any(sub is s for s in skip):
+            continue
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+        todo.extend(ast.iter_child_nodes(sub))
+    return used
+
+
 def test_every_public_name_in_src_is_referenced():
-    """A public name that nothing in ``src`` refers to is a second copy or a
-    capability no pipeline runs; it goes, or it is allowed above with a reason."""
-    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "qsmp"
+    """A public name or class member that nothing in ``src`` refers to is a
+    second copy or a capability no pipeline runs; it goes, or it is allowed
+    above with a reason. Members count as referenced by attribute name."""
     defined, referenced = set(), set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            own = _defined_names(node)
-            defined |= {name for name in own if not name.startswith("_")}
-            # Names, attributes and imports; a definition's use of its own name
-            # (recursion) does not count.
-            used = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    used.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    used.add(sub.attr)
-                elif isinstance(sub, ast.alias):
-                    used.add(sub.name)
-            referenced |= used - own
-    unreferenced = defined - referenced
+    for path in sorted(PACKAGE.glob("*.py")):
+        for public, used in _units(ast.parse(path.read_text(), str(path))):
+            defined |= public
+            referenced |= used
+    unreferenced = {name for name in defined if name.rpartition(".")[2] not in referenced}
     assert unreferenced - set(UNREFERENCED_ALLOWED) == set()
     assert set(UNREFERENCED_ALLOWED) - unreferenced == set(), "allowed names that are referenced now"
+
+
+def test_every_import_in_src_is_used():
+    """No module of ``src/qsmp`` imports a name it never uses: a deletion
+    leaves none behind."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []

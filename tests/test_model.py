@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -260,6 +263,42 @@ class TestControlDomains:
         ):
             draws = dom.sample(rng, 256, boundary_bias=0.5)
             assert np.all(dom.contains(draws, tol=1e-8))
+
+    @pytest.mark.parametrize(
+        "dom",
+        [
+            HalfspaceDomain(((1.0,), (-1.0,)), (-5.0, 7.0)),  # -7 <= u <= -5
+            HalfspaceDomain(((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)), (-3.0, -3.0, 8.0)),  # a triangle
+        ],
+        ids=["interval", "triangle"],
+    )
+    def test_halfspace_draws_fill_a_domain_away_from_the_origin(self, dom):
+        # Draws about the origin all land on the faces nearest to it.
+        draws = dom.sample(np.random.default_rng(0), 1000, boundary_bias=0.5)
+        slack = np.asarray(dom.offsets) - draws @ np.asarray(dom.normals).T
+        assert np.all(slack >= -1e-9)
+        assert np.mean(np.all(slack > 1e-6, axis=1)) > 0.2
+        assert np.mean(np.any(slack <= 1e-9, axis=1)) > 0.1
+
+    def test_halfspace_draws_centre_on_the_largest_inscribed_ball(self):
+        # The interval's Chebyshev centre is -6, radius 1; the triangle's is
+        # its incentre, radius 2 / (2 + sqrt 2).
+        interval = HalfspaceDomain(((1.0,), (-1.0,)), (-5.0, 7.0))
+        assert np.mean(interval.sample(np.random.default_rng(1), 4000)) == pytest.approx(-6.0, abs=0.05)
+        triangle = HalfspaceDomain(((-1.0, 0.0), (0.0, -1.0), (1.0, 1.0)), (-3.0, -3.0, 8.0))
+        inradius = 2.0 / (2.0 + math.sqrt(2.0))
+        centre, radius = triangle._inscribed_ball()
+        assert radius == pytest.approx(inradius, rel=1e-12)
+        assert np.allclose(centre, 3.0 + inradius, atol=1e-10)
+
+    def test_model_import_loads_no_scipy(self):
+        # The inscribed ball is solved with numpy alone.
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        script = "import sys, qsmp.model; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_boundary_bias_hits_boundary(self):
         rng = np.random.default_rng(1)

@@ -162,99 +162,6 @@ class TestForwardSolver:
         assert np.array_equal(fwd.states, replay.states)
 
 
-class TestVariationalSolver:
-    def test_zero_forcing_is_zero(self, exp_utility_spec):
-        grid = paths.TimeGrid(25, 1.0)
-        noise = paths.simulate_brownian(grid, 64, 1, seed=7)
-        fwd = paths.solve_forward_sde(exp_utility_spec, grid, noise, paths.ConstantControl((0.2,)))
-        uhat = np.zeros_like(fwd.controls)
-        var = paths.solve_variational_sde(exp_utility_spec, grid, noise, fwd, uhat)
-        assert np.all(var.states == 0.0)
-
-    def test_constant_forcing_deterministic(self):
-        # b_u = B constant, sigma_u = 0, b_x = sigma_x = 0: X1(T) = B e T exactly
-        spec = _affine_spec()
-        b_const = 0.9
-        coeffs = CoefficientSet(
-            **{**spec.coeffs.__dict__, "b_u": lambda t, x, u: np.full((x.shape[0], 1, 1), b_const)}
-        )
-        forced = ProblemSpec(n=1, d=1, k=1, T=1.0, x0=np.array([0.0]), coeffs=coeffs,
-                             domain=spec.domain, constants=spec.constants)
-        grid = paths.TimeGrid(40, 1.0)
-        noise = paths.simulate_brownian(grid, 32, 1, seed=8)
-        fwd = paths.solve_forward_sde(forced, grid, noise, paths.ConstantControl((0.0,)))
-        direction = 0.7
-        uhat = np.full_like(fwd.controls, direction)
-        var = paths.solve_variational_sde(forced, grid, noise, fwd, uhat)
-        assert var.states[:, -1, 0] == pytest.approx(b_const * direction * grid.T, rel=1e-12)
-
-    def test_first_order_accuracy_on_multiplicative_family(self):
-        # sup-norm distance between X^eps and X + eps X1 decays ~ eps^2
-        spec = families.build_controlled_geometric(mu=0.5, vol=0.2)
-        grid = paths.TimeGrid(128, 1.0)
-        noise = paths.simulate_brownian(grid, 512, 1, seed=9)
-        u_bar = paths.ConstantControl((0.0,))
-        base = paths.solve_forward_sde(spec, grid, noise, u_bar)
-        uhat = np.full_like(base.controls, 0.4)
-        var = paths.solve_variational_sde(spec, grid, noise, base, uhat)
-        sups = []
-        eps_values = [2.0**-k for k in range(2, 7)]
-        for eps in eps_values:
-            pert = paths.solve_forward_sde(
-                spec, grid, noise, paths.OpenLoopControl(base.controls + eps * uhat)
-            )
-            gap = pert.states - base.states - eps * var.states
-            sups.append(np.abs(gap).max(axis=(1, 2)).mean())
-        slope = np.polyfit(np.log2(eps_values), np.log2(sups), 1)[0]
-        assert slope >= 1.9
-
-
-class TestExpansionRateCheck:
-    def test_no_perturbation_gives_zero(self):
-        spec = families.build_controlled_geometric()
-        grid = paths.TimeGrid(32, 1.0)
-        noise = paths.simulate_brownian(grid, 64, 1, seed=10)
-        ctrl = paths.ConstantControl((0.3,))
-        report = paths.expansion_rate_check(spec, grid, noise, ctrl, ctrl)
-        assert all(e == 0.0 for e in report.first_order_errors)
-        assert all(e == 0.0 for e in report.remainder_errors)
-        assert report.remainder_degenerate
-        assert report.remainder_slope == math.inf
-
-    def test_bilinear_drift_remainder_slope_four(self):
-        # drift x*(mu+u): linear in the state and in the control separately,
-        # so the expansion remainder is a second-order (cross-term) residual
-        spec = families.build_controlled_geometric(mu=0.5, vol=0.2)
-        grid = paths.TimeGrid(128, 1.0)
-        noise = paths.simulate_brownian(grid, 1024, 1, seed=12)
-        report = paths.expansion_rate_check(
-            spec, grid, noise, paths.ConstantControl((0.0,)), paths.ConstantControl((0.4,))
-        )
-        assert 1.8 <= report.first_order_slope <= 2.2
-        assert 3.4 <= report.remainder_slope <= 4.6
-
-    def test_linear_problem_remainder_degenerate(self, lq_spec):
-        # genuinely affine dynamics: the linearisation is exact and the
-        # remainder vanishes to roundoff; the small-o claim holds trivially
-        grid = paths.TimeGrid(64, 1.0)
-        noise = paths.simulate_brownian(grid, 256, 1, seed=13)
-        report = paths.expansion_rate_check(
-            lq_spec, grid, noise, paths.ConstantControl((0.0,)), paths.ConstantControl((1.0,))
-        )
-        assert report.first_order_slope == pytest.approx(2.0, abs=0.05)
-        assert report.remainder_degenerate
-        assert report.remainder_slope > 2.3  # infinite: vanishes identically
-
-    def test_epsilon_validation(self, lq_spec):
-        grid = paths.TimeGrid(8, 1.0)
-        noise = paths.simulate_brownian(grid, 16, 1, seed=1)
-        ctrl = paths.ConstantControl((0.0,))
-        with pytest.raises(ValueError):
-            paths.expansion_rate_check(lq_spec, grid, noise, ctrl, ctrl, epsilons=[0.5, 0.25])
-        with pytest.raises(ValueError):
-            paths.expansion_rate_check(lq_spec, grid, noise, ctrl, ctrl, epsilons=[2.0, 0.5, 0.25, 0.1])
-
-
 class TestRealization:
     def test_realize_feedback_along_states(self, exp_utility_spec):
         grid = paths.TimeGrid(10, 1.0)

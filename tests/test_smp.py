@@ -117,7 +117,7 @@ class TestGateauxCheck:
         )
         assert report.inconclusive
 
-    @pytest.mark.parametrize("check", [smp.gateaux_check, smp.y_expansion_rate_check])
+    @pytest.mark.parametrize("check", [smp.gateaux_check])
     @pytest.mark.parametrize("epsilons", [[0.5], [2.0, 1.5, 0.5, 0.25]])
     def test_epsilon_grid_is_checked(self, exp_utility_spec, check, epsilons):
         # One size fits a singular two-parameter line; sizes above 1 leave
@@ -127,31 +127,6 @@ class TestGateauxCheck:
         ctrl = paths.ConstantControl((0.0,))
         with pytest.raises(ValueError, match="epsilons"):
             check(exp_utility_spec, grid, noise, ctrl, paths.ConstantControl((0.5,)), epsilons=epsilons)
-
-
-class TestYExpansionRates:
-    def test_lq_family_rates(self, lq_spec):
-        # value-side expansion on the linear-quadratic family: first-order
-        # error decays at slope 2; the remainder (here a clean second-order
-        # residual of the quadratic cost) decays strictly faster than 2.3
-        grid = paths.TimeGrid(100, 1.0)
-        noise = paths.simulate_brownian(grid, 50000, 1, seed=48)
-        report = smp.y_expansion_rate_check(
-            lq_spec, grid, noise,
-            paths.ConstantControl((0.0,)), paths.ConstantControl((1.0,)),
-            basis=bsde.RegressionBasis(2),
-        )
-        assert 1.8 <= report.first_order_slope <= 2.2
-        assert report.remainder_slope > 2.3
-
-    def test_zero_direction(self, lq_spec, small_grid):
-        noise = paths.simulate_brownian(small_grid, 2000, 1, seed=49)
-        ctrl = paths.ConstantControl((0.2,))
-        report = smp.y_expansion_rate_check(
-            lq_spec, small_grid, noise, ctrl, ctrl, basis=bsde.RegressionBasis(2)
-        )
-        assert all(e == 0.0 for e in report.first_order_errors)
-        assert report.remainder_degenerate
 
 
 class TestProjectedGradientDescent:
@@ -164,7 +139,7 @@ class TestProjectedGradientDescent:
         result = smp.projected_gradient_descent(
             spec, grid, noise, policy, step_schedule=0.5, max_iters=10, basis=basis
         )
-        costs = result.costs
+        costs = [row.cost for row in result.trace]
         first_se = result.trace[0].cost_se
         assert costs[0] - min(costs) <= 2.0 * first_se
 
@@ -189,7 +164,7 @@ class TestProjectedGradientDescent:
         )
         assert np.array_equal(result.policy.offsets, init.offsets)
         assert np.array_equal(result.policy.gains, init.gains)
-        costs = result.costs
+        costs = [row.cost for row in result.trace]
         assert max(costs) - min(costs) <= 1e-12
 
     def test_descent_reaches_riccati_cost(self, lq_setup):
@@ -201,7 +176,7 @@ class TestProjectedGradientDescent:
         target = riccati.optimal_cost
         assert abs(result.trace[-1].cost - target) / abs(target) <= 0.02
         # trace is non-increasing after smoothing over a 3-iteration window
-        costs = np.array(result.costs)
+        costs = np.array([row.cost for row in result.trace])
         smoothed = np.convolve(costs, np.ones(3) / 3, mode="valid")
         assert np.all(np.diff(smoothed) <= 2.0 * result.trace[0].cost_se)
 

@@ -13,6 +13,7 @@ from qsmp import adjoint, bmo, bsde, cli, families, paths, smp
 from qsmp.config import build_expression_problem
 from qsmp.model import BoxDomain
 from qsmp.regression import StepRegressor
+from conftest import linear_alone
 from test_multidim import CONSTANTS, SOURCES
 
 FIELDS = ("x", "u", "y", "z", "p", "q", "f_y", "f_z")
@@ -96,19 +97,20 @@ def full_storage_derivatives(spec, grid, noise, u_bar, u):
     forward = paths.solve_forward_sde(spec, grid, noise, u_bar)
     uhat = paths.realize_control_along(u, grid, forward.states) - forward.controls
     backward, costate = adjoint.solve_state_and_costate(spec, grid, noise, forward)
-    data = bsde.LinearBSDEData.from_broadcast(noise.M, grid.N, spec.d, 0.0)
+    lam, phi = paths.step_major((noise.M, grid.N)), paths.step_major((noise.M, grid.N))
+    mu = paths.step_major((noise.M, grid.N, spec.d))
     log_gamma = paths.step_major((noise.M, grid.N + 1), fill=0.0)
     for i in range(grid.N):
         point = adjoint.StepPoint.at(
             spec, i, grid.times[i], forward.states[:, i], forward.controls[:, i],
             backward.Y[:, i], backward.Z[:, i], costate.p[:, i], costate.q[:, i],
         )
-        data.lam[:, i], data.mu[:, i] = point.f_y, point.f_z
-        data.phi[:, i] = np.einsum("mk,mk->m", adjoint.control_gradient(spec, point), uhat[:, i])
+        lam[:, i], mu[:, i] = point.f_y, point.f_z
+        phi[:, i] = np.einsum("mk,mk->m", adjoint.control_gradient(spec, point), uhat[:, i])
         log_gamma[:, i + 1] = bmo.log_exponential_increment(point.f_y, point.f_z, noise.increments[:, i], grid.dt)
     gamma = bmo.cumulate_log_exponential(log_gamma, "exponential weight")
-    aux = bsde.solve_linear_bsde(data, grid, noise, forward.states)
-    return aux, adjoint.gamma_weighted_integral(gamma, data.phi, grid.dt)
+    aux = linear_alone(grid, noise, forward.states, 0.0, lam, mu, phi)
+    return aux, adjoint.gamma_weighted_integral(gamma, phi, grid.dt)
 
 
 @pytest.mark.parametrize("problem", PROBLEMS)
