@@ -264,6 +264,36 @@ class TestWeightedIntegralRepresentation:
         assert plus == -minus
 
 
+class TestDecoupling:
+    """Y^1 = p . X^1 + Yhat with X^1_0 = 0: at time zero the derivative of
+    the value along the perturbation equals the auxiliary value. The
+    derivative is taken here by common-noise difference quotients of the
+    quadratic solution, as the gradient check takes it."""
+
+    def test_zero_direction_all_residuals_vanish(self, tanh_chain, tanh_spec, tanh_auxiliary):
+        grid, noise, forward, backward, _, _ = tanh_chain
+        zero = np.zeros_like(forward.controls)
+        aux, (weighted, _), _ = tanh_auxiliary["zero"]
+        quotient, se = smp._difference_quotient(tanh_spec, grid, noise, forward, backward, zero, 0.25, None)
+        assert quotient == 0.0 and se == 0.0
+        assert aux.y0 == 0.0 and weighted == 0.0
+        assert np.all(aux.Y == 0.0) and np.all(aux.Z == 0.0)
+
+    def test_time_zero_identity(self, tanh_chain, tanh_spec, tanh_auxiliary):
+        grid, noise, forward, backward, _, uhat = tanh_chain
+        aux = tanh_auxiliary["uhat"][0]
+        sizes = [2.0**-k for k in range(3, 7)]
+        quotients, ses = zip(*(
+            smp._difference_quotient(tanh_spec, grid, noise, forward, backward, uhat, eps, None)
+            for eps in sizes
+        ))
+        intercept, intercept_se, _ = smp._weighted_affine_intercept(sizes, quotients, ses)
+        # the state response starts at zero, so the value's derivative and
+        # the auxiliary value must agree at time zero
+        assert abs(intercept - aux.y0) <= 3.0 * math.hypot(intercept_se, aux.y0_standard_error)
+        assert aux.y0 != 0.0
+
+
 def _random_points(rng, spec, size):
     """(t, x, u, y, z, p, q) for a batch of ``size`` random points."""
     n, d, k = spec.n, spec.d, spec.k
@@ -303,6 +333,19 @@ class TestHamiltonian:
         grad = adj.control_gradient(spec, adj.StepPoint.at(spec, 0, t, x, u, y, z, p, q))
         expected = 1.0 * p  # b_u = b = 1, sigma_u = 0
         assert np.allclose(grad, expected)
+
+    def test_gradient_is_affine_in_the_costate(self, tanh_spec):
+        # H_u is f_u at p = q = 0 and linear in (p, q) beyond it
+        t, x, u, y, z, p, q = _random_points(np.random.default_rng(37), tanh_spec, 30)
+        p2, q2 = np.roll(p, 1, axis=0), np.roll(q, 1, axis=0)
+
+        def grad(p_arg, q_arg):
+            return adj.control_gradient(tanh_spec, adj.StepPoint.at(tanh_spec, 0, t, x, u, y, z, p_arg, q_arg))
+
+        at_zero = grad(np.zeros_like(p), np.zeros_like(q))
+        assert np.array_equal(at_zero, tanh_spec.coeffs.f_u(t, x, y, z, u))
+        combined = grad(p - 0.5 * p2, q - 0.5 * q2) - at_zero
+        assert np.allclose(combined, (grad(p, q) - at_zero) - 0.5 * (grad(p2, q2) - at_zero), atol=1e-12)
 
     def test_gradient_matches_finite_differences(self, tanh_spec):
         # H_u at u = u_bar, where the shift of z vanishes; its derivative

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsmp import bmo
+from qsmp import bmo, paths
 from qsmp.errors import SolverError
 
 
@@ -168,10 +168,48 @@ class TestEnergyInequality:
             bmo.energy_check(np.zeros((10, small_grid.N, 1)), small_grid, n_max=7)
 
 
+def stochastic_exponential(integrand, grid, noise):
+    """exp(int H dW - 1/2 int |H|^2 dt) (M, N+1) for the integrand H
+    (M, N, d), from the two functions that cumulate Gamma in the
+    state-costate sweep."""
+    log_values = np.zeros((noise.M, grid.N + 1))
+    for i in range(grid.N):
+        log_values[:, i + 1] = bmo.log_exponential_increment(0.0, integrand[:, i], noise.increments[:, i], grid.dt)
+    return bmo.cumulate_log_exponential(log_values, "stochastic exponential")
+
+
 class TestStochasticExponential:
-    # A zero integrand, positivity and the martingale mean are tested on
-    # Gamma, which the state-costate sweep cumulates the same way
-    # (tests/test_adjoint.py::TestGammaProcess).
+    def test_zero_integrand_is_one(self, small_grid, small_noise):
+        vals = stochastic_exponential(np.zeros((small_noise.M, small_grid.N, 1)), small_grid, small_noise)
+        assert np.all(vals == 1.0)
+
+    def test_positivity(self, small_grid, small_noise):
+        integrand = np.full((small_noise.M, small_grid.N, 1), 1.5)
+        vals = stochastic_exponential(integrand, small_grid, small_noise)
+        assert np.all(vals > 0.0)
+
+    def test_martingale_mean(self, small_grid):
+        noise = paths.simulate_brownian(small_grid, 100000, 1, seed=77)
+        integrand = np.full((noise.M, small_grid.N, 1), 0.5)
+        terminal = stochastic_exponential(integrand, small_grid, noise)[:, -1]
+        se = terminal.std() / math.sqrt(noise.M)
+        assert abs(terminal.mean() - 1.0) <= 3.0 * se
+
+    def test_equals_exp_of_running_sum(self):
+        rng = np.random.default_rng(78)
+        log_values = rng.uniform(-3.0, 3.0, (5, 9))
+        expected = np.exp(np.cumsum(log_values, axis=1))
+        out = bmo.cumulate_log_exponential(log_values, "stochastic exponential")
+        assert out is log_values
+        assert np.allclose(out, expected, rtol=1e-13)
+
+    def test_non_finite_exponent_raises_at_its_step(self):
+        log_values = np.zeros((4, 6))
+        log_values[2, 3] = np.nan
+        with pytest.raises(SolverError, match=r"overflow \(step 2\)") as err:
+            bmo.cumulate_log_exponential(log_values, "stochastic exponential")
+        assert err.value.step == 2
+
     def test_overflow_guard(self):
         # The running exponent reaches 700 after step 6 and 800 after step 7.
         log_values = np.full((3, 11), 100.0)

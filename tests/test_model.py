@@ -18,6 +18,7 @@ from qsmp.model import (
     CoefficientSet,
     HalfspaceDomain,
     ProblemSpec,
+    _chebyshev_radius,
     derive_constants,
     validate_assumptions,
 )
@@ -290,6 +291,19 @@ class TestControlDomains:
         centre, radius = triangle._inscribed_ball()
         assert radius == pytest.approx(inradius, rel=1e-12)
         assert np.allclose(centre, 3.0 + inradius, atol=1e-10)
+
+    def test_chebyshev_radius_of_a_square_and_a_halfplane(self):
+        # [-2, 2]^2 holds a ball of radius 2 and no larger; a half-plane
+        # holds every ball.
+        normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        offsets = np.full(4, 2.0)
+        norms = np.linalg.norm(normals, axis=1)
+        assert _chebyshev_radius(normals, offsets, norms) == pytest.approx(2.0, rel=1e-12)
+        assert _chebyshev_radius(normals[:1], offsets[:1], norms[:1]) == math.inf
+        # scaling a face's normal and offset together leaves the domain as it is
+        scaled = normals * np.array([[3.0], [1.0], [1.0], [0.5]])
+        scaled_offsets = offsets * np.array([3.0, 1.0, 1.0, 0.5])
+        assert _chebyshev_radius(scaled, scaled_offsets, np.linalg.norm(scaled, axis=1)) == pytest.approx(2.0, rel=1e-12)
 
     def test_model_import_loads_no_scipy(self):
         # The inscribed ball is solved with numpy alone.

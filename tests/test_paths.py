@@ -162,6 +162,28 @@ class TestForwardSolver:
         assert np.array_equal(fwd.states, replay.states)
 
 
+class TestExpansionRateCheck:
+    """The perturbation sizes of an expansion-rate check: ``check_epsilons``,
+    which validates the gradient check's sizes and the config's."""
+
+    def test_epsilon_validation(self):
+        with pytest.raises(ValueError):
+            paths.check_epsilons([0.5, 0.25])
+        with pytest.raises(ValueError):
+            paths.check_epsilons([2.0, 0.5, 0.25, 0.1])
+
+    def test_accepted_sizes_come_back_as_floats(self):
+        sizes = paths.check_epsilons(iter([1, 0.5, 0.25, 0.125]))
+        assert sizes == [1.0, 0.5, 0.25, 0.125]
+        assert all(type(e) is float for e in sizes)
+        assert paths.check_epsilons(paths.DEFAULT_EPSILONS) == list(paths.DEFAULT_EPSILONS)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, "0.1", None])
+    def test_size_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError):
+            paths.check_epsilons([0.5, 0.25, 0.125, bad])
+
+
 class TestRealization:
     def test_realize_feedback_along_states(self, exp_utility_spec):
         grid = paths.TimeGrid(10, 1.0)
