@@ -4,7 +4,8 @@ The costate pair (p, q) solves a linear vector backward equation on the
 trajectory and states of the quadratic pair (Y, Z), with coefficients taken
 at (Y, Z): :func:`solve_state_and_costate` runs both in one backward sweep
 (one regression per step) and hands each solved step, with the slopes f_y
-and f_z the costate step evaluated, to ``visit`` as a :class:`StepPoint`.
+and f_z the costate step evaluated and the step's regression, to ``visit``
+as a :class:`StepPoint`.
 The control gradient H_u and the step of log Gamma read that point, so a
 visitor can form them at storage width 2, and an equation swept after the
 costate (such as the auxiliary equation whose value at zero is the cost
@@ -24,7 +25,7 @@ from .bsde import BackwardEquation, BackwardSolution, at_step, backward_sweep, q
 from .errors import SolverError
 from .model import ProblemSpec
 from .paths import BrownianBatch, ForwardBatch, TimeGrid
-from .regression import RegressionBasis
+from .regression import RegressionBasis, StepRegressor
 
 #: Derivatives that take (t, x, u); the others also take (y, z).
 _STATE_DERIVATIVES = frozenset(("b_x", "b_u", "sigma_x", "sigma_u"))
@@ -42,7 +43,8 @@ class AdjointSolution:
 @dataclass(frozen=True)
 class StepPoint:
     """Step i of the trajectory and costate on S points, with the slopes f_y
-    and f_z there. Inside a sweep the arrays are views a later step overwrites."""
+    and f_z there. Inside a sweep the arrays are views a later step
+    overwrites, and ``reg`` is the step's regression (None off the sweep)."""
 
     i: int
     t: float
@@ -54,12 +56,13 @@ class StepPoint:
     q: np.ndarray  # (S, n, d)
     f_y: np.ndarray  # (S,)
     f_z: np.ndarray  # (S, d)
+    reg: StepRegressor | None
 
     @staticmethod
     def at(spec: ProblemSpec, i: int, t, x, u, y, z, p, q) -> "StepPoint":
         """The point at given states, with the slopes evaluated there."""
         f_y, f_z = _coefficients(spec, t, x, u, y, z, "f_y", "f_z")
-        return StepPoint(i, t, x, u, y, z, p, q, f_y, f_z)
+        return StepPoint(i, t, x, u, y, z, p, q, f_y, f_z, None)
 
 
 def _coefficients(spec: ProblemSpec, t, x, u, y, z, *names):
@@ -90,7 +93,7 @@ def costate_equation(
     dt, times = grid.dt, grid.times
     eye = np.eye(n)
 
-    def step(i, cond_p, q_i):
+    def step(i, cond_p, q_i, reg):
         x_i, u_i, y_i, z_i = forward.states[:, i], forward.controls[:, i], at_step(y_vals, i), at_step(z_vals, i)
         f_x, f_y, f_z, b_x, sigma_x = _coefficients(
             spec, times[i], x_i, u_i, y_i, z_i, "f_x", "f_y", "f_z", "b_x", "sigma_x"
@@ -118,7 +121,7 @@ def costate_equation(
         if not np.all(np.isfinite(p_i)):
             raise SolverError("costate turned non-finite", step=i)
         if visit is not None:
-            visit(StepPoint(i, times[i], x_i, u_i, y_i, z_i, p_i, q_i, f_y, f_z))
+            visit(StepPoint(i, times[i], x_i, u_i, y_i, z_i, p_i, q_i, f_y, f_z, reg))
         return p_i, q_i
 
     terminal = np.asarray(spec.coeffs.Phi_x(forward.states[:, grid.N]), dtype=np.float64)

@@ -4,7 +4,8 @@
 one :class:`StepRegressor` on that step's states; then, for each equation in
 a fixed order, it fits the conditional mean of the next value, recovers the
 integrand Z by regressing the centred increment (Y_{i+1} - E[Y_{i+1} | state])
-dW_i / dt, and calls the equation's implicit step. A scalar equation is the
+dW_i / dt, and calls the equation's implicit step with the step's
+regression, which a visitor may fit further targets with. A scalar equation is the
 K = 1 case of a vector one, and a later equation may read what an earlier
 one wrote at the same step: the costate reads Y_i and Z_i, and the
 gradient check's auxiliary equation reads the slopes and the forcing that
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import bmo
 from .errors import SolverError
-from .model import DerivedConstants, ProblemSpec, derive_constants
+from .model import DerivedConstants, ProblemSpec, clip_rows, derive_constants
 from .paths import BrownianBatch, ForwardBatch, TimeGrid, step_major
 from .regression import RegressionBasis, StepRegressor
 
@@ -74,16 +75,6 @@ def default_truncation_radius(constants: DerivedConstants, horizon: float) -> fl
     return 10.0 * math.sqrt(constants.A / horizon)
 
 
-def _truncate_rows(z: np.ndarray, radius: float) -> np.ndarray:
-    if not math.isfinite(radius):
-        return z
-    # numpy's own formula for the 2-norm over the last axis, without the
-    # overhead of ``np.linalg.norm``: the same bits.
-    norms = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))
-    factor = np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
-    return z * factor
-
-
 def at_step(a: np.ndarray, i: int) -> np.ndarray:
     """Step i of an equation's storage ``a`` (M, width, ...): slice
     ``i % width``, which is slice i when the whole path is stored."""
@@ -96,12 +87,12 @@ class BackwardEquation:
     Holds values (M, width, K) from the terminal ones (M, K), integrands
     (M, width, K, d), zero until a step writes them, both stored step-major
     (see :func:`qsmp.paths.step_major`), and
-    ``step(i, cond, z) -> (value, integrand)``, which resolves step i from
-    the conditional mean (M, K) of the next value and the regressed
-    integrand (M, K, d). Step i lives in slice ``i % width``
-    (:func:`at_step`): the default width N+1 keeps every step, and width 2
-    keeps steps i and i+1 while the sweep is at step i. The terminal values
-    are also kept apart, for the pathwise targets. ``driver_sum`` (M,) is
+    ``step(i, cond, z, reg) -> (value, integrand)``, which resolves step i
+    from the conditional mean (M, K) of the next value, the regressed
+    integrand (M, K, d) and the step's regression ``reg``. Step i lives in
+    slice ``i % width`` (:func:`at_step`): the default width N+1 keeps every
+    step, and width 2 keeps steps i and i+1 while the sweep is at step i.
+    The terminal values are also kept apart, for the pathwise targets. ``driver_sum`` (M,) is
     where a scalar equation's step adds its pathwise driver. The step must
     not refer to the equation: that cycle would keep every solve's arrays
     alive until the garbage collector runs.
@@ -143,12 +134,12 @@ def backward_sweep(
             z_target = ((nxt - cond)[:, :, None] * noise.increments[:, i, None, :] / dt).reshape(m_paths, -1)
             z_flat, _ = reg.fit(z_target)
             z_i = z_flat.reshape(m_paths, -1, d)
-            at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i)
+            at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i, reg)
 
 
-def quadratic_defaults(spec: ProblemSpec, basis=None, truncation_radius=None, constants=None):
+def quadratic_defaults(spec: ProblemSpec, basis, truncation_radius):
     """(basis, truncation radius, constants) with the quadratic solver's defaults."""
-    constants = constants or derive_constants(spec)
+    constants = derive_constants(spec)
     if truncation_radius is None:
         truncation_radius = default_truncation_radius(constants, spec.T)
     return basis or RegressionBasis(3), truncation_radius, constants
@@ -170,10 +161,10 @@ def quadratic_equation(
     dt, times, co = grid.dt, grid.times, spec.coeffs
     driver_sum = np.zeros(forward.states.shape[0])
 
-    def step(i, cond, z):
+    def step(i, cond, z, reg):
         nonlocal driver_sum
         cond_y = cond[:, 0]
-        z_i = _truncate_rows(z[:, 0], truncation_radius)
+        z_i = clip_rows(z[:, 0], truncation_radius)
         x_i = forward.states[:, i]
         u_i = forward.controls[:, i]
         y_i = cond_y.copy()
@@ -209,14 +200,13 @@ def solve_quadratic_bsde(
     forward: ForwardBatch,
     basis: RegressionBasis | None = None,
     truncation_radius: float | None = None,
-    constants: DerivedConstants | None = None,
     ridge: float | None = None,
     width: int | None = None,
 ) -> BackwardSolution:
     """Backward component of the state system (see :func:`quadratic_equation`).
     At ``width`` 2 the solution holds step 0 and the terminal values only,
     which is all that ``y0`` and its standard error read."""
-    basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius, constants)
+    basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius)
     eq = quadratic_equation(spec, grid, forward, truncation_radius, constants, width)
     backward_sweep(grid, noise, forward.states, [eq], basis, ridge)
     return eq.scalar_solution()
@@ -232,7 +222,7 @@ def linear_equation(terminal: np.ndarray, grid: TimeGrid, d: int, coefficients_a
     dt = grid.dt
     driver_sum = np.zeros(terminal.shape[0])
 
-    def step(i, cond, z):
+    def step(i, cond, z, reg):
         nonlocal driver_sum
         lam, mu, phi = coefficients_at(i)
         denom = 1.0 - dt * lam

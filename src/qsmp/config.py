@@ -74,10 +74,16 @@ _CONSTANT_KEYS = (
     "b_x_sup", "b_u_sup", "sigma_u_sup", "Phi_x_sup",
 )
 
+# The keys of each [problem] domain kind.
+_DOMAIN_KEYS = {
+    "box": ("domain_lower", "domain_upper"),
+    "ball": ("domain_center", "domain_radius"),
+    "halfspace-intersection": ("domain_normals", "domain_offsets"),
+}
+
 _INLINE_KEYS = {
-    "n", "d", "k", "x0", "b", "sigma", "f", "Phi", "domain",
-    "domain_lower", "domain_upper", "domain_center", "domain_radius",
-    "domain_normals", "domain_offsets", "sigma_x_sup", *_CONSTANT_KEYS,
+    "n", "d", "k", "x0", "b", "sigma", "f", "Phi", "domain", "sigma_x_sup", *_CONSTANT_KEYS,
+    *(key for keys in _DOMAIN_KEYS.values() for key in keys),
 }
 
 _DEFAULT_CONTROLS = {
@@ -338,7 +344,10 @@ def _build_problem(section: dict, horizon: float):
             params[key] = _scalar(float, "problem", key, value)
         if "T" in signature.parameters and "T" not in params:
             params["T"] = horizon
-        spec = builder(**params)
+        try:
+            spec = builder(**params)
+        except ValueError as err:
+            raise ConfigError(f"family {name}: {err}", "[problem]")
         if abs(spec.T - horizon) > 1e-12:
             raise ConfigError(
                 f"grid horizon T={horizon} differs from the family horizon T={spec.T}",
@@ -353,6 +362,10 @@ def _build_problem(section: dict, horizon: float):
         if key not in section:
             raise ConfigError(f"inline problem needs key {key}", f"[problem] {key}")
     dims = tuple(_scalar(int, "problem", key, section[key]) for key in ("n", "d", "k"))
+    try:
+        domain = _build_domain(section, dims[2])
+    except ValueError as err:
+        raise ConfigError(str(err), "[problem] domain")
     spec = build_expression_problem(
         n=dims[0],
         d=dims[1],
@@ -360,7 +373,7 @@ def _build_problem(section: dict, horizon: float):
         T=horizon,
         x0=_numeric_list("problem", "x0", section["x0"]),
         sources={key: section[key] for key in ("b", "sigma", "f", "Phi")},
-        domain=_build_domain(section, dims[2]),
+        domain=domain,
         constants=_build_constants(section, dims[1]),
     )
     return spec, None, {}
@@ -368,6 +381,11 @@ def _build_problem(section: dict, horizon: float):
 
 def _build_domain(section: dict, k: int):
     kind = section["domain"]
+    if kind not in _DOMAIN_KEYS:
+        raise ConfigError(f"unknown domain kind {kind!r}; expected {', '.join(_DOMAIN_KEYS)}", "[problem] domain")
+    for key in section:
+        if key.startswith("domain_") and key not in _DOMAIN_KEYS[kind]:
+            raise ConfigError(f"a {kind} domain has no key {key!r}", f"[problem] {key}")
     if kind == "box":
         lower = _numeric_list("problem", "domain_lower", section.get("domain_lower", "[-1.0]" if k == 1 else ""))
         upper = _numeric_list("problem", "domain_upper", section.get("domain_upper", "[1.0]" if k == 1 else ""))
@@ -388,10 +406,6 @@ def _build_domain(section: dict, k: int):
         if not isinstance(normals[0], list):
             normals = [normals]
         return HalfspaceDomain(tuple(map(tuple, normals)), tuple(offsets))
-    raise ConfigError(
-        f"unknown domain kind {kind!r}; expected box, ball, or halfspace-intersection",
-        "[problem] domain",
-    )
 
 
 def _build_constants(section: dict, d: int) -> AssumptionConstants:

@@ -24,7 +24,7 @@ of that column with respect to the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
@@ -155,6 +155,17 @@ class BoxDomain(ControlDomain):
         return out
 
 
+def clip_rows(rows: np.ndarray, radius: float) -> np.ndarray:
+    """``rows`` with every row longer than ``radius`` scaled back to that
+    length; the rows themselves when the radius is infinite."""
+    if not math.isfinite(radius):
+        return rows
+    # numpy's own formula for the 2-norm over the last axis, without the
+    # overhead of ``np.linalg.norm``: the same bits.
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
+    return rows * np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
+
+
 @dataclass(frozen=True)
 class BallDomain(ControlDomain):
     center: tuple
@@ -171,11 +182,7 @@ class BallDomain(ControlDomain):
         return len(self.center)
 
     def project(self, v):
-        v = np.asarray(v, dtype=np.float64)
-        offset = v - self.center
-        norm = np.linalg.norm(offset, axis=-1, keepdims=True)
-        factor = np.where(norm > self.radius, self.radius / np.where(norm > 0, norm, 1.0), 1.0)
-        return np.asarray(self.center) + offset * factor
+        return np.asarray(self.center) + clip_rows(np.asarray(v, dtype=np.float64) - self.center, self.radius)
 
     def pullback(self, raw, weight):
         """Outside the ball the projection is c + R v / |v| with v = raw - c,
@@ -418,7 +425,7 @@ class CheckResult:
 
 @dataclass
 class ValidationReport:
-    checks: list = field(default_factory=list)
+    checks: list
 
     @property
     def passed(self) -> bool:
@@ -474,7 +481,7 @@ def validate_assumptions(
     zeros_z = np.zeros((m, d))
 
     co, cs = spec.coeffs, spec.constants
-    report = ValidationReport()
+    report = ValidationReport([])
 
     def to_finite(name, arr):
         arr = np.asarray(arr, dtype=np.float64)
@@ -482,12 +489,12 @@ def validate_assumptions(
             raise QsmpError(f"evaluator {name} returned non-finite values")
         return arr
 
-    def ratio_check(name, lhs, rhs, detail=""):
+    def ratio_check(name, lhs, rhs):
         lhs = np.asarray(lhs, dtype=np.float64)
         rhs = np.asarray(rhs, dtype=np.float64)
         ratios = lhs / np.maximum(rhs, _RATIO_FLOOR)
         worst = float(ratios.max()) if ratios.size else 0.0
-        report.checks.append(CheckResult(name, worst <= 1.0 + _RATIO_TOL, worst, detail))
+        report.checks.append(CheckResult(name, worst <= 1.0 + _RATIO_TOL, worst))
 
     growth = 1.0 + np.abs(y) + np.einsum("md,md->m", z, z) + np.linalg.norm(u, axis=1)
 

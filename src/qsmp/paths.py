@@ -117,33 +117,11 @@ class FeedbackControl(Control):
 
 
 @dataclass(frozen=True)
-class OpenLoopControl(Control):
-    """Per-path control table on the grid, shape (M, N+1, k)."""
-
-    table: np.ndarray
-
-    def values(self, i, t, states):
-        return self.table[:, i, :]
-
-
-@dataclass(frozen=True)
 class ConstantControl(Control):
     value: tuple
 
     def values(self, i, t, states):
         return np.broadcast_to(np.asarray(self.value, dtype=np.float64), (states.shape[0], len(self.value)))
-
-
-def realize_control_along(control: Control, grid: TimeGrid, states: np.ndarray) -> np.ndarray:
-    """Evaluate a control along a given state trajectory, yielding the adapted
-    open-loop table (M, N+1, k) it induces."""
-    times = grid.times
-    first = control.values(0, times[0], states[:, 0])
-    table = step_major((states.shape[0], grid.N + 1, first.shape[1]))
-    table[:, 0] = first
-    for i in range(1, grid.N + 1):
-        table[:, i] = control.values(i, times[i], states[:, i])
-    return table
 
 
 @dataclass(frozen=True)

@@ -36,38 +36,22 @@ class RegressionBasis:
     state variables up to the given total degree, the constant included
     (degree 0 keeps only the constant, which turns every regression into a
     plain batch mean).
-
-    ``max_degrees`` is an extension hook: an optional per-variable degree cap
-    (one entry per state variable) that drops monomials exceeding it. Fitting
-    a quantity known to be low-order in one coordinate (for example affine in
-    a response variable) with a capped basis avoids wild extrapolation at
-    extreme paths without giving up richness in the other coordinates.
     """
 
     degree: int
-    max_degrees: tuple | None = None
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.max_degrees is not None:
-            object.__setattr__(self, "max_degrees", tuple(int(v) for v in self.max_degrees))
-            if any(v < 0 for v in self.max_degrees):
-                raise ValueError("max_degrees entries must be >= 0")
 
     def exponents(self, state_dim: int) -> np.ndarray:
         """Exponent matrix (F, state_dim); row 0 is the constant feature."""
-        caps = self.max_degrees
-        if caps is not None and len(caps) != state_dim:
-            raise ValueError(f"max_degrees needs one entry per state variable ({state_dim})")
         rows = []
         for deg in range(self.degree + 1):
             for combo in combinations_with_replacement(range(state_dim), deg):
                 row = np.zeros(state_dim, dtype=np.int64)
                 for j in combo:
                     row[j] += 1
-                if caps is not None and np.any(row > np.asarray(caps)):
-                    continue
                 rows.append(row)
         return np.array(rows, dtype=np.int64)
 

@@ -24,14 +24,11 @@ from .paths import (
     BrownianBatch,
     Control,
     ForwardBatch,
-    OpenLoopControl,
     TimeGrid,
     check_epsilons,
-    realize_control_along,
     solve_forward_sde,
     step_major,
 )
-from .regression import StepRegressor
 
 
 def cost_functional(spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, control: Control) -> float:
@@ -80,13 +77,12 @@ def gateaux_check(
     """Difference quotients of J under the convex perturbation
     u_bar + eps (u - u_bar), Richardson-extrapolated to eps = 0 and compared
     with both computations of the adjoint-based derivative, which one
-    state-costate sweep gives (:func:`_derivative_sweep`). Every chain keeps
-    two time slices of its backward solution."""
+    state-costate sweep gives (:func:`_derivative_sweep`). Each step forms
+    the direction when it reads it, and every chain keeps two time slices."""
     eps_list = check_epsilons(epsilons)
     forward = solve_forward_sde(spec, grid, noise, u_bar)
-    uhat = realize_control_along(u, grid, forward.states)
-    uhat -= forward.controls
-    backward, aux, phi, gamma = _derivative_sweep(spec, grid, noise, forward, uhat, basis)
+    uhat_at = _direction(u, grid, forward)
+    backward, aux, phi, gamma = _derivative_sweep(spec, grid, noise, forward, uhat_at, basis)
     yhat0, yhat0_se = aux.y0, aux.y0_standard_error
     y0_gamma, y0_gamma_se = adjoint_mod.gamma_weighted_integral(gamma, phi, grid.dt)
     del aux, phi, gamma
@@ -94,7 +90,7 @@ def gateaux_check(
     quotients = []
     ses = []
     for eps in eps_list:
-        quotient, se = _difference_quotient(spec, grid, noise, forward, backward, uhat, eps, basis)
+        quotient, se = _difference_quotient(spec, grid, noise, forward, backward, uhat_at, eps, basis)
         quotients.append(quotient)
         ses.append(se)
 
@@ -120,17 +116,40 @@ def gateaux_check(
     )
 
 
-def _derivative_sweep(spec, grid, noise, forward, uhat, basis, width=2):
+def _direction(u, grid, forward):
+    """The direction toward ``u`` along the trajectory ``forward`` as a
+    function of the step: i -> u(t_i, x_i) - u_bar_i, shape (M, k)."""
+    times = grid.times
+
+    def uhat_at(i):
+        return u.values(i, times[i], forward.states[:, i]) - forward.controls[:, i]
+
+    return uhat_at
+
+
+@dataclass(frozen=True)
+class _Perturbed(Control):
+    """The open-loop control u_bar_i + eps uhat_at(i), u_bar the base controls (M, N+1, k)."""
+
+    base: np.ndarray
+    uhat_at: object
+    eps: float
+
+    def values(self, i, t, states):
+        return self.base[:, i] + self.eps * self.uhat_at(i)
+
+
+def _derivative_sweep(spec, grid, noise, forward, uhat_at, basis, width=2):
     """One state-costate sweep that also solves the auxiliary equation for
-    the direction ``uhat``: zero terminal value, slopes f_y and f_z, and
-    forcing phi = H_u . uhat. Returns the quadratic solution, the auxiliary
-    solution (both at ``width``), phi (M, N) and Gamma (M, N+1)."""
+    the direction ``uhat_at(i)`` (M, k): zero terminal value, slopes f_y and
+    f_z, and forcing phi = H_u . uhat. Returns the quadratic solution, the
+    auxiliary solution (both at ``width``), phi (M, N) and Gamma (M, N+1)."""
     phi = step_major((noise.M, grid.N))
     log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
     visited = []
 
     def visit(point):
-        np.einsum("mk,mk->m", adjoint_mod.control_gradient(spec, point), uhat[:, point.i], out=phi[:, point.i])
+        np.einsum("mk,mk->m", adjoint_mod.control_gradient(spec, point), uhat_at(point.i), out=phi[:, point.i])
         log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
         visited[:] = [point]
 
@@ -146,11 +165,11 @@ def _derivative_sweep(spec, grid, noise, forward, uhat, basis, width=2):
     return backward, aux.scalar_solution(), phi, bmo.cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)
 
 
-def _difference_quotient(spec, grid, noise, forward, backward, uhat, eps, basis):
+def _difference_quotient(spec, grid, noise, forward, backward, uhat_at, eps, basis):
     """(J(u_bar + eps uhat) - J(u_bar)) / eps on the same noise, and its
     standard error. The perturbed chain keeps two time slices and is dropped
     on return, so no two chains' arrays are alive together."""
-    perturbed = _solve_chain(spec, grid, noise, OpenLoopControl(forward.controls + eps * uhat), basis, width=2)[1]
+    perturbed = _solve_chain(spec, grid, noise, _Perturbed(forward.controls, uhat_at, eps), basis, width=2)[1]
     diff = perturbed.pathwise_targets - backward.pathwise_targets
     return (perturbed.y0 - backward.y0) / eps, float(diff.std() / (eps * math.sqrt(noise.M)))
 
@@ -411,13 +430,13 @@ def _check_steps(n_steps: int, n_times: int) -> list:
 def _query_points(spec, grid, noise, forward, basis, check_steps, query_paths):
     """The :class:`qsmp.adjoint.StepPoint` at the rows ``query_paths`` of
     each check step, from one state-costate sweep at width 2 over all paths;
-    the visit copies the rows out before the sweep overwrites them."""
+    the visit copies the rows and slopes out before the sweep overwrites them."""
     points = {}
 
     def visit(point):
         if point.i in check_steps:
-            rows = (a[query_paths] for a in (point.x, point.u, point.y, point.z, point.p, point.q))
-            points[point.i] = adjoint_mod.StepPoint.at(spec, point.i, point.t, *rows)
+            fields = (point.x, point.u, point.y, point.z, point.p, point.q, point.f_y, point.f_z)
+            points[point.i] = adjoint_mod.StepPoint(point.i, point.t, *(a[query_paths] for a in fields), None)
 
     adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis=basis, width=2, visit=visit)
     return [points[i] for i in check_steps]
@@ -426,7 +445,7 @@ def _query_points(spec, grid, noise, forward, basis, check_steps, query_paths):
 def _replicate_fields(spec, grid, noise, forward, sel, basis, points):
     """The control gradient at each check step's query points, from the
     solve chain replicated on the paths ``sel`` at width 2. At each check
-    step the visit regresses the group's Y, Z, p and q on the group's states
+    step the visit fits the group's Y, Z, p and q with the sweep's regression
     and evaluates the fits at the query states, so no group path array but
     the forward batch's views outlives the sweep."""
     g_noise = BrownianBatch(noise.increments[sel], noise.seed, noise.stream_id)
@@ -439,12 +458,11 @@ def _replicate_fields(spec, grid, noise, forward, sel, basis, points):
         query = queries.get(point.i)
         if query is None:
             return
-        # The replicate solution at the query states: one regression on the
-        # group's states serves the four fitted functions.
+        # The replicate solution at the query states: the sweep's regression
+        # on the group's states serves the four fitted functions.
         x_q = query.x
-        reg = StepRegressor(basis, point.x)
         gy, gz, gp, gq = (
-            reg.fit(values)[1].evaluate(x_q) for values in (point.y, point.z, point.p, point.q.reshape(-1, n * d))
+            point.reg.fit(values)[1].evaluate(x_q) for values in (point.y, point.z, point.p, point.q.reshape(-1, n * d))
         )
         gq = gq.reshape(len(x_q), n, d)
         at_query = adjoint_mod.StepPoint.at(spec, point.i, query.t, x_q, query.u, gy[:, 0], gz, gp, gq)

@@ -133,10 +133,13 @@ def write_csv(path: str, header: list, rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def export_paths_csv(path: str, grid, forward, backward, max_paths: int = 64) -> None:
-    """Wide per-(path, step) table for small batches; one column per state,
-    control, and backward component."""
-    m_paths = min(forward.states.shape[0], max_paths)
+_EXPORTED_PATHS = 64  # the first paths of the batch, in export_paths_csv
+
+
+def export_paths_csv(path: str, grid, forward, backward) -> None:
+    """Wide per-(path, step) table of the first paths of a batch; one column
+    per state, control, and backward component."""
+    m_paths = min(forward.states.shape[0], _EXPORTED_PATHS)
     n = forward.states.shape[2]
     k = forward.controls.shape[2]
     d = backward.Z.shape[2]

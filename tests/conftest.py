@@ -46,6 +46,16 @@ def costate_alone(spec, grid, noise, forward, backward):
     return adjoint.AdjointSolution(eq.values, eq.integrands, eq.terminal)
 
 
+def quadratic_alone(spec, grid, noise, forward, constants):
+    """The quadratic backward pair under the given derived constants, which
+    set the abort level and the default truncation radius, solved by the
+    quadratic solver's step (``bsde.quadratic_equation``) in a sweep of its own."""
+    radius = bsde.default_truncation_radius(constants, spec.T)
+    eq = bsde.quadratic_equation(spec, grid, forward, radius, constants)
+    bsde.backward_sweep(grid, noise, forward.states, [eq], bsde.RegressionBasis(3))
+    return eq.scalar_solution()
+
+
 def linear_alone(grid, noise, states, xi, lam=0.0, mu=0.0, phi=0.0, basis=None):
     """The affine BSDE with generator lam y + mu . z + phi and terminal xi,
     each broadcast to its per-path-step shape, solved by the gradient

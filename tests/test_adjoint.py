@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from qsmp import adjoint as adj
 from qsmp import bsde, model, paths, smp
 
-from conftest import costate_alone
+from conftest import costate_alone, quadratic_alone
 
 
 def _override(spec, **replacements):
@@ -24,7 +24,7 @@ def auxiliary_solution(spec, grid, noise, forward, uhat):
     """The auxiliary solution for the direction ``uhat`` (whole paths), the
     Gamma-weighted integral (mean, SE) and Gamma, from the gradient check's
     one state-costate sweep."""
-    _, aux, phi, gamma = smp._derivative_sweep(spec, grid, noise, forward, uhat, None, width=None)
+    _, aux, phi, gamma = smp._derivative_sweep(spec, grid, noise, forward, lambda i: uhat[:, i], None, width=None)
     return aux, adj.gamma_weighted_integral(gamma, phi, grid.dt), gamma
 
 
@@ -43,8 +43,8 @@ def tanh_chain(tanh_spec):
     forward = paths.solve_forward_sde(tanh_spec, grid, noise, u_bar)
     backward = bsde.solve_quadratic_bsde(tanh_spec, grid, noise, forward)
     adjoint = costate_alone(tanh_spec, grid, noise, forward, backward)
-    u_table = paths.realize_control_along(u_other, grid, forward.states)
-    uhat = u_table - forward.controls
+    uhat_at = smp._direction(u_other, grid, forward)
+    uhat = np.stack([uhat_at(i) for i in range(grid.N + 1)], axis=1)
     return grid, noise, forward, backward, adjoint, uhat
 
 
@@ -97,9 +97,8 @@ class TestAdjointSolver:
             Phi_x=lambda x: np.full((x.shape[0], 1), v_const),
         )
         forward = paths.solve_forward_sde(spec, small_grid, small_noise, paths.ConstantControl((0.0,)))
-        backward = bsde.solve_quadratic_bsde(
-            spec, small_grid, small_noise, forward,
-            constants=model.DerivedConstants(1.0, 100.0, 2.0, 1.0, 2.0, 8.0),
+        backward = quadratic_alone(
+            spec, small_grid, small_noise, forward, model.DerivedConstants(1.0, 100.0, 2.0, 1.0, 2.0, 8.0)
         )
         adjoint = costate_alone(spec, small_grid, small_noise, forward, backward)
         assert np.allclose(adjoint.p, v_const, atol=2e-5)
@@ -137,10 +136,7 @@ class TestAdjointSolver:
         grid = paths.TimeGrid(100, 1.0)
         noise = paths.simulate_brownian(grid, 3000, 1, seed=32)
         forward = paths.solve_forward_sde(spec, grid, noise, paths.ConstantControl((0.0,)))
-        backward = bsde.solve_quadratic_bsde(
-            spec, grid, noise, forward,
-            constants=model.DerivedConstants(10.0, 1000.0, 2.0, 1.0, 2.0, 8.0),
-        )
+        backward = quadratic_alone(spec, grid, noise, forward, model.DerivedConstants(10.0, 1000.0, 2.0, 1.0, 2.0, 8.0))
         adjoint = costate_alone(spec, grid, noise, forward, backward)
         for idx in (0, grid.N // 2):
             expected = expm(b_mat.T * (grid.T - grid.times[idx])) @ v_vec
@@ -274,7 +270,7 @@ class TestDecoupling:
         grid, noise, forward, backward, _, _ = tanh_chain
         zero = np.zeros_like(forward.controls)
         aux, (weighted, _), _ = tanh_auxiliary["zero"]
-        quotient, se = smp._difference_quotient(tanh_spec, grid, noise, forward, backward, zero, 0.25, None)
+        quotient, se = smp._difference_quotient(tanh_spec, grid, noise, forward, backward, lambda i: zero[:, i], 0.25, None)
         assert quotient == 0.0 and se == 0.0
         assert aux.y0 == 0.0 and weighted == 0.0
         assert np.all(aux.Y == 0.0) and np.all(aux.Z == 0.0)
@@ -284,7 +280,7 @@ class TestDecoupling:
         aux = tanh_auxiliary["uhat"][0]
         sizes = [2.0**-k for k in range(3, 7)]
         quotients, ses = zip(*(
-            smp._difference_quotient(tanh_spec, grid, noise, forward, backward, uhat, eps, None)
+            smp._difference_quotient(tanh_spec, grid, noise, forward, backward, lambda i: uhat[:, i], eps, None)
             for eps in sizes
         ))
         intercept, intercept_se, _ = smp._weighted_affine_intercept(sizes, quotients, ses)

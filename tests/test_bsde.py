@@ -10,7 +10,7 @@ from qsmp import bsde, families, model, paths
 from qsmp.errors import IllConditionedBasisError, SolverError
 from qsmp.regression import RegressionBasis, StepRegressor
 
-from conftest import gauss_hermite_log_moment, linear_alone
+from conftest import gauss_hermite_log_moment, linear_alone, quadratic_alone
 
 
 def brownian_paths(noise):
@@ -75,12 +75,12 @@ class TestRegression:
         feats = RegressionBasis(2).features(np.random.default_rng(3).standard_normal((10, 2)))
         assert np.allclose(feats[:, 0], 1.0)
 
-    @pytest.mark.parametrize("state_dim,degree,caps", [(1, 3, None), (2, 2, None), (3, 3, (3, 1, 2)), (2, 0, None)])
-    def test_features_equal_column_reference(self, state_dim, degree, caps):
+    @pytest.mark.parametrize("state_dim,degree", [(1, 3), (2, 2), (2, 0)])
+    def test_features_equal_column_reference(self, state_dim, degree):
         rng = np.random.default_rng(5)
         states = rng.standard_normal((257, state_dim))
         shift, scale = rng.standard_normal(state_dim), rng.uniform(0.5, 2.0, state_dim)
-        basis = RegressionBasis(degree, max_degrees=caps)
+        basis = RegressionBasis(degree)
         # Reference: every monomial filled column by column into a C-order (M, F) array.
         z = (states - shift) / scale
         expected = np.ones((len(states), basis.exponents(state_dim).shape[0]))
@@ -166,7 +166,7 @@ class TestQuadraticSolver:
             alpha_tilde=5.0, A=50.0, p_bar=2.0, p_bar_minus_one=1.0,
             p_bar_star=2.0, admissibility_exponent=8.0,
         )
-        sol = bsde.solve_quadratic_bsde(spec2, small_grid, noise, fwd, constants=synthetic)
+        sol = quadratic_alone(spec2, small_grid, noise, fwd, synthetic)
         expected = constant * np.exp(a_coef * (small_grid.T - small_grid.times))
         worst = np.abs(sol.Y - expected[None, :]).max()
         assert worst <= 5.0 * a_coef**2 * constant * math.exp(a_coef) * small_grid.dt
@@ -328,4 +328,6 @@ def test_truncation_matches_linalg_norm_bits(d):
     radius = 1.5 * math.sqrt(d)
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
     expected = z * np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
-    assert np.array_equal(bsde._truncate_rows(z, radius), expected)
+    assert np.array_equal(model.clip_rows(z, radius), expected)
+    # The ball's projection clips with the same rows.
+    assert np.array_equal(model.BallDomain((0.0,) * d, radius).project(z), expected)

@@ -556,6 +556,37 @@ class TestControlsAndLists:
         with pytest.raises(ConfigError, match=rf"\[problem\] {key}: invalid numeric list"):
             config.load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("family,parameter,message", [
+        ("exponential_utility", "gamma = -1", "gamma must be positive"),
+        ("linear_quadratic", "r = 0", "control weight r must be positive"),
+        ("linear_quadratic", "a = nan", "assumption constants must be finite and nonnegative"),
+    ], ids=["gamma", "r", "a"])
+    def test_family_parameter_rejected_by_its_builder_located(self, tmp_path, capsys, family, parameter, message):
+        text = BASE.replace("family = exponential_utility", f"family = {family}\n{parameter}")
+        assert run_cli(["constants", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: [problem]: family {family}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["domain_lower", "domain_upper", "domain_normals"])
+    def test_domain_key_of_another_kind_located(self, tmp_path, capsys, key):
+        with open(os.path.join(CONFIG_DIR, "inline_quadratic.cfg")) as handle:
+            text = handle.read().replace(
+                "domain = box\ndomain_lower = [-1.0]\ndomain_upper = [1.0]", f"domain = ball\n{key} = [1.0]"
+            )
+        assert run_cli(["solve", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: [problem] {key}: a ball domain has no key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain,message", [
+        ("domain = ball\ndomain_radius = -1", "radius must be positive"),
+        ("domain = box\ndomain_lower = [1.0]\ndomain_upper = [-1.0]", "box bounds must satisfy lower <= upper"),
+        ("domain = halfspace-intersection\ndomain_normals = [[0.0]]\ndomain_offsets = [1.0]",
+         "halfspace normals must be nonzero"),
+    ], ids=["ball", "box", "halfspace"])
+    def test_domain_rejected_by_its_constructor_located(self, tmp_path, capsys, domain, message):
+        with open(os.path.join(CONFIG_DIR, "inline_quadratic.cfg")) as handle:
+            text = handle.read().replace("domain = box\ndomain_lower = [-1.0]\ndomain_upper = [1.0]", domain)
+        assert run_cli(["solve", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: [problem] domain: {message}" in capsys.readouterr().err
+
     def test_epsilons_given_as_rows_rejected(self, tmp_path):
         text = BASE + "\n[gradient_check]\nepsilons = [[0.5], [0.25], [0.125], [0.1]]\n"
         with pytest.raises(ConfigError, match=r"\[gradient_check\] epsilons: need >= 4 epsilons in \(0, 1\]"):

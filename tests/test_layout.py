@@ -26,8 +26,8 @@ def chain(tanh_spec):
 def test_step_slices_are_contiguous(tanh_spec, chain, monkeypatch):
     grid, noise, forward, backward, costate = chain
     n, d, k = tanh_spec.n, tanh_spec.d, tanh_spec.k
-    uhat = paths.realize_control_along(paths.ConstantControl((0.3,)), grid, forward.states) - forward.controls
-    _, _, phi, gamma = smp._derivative_sweep(tanh_spec, grid, noise, forward, uhat, None)
+    uhat_at = smp._direction(paths.ConstantControl((0.3,)), grid, forward)
+    _, _, phi, gamma = smp._derivative_sweep(tanh_spec, grid, noise, forward, uhat_at, None)
     # The descent's weights live inside the policy gradient: record what it allocates.
     allocated = []
 
@@ -158,3 +158,79 @@ def test_every_import_in_src_is_used():
                     if bound not in used:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+_FAMILY_REASON = "config surface: the [problem] keys of a family reach its builder through FAMILIES"
+_SCHEMA_REASON = "config schema: _parse_section sets each field from the key of the same name"
+
+#: Defaulted parameters (``function(parameter)``) and dataclass fields
+#: (``Class(field)``) of ``src/qsmp`` that no call in ``src`` sets, each with
+#: the reason it stays; an entry without a parenthesis covers every option of
+#: that function or class.
+UNSET_OPTIONS_ALLOWED = {
+    "cli.main(argv)": "the console-script entry calls main() without arguments and it reads sys.argv",
+    "families.build_exponential_utility": _FAMILY_REASON,
+    "families.build_linear_quadratic": _FAMILY_REASON,
+    "families.build_bounded_tanh": _FAMILY_REASON,
+    "families.build_controlled_geometric": _FAMILY_REASON,
+    "paths.simulate_brownian(stream_id)": "fresh-stream draws for the out-of-sample estimates of ROADMAP items 5 and 8",
+    "smp._derivative_sweep(width)": "the full-storage test references sweep at width N+1",
+    "config.DescentParams": _SCHEMA_REASON,
+    "config.CheckParams": _SCHEMA_REASON,
+    "config.BmoParams": _SCHEMA_REASON,
+    "config.Overrides": _SCHEMA_REASON,
+}
+
+
+def _options(node, prefix, cls=None):
+    """(qualified name, the name its callers call, {option: positional index,
+    None for a keyword-only one}) for each function, method and dataclass
+    under ``node``; the options are the defaulted parameters or fields."""
+    for sub in ast.iter_child_nodes(node):
+        qual = f"{prefix}.{getattr(sub, 'name', '')}"
+        if isinstance(sub, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d) for d in sub.decorator_list):
+                fields = [f for f in sub.body if isinstance(f, ast.AnnAssign)]
+                yield qual, sub.name, {f.target.id: j for j, f in enumerate(fields) if f.value is not None}
+            yield from _options(sub, qual, sub)
+        elif isinstance(sub, ast.FunctionDef):
+            args = sub.args
+            positional = args.posonlyargs + args.args
+            bound = cls is not None and "staticmethod" not in {ast.unparse(d) for d in sub.decorator_list}
+            first = len(positional) - len(args.defaults)
+            options = {a.arg: j - bound for j, a in enumerate(positional) if j >= first}
+            options.update({a.arg: None for a, default in zip(args.kwonlyargs, args.kw_defaults) if default})
+            yield qual, cls.name if sub.name == "__init__" else sub.name, options
+            yield from _options(sub, qual)
+        else:
+            yield from _options(sub, prefix, cls)
+
+
+def test_every_option_in_src_is_set_by_a_caller():
+    """A defaulted parameter or dataclass field that no call in ``src`` sets
+    is an option no pipeline uses; it goes, or it is allowed above with a
+    reason. Calls match by the called name, and a call sets an option by
+    keyword, by position, or through ``*`` or ``**``."""
+    options, calls = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        options += _options(tree, path.stem)
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                calls.setdefault(getattr(call.func, "id", getattr(call.func, "attr", None)), []).append(call)
+
+    def is_set(callee, option, index):
+        return any(
+            any(kw.arg in (option, None) for kw in call.keywords)
+            or index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+            for call in calls.get(callee, ())
+        )
+
+    unset = {
+        (qual, option) for qual, callee, opts in options for option, index in opts.items()
+        if not is_set(callee, option, index)
+    }
+    allowed = {(qual, option) for qual, option in unset if {qual, f"{qual}({option})"} & set(UNSET_OPTIONS_ALLOWED)}
+    assert sorted(f"{qual}({option})" for qual, option in unset - allowed) == []
+    used = {entry for qual, option in unset for entry in (qual, f"{qual}({option})")}
+    assert set(UNSET_OPTIONS_ALLOWED) - used == set(), "allowed options that a caller sets now"

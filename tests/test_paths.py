@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsmp import families, paths
+from qsmp import families, paths, smp
 from qsmp.errors import ExplosionError
 from qsmp.model import AssumptionConstants, BoxDomain, CoefficientSet, ProblemSpec
 
@@ -152,14 +152,18 @@ class TestForwardSolver:
         assert err.value.step is not None
 
     def test_feedback_and_open_loop_agree(self, exp_utility_spec):
+        # The gradient check's perturbed chain is open loop: step i is
+        # u_bar_i + eps uhat_at(i) along the base states. In the zero
+        # direction it replays the feedback's forward batch bit for bit.
         grid = paths.TimeGrid(30, 1.0)
         noise = paths.simulate_brownian(grid, 100, 1, seed=6)
         feedback = paths.FeedbackControl(lambda t, x: np.clip(0.5 * x, -1, 1), k=1)
         fwd = paths.solve_forward_sde(exp_utility_spec, grid, noise, feedback)
-        replay = paths.solve_forward_sde(
-            exp_utility_spec, grid, noise, paths.OpenLoopControl(fwd.controls)
-        )
+        zero = smp._direction(feedback, grid, fwd)
+        assert all(np.all(zero(i) == 0.0) for i in range(grid.N + 1))
+        replay = paths.solve_forward_sde(exp_utility_spec, grid, noise, smp._Perturbed(fwd.controls, zero, 0.25))
         assert np.array_equal(fwd.states, replay.states)
+        assert np.array_equal(fwd.controls, replay.controls)
 
 
 class TestExpansionRateCheck:
@@ -190,6 +194,7 @@ class TestRealization:
         noise = paths.simulate_brownian(grid, 20, 1, seed=14)
         fwd = paths.solve_forward_sde(exp_utility_spec, grid, noise, paths.ConstantControl((0.1,)))
         feedback = paths.FeedbackControl(lambda t, x: np.clip(np.tanh(x), -1, 1), k=1)
-        table = paths.realize_control_along(feedback, grid, fwd.states)
-        assert table.shape == fwd.controls.shape
-        assert np.allclose(table[:, 3, 0], np.tanh(fwd.states[:, 3, 0]))
+        # The gradient check's direction u(t_i, x_i) - u_bar_i, formed step by step.
+        uhat_at = smp._direction(feedback, grid, fwd)
+        assert uhat_at(3).shape == (20, 1)
+        assert np.allclose(uhat_at(3)[:, 0], np.tanh(fwd.states[:, 3, 0]) - 0.1)

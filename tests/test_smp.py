@@ -98,12 +98,9 @@ class TestGateauxCheck:
         u_bar = paths.ConstantControl((0.0,))
         u = paths.ConstantControl((0.5,))
         forward = paths.solve_forward_sde(exp_utility_spec, grid, noise, u_bar)
-        u_table = paths.realize_control_along(u, grid, forward.states)
-        uhat = u_table - forward.controls
-        direct = smp.cost_functional(
-            exp_utility_spec, grid, noise, paths.OpenLoopControl(forward.controls + 1.0 * uhat)
-        )
-        via_u = smp.cost_functional(exp_utility_spec, grid, noise, paths.OpenLoopControl(u_table))
+        uhat_at = smp._direction(u, grid, forward)
+        direct = smp.cost_functional(exp_utility_spec, grid, noise, smp._Perturbed(forward.controls, uhat_at, 1.0))
+        via_u = smp.cost_functional(exp_utility_spec, grid, noise, u)
         assert direct == via_u
 
     def test_inconclusive_flag_on_starved_sampling(self, tanh_spec):
@@ -252,7 +249,7 @@ class TestMaximumPrincipleCheck:
         for _ in range(5):
             candidate = spec.domain.sample(rng, 1)[0]
             uhat = np.broadcast_to(candidate, forward.controls.shape) - forward.controls
-            _, _, phi, gamma = smp._derivative_sweep(spec, grid, noise, forward, uhat, basis)
+            _, _, phi, gamma = smp._derivative_sweep(spec, grid, noise, forward, lambda i: uhat[:, i], basis)
             value, se = adj.gamma_weighted_integral(gamma, phi, grid.dt)
             direction_norm = math.sqrt(
                 float(np.einsum("mik,mik->", uhat[:, : grid.N], uhat[:, : grid.N]))

@@ -67,10 +67,11 @@ class TestContainer:
 
 
 class TestCsvExport:
-    def test_paths_export_parses_back(self, tmp_path, solved):
+    def test_paths_export_parses_back(self, tmp_path, solved, monkeypatch):
         grid, forward, backward = solved
         path = tmp_path / "paths.csv"
-        storage.export_paths_csv(str(path), grid, forward, backward, max_paths=5)
+        monkeypatch.setattr(storage, "_EXPORTED_PATHS", 5)
+        storage.export_paths_csv(str(path), grid, forward, backward)
         lines = path.read_text().strip().split("\n")
         header = lines[0].split(",")
         assert header == ["path", "step", "t", "x1", "u1", "Y", "Z1"]

@@ -95,7 +95,9 @@ def full_storage_derivatives(spec, grid, noise, u_bar, u):
     loop over the steps that forms the auxiliary data (M, N) arrays, and a
     second sweep for the auxiliary equation."""
     forward = paths.solve_forward_sde(spec, grid, noise, u_bar)
-    uhat = paths.realize_control_along(u, grid, forward.states) - forward.controls
+    uhat = paths.step_major(forward.controls.shape)
+    for i in range(grid.N + 1):
+        uhat[:, i] = u.values(i, grid.times[i], forward.states[:, i]) - forward.controls[:, i]
     backward, costate = adjoint.solve_state_and_costate(spec, grid, noise, forward)
     lam, phi = paths.step_major((noise.M, grid.N)), paths.step_major((noise.M, grid.N))
     mu = paths.step_major((noise.M, grid.N, spec.d))
@@ -146,18 +148,17 @@ def moderate():
 
 
 def test_gradient_check_peak_memory(moderate, exp_utility_spec):
-    # Besides the forward batch (states and controls), the direction, phi
-    # and Gamma, each about one (M, N+1) array, a perturbed chain holds its
-    # control table and forward batch: about 6.5 arrays. Whole-path storage
-    # added the lam and mu arrays, the auxiliary solution and each chain's
-    # Y and Z (about 10.4).
+    # Besides the forward batch (states and controls), phi and Gamma, each
+    # about one (M, N+1) array, a perturbed chain holds its forward batch:
+    # about 4.9 arrays. The direction and a perturbed chain's controls are
+    # formed step by step, never as whole tables.
     _, _, grid, noise, one_array = moderate
     peak = _peak_bytes(
         lambda: smp.gateaux_check(
             exp_utility_spec, grid, noise, paths.ConstantControl((0.0,)), paths.ConstantControl((0.5,))
         )
     )
-    assert peak < 8 * one_array
+    assert peak < 5.5 * one_array
 
 
 def test_mp_check_peak_memory(moderate):
@@ -168,6 +169,26 @@ def test_mp_check_peak_memory(moderate):
     basis = bsde.RegressionBasis(2)
     peak = _peak_bytes(lambda: smp.check_maximum_principle(spec, grid, noise, u_bar, groups=8, basis=basis))
     assert peak < 4 * one_array
+
+
+def test_mp_check_builds_one_regression_per_sweep_step(monkeypatch):
+    # The replicate fits go through the sweep's own regression: the base
+    # sweep and each group's sweep build one per step, and nothing else does.
+    spec, u_bar, _ = lq_problem()
+    grid = paths.TimeGrid(10, 1.0)
+    noise = paths.simulate_brownian(grid, 1024, 1, seed=5)
+    built = []
+
+    class CountingRegressor(StepRegressor):
+        def __init__(self, basis, states, ridge=None):
+            built.append(len(states))
+            super().__init__(basis, states, ridge)
+
+    monkeypatch.setattr(bsde, "StepRegressor", CountingRegressor)
+    monkeypatch.setattr(smp, "StepRegressor", CountingRegressor, raising=False)
+    report = smp.check_maximum_principle(spec, grid, noise, u_bar, groups=4, basis=bsde.RegressionBasis(2))
+    assert built == [1024] * grid.N + [256] * (4 * grid.N)
+    assert len(report.per_time_min) == len(smp._check_steps(grid.N, 12))
 
 
 def test_too_few_paths_per_group_rejected_before_any_solve(moderate):
