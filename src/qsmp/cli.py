@@ -4,7 +4,9 @@ Subcommands match the pipeline names: solve, adjoint, gradient-check,
 descend, mp-check, bmo, constants. Every run writes a deterministic set of
 artifacts (manifest, summary, result tables) into the output directory;
 rerunning with the same configuration and seed reproduces them byte for
-byte regardless of the thread count.
+byte regardless of the thread count and of the number of worker processes
+(the checks run their independent solves in forked workers, see
+:mod:`qsmp.smp`).
 
 Exit codes: 0 success, 1 solver error, 2 configuration error,
 3 inconclusive check.
@@ -73,6 +75,9 @@ def _run(args) -> int:
             f"config declares pipeline {cfg.pipeline!r} but the {args.pipeline} subcommand was invoked",
             "[pipeline] kind",
         )
+    for section, reader in config_mod.SECTION_READERS.items():
+        if section in cfg.raw and reader != args.pipeline:
+            raise ConfigError(f"only the {reader} pipeline reads this section, not {args.pipeline}", f"[{section}]")
     unused = config_mod.unused_tolerances(args.pipeline, cfg.raw.get("tolerances", {}))
     if unused:
         raise ConfigError(f"the {args.pipeline} pipeline does not use this key", f"[tolerances] {unused[0]}")

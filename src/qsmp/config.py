@@ -21,13 +21,18 @@ Recognised sections and keys::
     [controls]     u_bar, u: feedback expressions [expr, ...] in t, x1..xn,
                    or the special value ``riccati`` (linear_quadratic only)
     [descent]      iterations, step, init (zeros|random), init_scale, init_seed
+                   (descend only)
     [check]        times, states, candidates, groups, se_multiplier,
-                   boundary_bias
-    [gradient_check] epsilons
+                   boundary_bias (mp-check only)
+    [gradient_check] epsilons (gradient-check only)
     [bmo]          source (backward|constant), level, n_max (at most 6)
+                   (bmo only)
     [tolerances]   basis_degree (every pipeline), truncation_radius and ridge
                    (solve, adjoint, bmo), validation_samples (constants); a
                    pipeline rejects a key it does not use
+
+A pipeline rejects a section that only another pipeline reads
+(:data:`SECTION_READERS`). Family parameters must be finite numbers.
 
 A family problem without ``[controls]`` uses that family's default pair of
 controls; an inline problem defaults both u_bar and u to k zeros.
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import configparser
 import inspect
+import math
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -144,6 +150,10 @@ class Overrides:
     truncation_radius: float | None = _used_by(*_SOLVERS, min=0)
     ridge: float | None = _used_by(*_SOLVERS, min=0)
     validation_samples: int = _used_by("constants", default=256, min=1)
+
+
+#: Sections that one pipeline alone reads; any other pipeline rejects them.
+SECTION_READERS = {"descent": "descend", "check": "mp-check", "bmo": "bmo", "gradient_check": "gradient-check"}
 
 
 def unused_tolerances(pipeline: str, keys) -> list:
@@ -348,6 +358,11 @@ def _build_problem(section: dict, horizon: float):
             spec = builder(**params)
         except ValueError as err:
             raise ConfigError(f"family {name}: {err}", "[problem]")
+        # After the builder, so that its own message comes first: a builder
+        # need not validate every parameter it takes (sigma0, x0).
+        for key, value in params.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"family {name}: {key} must be finite", f"[problem] {key}")
         if abs(spec.T - horizon) > 1e-12:
             raise ConfigError(
                 f"grid horizon T={horizon} differs from the family horizon T={spec.T}",

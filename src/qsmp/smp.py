@@ -6,18 +6,31 @@ optimum, and descent is how a candidate optimum is manufactured. All
 finite-difference checks reuse one Brownian batch across perturbation sizes
 and across the base/perturbed pair; without common random numbers the
 small-o behaviour would drown in Monte Carlo noise.
+
+Once the base forward pass exists, each check's solves are independent:
+the gradient check's derivative sweep and perturbed chains, the
+maximum-principle check's base sweep and replicate groups.
+:func:`_in_workers` runs them in forked worker processes, one per usable
+CPU, and the parent combines what they return. It runs them in-process,
+one after another, on a single usable CPU, where ``fork`` is unavailable,
+inside a daemonic worker process, and below :data:`_FORK_MIN_PATH_STEPS`
+path-steps. Every random draw stays in the parent, so the reports are the
+same bits either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import adjoint as adjoint_mod
 from . import bmo
 from .bsde import RegressionBasis, linear_equation, solve_quadratic_bsde
+from .errors import SolverError
 from .model import ProblemSpec
 from .paths import (
     DEFAULT_EPSILONS,
@@ -29,6 +42,63 @@ from .paths import (
     solve_forward_sde,
     step_major,
 )
+
+#: Total path-steps of a check's solves below which they run in-process.
+#: Starting the pool costs about 25 ms (two workers forked from a 130 MB
+#: process, 160 KB returned a task); the solves cost 80 to 150 ns a
+#: path-step at M = 20000, more at small M. A second CPU saves at most half
+#: of the work, so from 2M path-steps on it saves about four start-ups;
+#: below that the saving did not stand out of the run-to-run spread.
+_FORK_MIN_PATH_STEPS = 2_000_000
+
+#: A worker's tasks, which it receives through the fork (:func:`_receive`)
+#: and runs by index (:func:`_run_task`), so no closure is pickled.
+_TASKS: list = []
+
+
+def _in_workers(tasks) -> list:
+    """The results of ``tasks``, (path-steps, zero-argument callable) pairs,
+    in task order: in forked worker processes where that can help, else
+    in-process, in order (module docstring)."""
+    workers = min(len(tasks), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    if workers > 1 and sum(steps for steps, _ in tasks) >= _FORK_MIN_PATH_STEPS:
+        # Imported here: they add about 25 ms and 1.4 MB to a pipeline that runs no check.
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            return _forked(tasks, workers, multiprocessing.get_context("fork"))
+    return [task() for _, task in tasks]
+
+
+def _forked(tasks, workers, context) -> list:
+    """:func:`_in_workers` in ``workers`` processes forked by ``context``;
+    the tasks start in decreasing order of path-steps (ties keep their
+    order, so a caller lists its heaviest solve first). Forked workers share
+    the parent's arrays and the tasks' closures, which hold coefficient
+    functions that cannot be pickled. A task's exception reaches the caller
+    as raised; a worker that dies ends the call with a :class:`SolverError`
+    (a killed worker breaks a ``ProcessPoolExecutor``, where a
+    ``multiprocessing.Pool`` would wait for ever). No worker outlives the
+    call."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_receive, initargs=([t for _, t in tasks],))
+    try:
+        futures = {j: pool.submit(_run_task, j) for j in sorted(range(len(tasks)), key=lambda j: -tasks[j][0])}
+        return [futures[j].result() for j in range(len(tasks))]
+    except BrokenProcessPool as err:
+        raise SolverError("a worker process of the check died") from err
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _receive(tasks):
+    _TASKS[:] = tasks
+
+
+def _run_task(index):
+    return _TASKS[index]()
 
 
 def cost_functional(spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, control: Control) -> float:
@@ -78,19 +148,29 @@ def gateaux_check(
     u_bar + eps (u - u_bar), Richardson-extrapolated to eps = 0 and compared
     with both computations of the adjoint-based derivative, which one
     state-costate sweep gives (:func:`_derivative_sweep`). Each step forms
-    the direction when it reads it, and every chain keeps two time slices."""
+    the direction when it reads it, and every chain keeps two time slices.
+    After the base forward pass, the derivative sweep and the perturbed
+    chains run as tasks of :func:`_in_workers`; each returns its cost and
+    the per-path values the standard errors need, and the quotients are
+    formed here (:func:`_quotient`)."""
     eps_list = check_epsilons(epsilons)
     forward = solve_forward_sde(spec, grid, noise, u_bar)
     uhat_at = _direction(u, grid, forward)
-    backward, aux, phi, gamma = _derivative_sweep(spec, grid, noise, forward, uhat_at, basis)
-    yhat0, yhat0_se = aux.y0, aux.y0_standard_error
-    y0_gamma, y0_gamma_se = adjoint_mod.gamma_weighted_integral(gamma, phi, grid.dt)
-    del aux, phi, gamma
+    path_steps = noise.M * grid.N
 
+    def derivatives():
+        backward, aux, phi, gamma = _derivative_sweep(spec, grid, noise, forward, uhat_at, basis)
+        weighted = adjoint_mod.gamma_weighted_integral(gamma, phi, grid.dt)
+        return _cost(backward), (aux.y0, aux.y0_standard_error), weighted
+
+    (base, (yhat0, yhat0_se), (y0_gamma, y0_gamma_se)), *costs = _in_workers(
+        [(path_steps, derivatives)]
+        + [(path_steps, partial(_perturbed_cost, spec, grid, noise, forward, uhat_at, eps, basis)) for eps in eps_list]
+    )
     quotients = []
     ses = []
-    for eps in eps_list:
-        quotient, se = _difference_quotient(spec, grid, noise, forward, backward, uhat_at, eps, basis)
+    for eps, cost in zip(eps_list, costs):
+        quotient, se = _quotient(base, cost, eps)
         quotients.append(quotient)
         ses.append(se)
 
@@ -165,13 +245,29 @@ def _derivative_sweep(spec, grid, noise, forward, uhat_at, basis, width=2):
     return backward, aux.scalar_solution(), phi, bmo.cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)
 
 
+def _cost(solution):
+    """A chain's cost J and its per-path terminal-plus-driver sums (M,)."""
+    return solution.y0, solution.pathwise_targets
+
+
+def _perturbed_cost(spec, grid, noise, forward, uhat_at, eps, basis):
+    """:func:`_cost` of the chain under u_bar + eps uhat on the same noise.
+    The chain keeps two time slices and is dropped on return, so no two
+    chains' arrays are alive together."""
+    return _cost(_solve_chain(spec, grid, noise, _Perturbed(forward.controls, uhat_at, eps), basis, width=2)[1])
+
+
+def _quotient(base, perturbed, eps):
+    """(J(u_bar + eps uhat) - J(u_bar)) / eps and its standard error, from
+    the two chains' :func:`_cost` on the same noise."""
+    (base_y0, base_targets), (y0, targets) = base, perturbed
+    diff = targets - base_targets
+    return (y0 - base_y0) / eps, float(diff.std() / (eps * math.sqrt(diff.shape[0])))
+
+
 def _difference_quotient(spec, grid, noise, forward, backward, uhat_at, eps, basis):
-    """(J(u_bar + eps uhat) - J(u_bar)) / eps on the same noise, and its
-    standard error. The perturbed chain keeps two time slices and is dropped
-    on return, so no two chains' arrays are alive together."""
-    perturbed = _solve_chain(spec, grid, noise, _Perturbed(forward.controls, uhat_at, eps), basis, width=2)[1]
-    diff = perturbed.pathwise_targets - backward.pathwise_targets
-    return (perturbed.y0 - backward.y0) / eps, float(diff.std() / (eps * math.sqrt(noise.M)))
+    """:func:`_quotient` of the perturbed chain against the solved ``backward``."""
+    return _quotient(_cost(backward), _perturbed_cost(spec, grid, noise, forward, uhat_at, eps, basis), eps)
 
 
 def _weighted_affine_intercept(xs, ys, ses):
@@ -376,7 +472,10 @@ def check_maximum_principle(
     (:func:`replicate_group_size`, checked before any solve) and evaluating
     the replicate solutions (as fitted state functions) at the common query
     points. Every sweep runs at width 2 and keeps only what it reads at the
-    check steps.
+    check steps. The query points' states and controls come from the
+    forward batch, so after the forward pass the base sweep and each
+    replicate group's sweep run as tasks of :func:`_in_workers`; the random
+    draws (query paths, then candidates) happen here, in that order.
     """
     size = replicate_group_size(noise.M, groups)
     if basis is None:
@@ -385,20 +484,29 @@ def check_maximum_principle(
     check_steps = _check_steps(grid.N, n_times)
     query_paths = rng.choice(noise.M, size=min(n_states, noise.M), replace=False)
     forward = solve_forward_sde(spec, grid, noise, u_bar)
-    points = _query_points(spec, grid, noise, forward, basis, check_steps, query_paths)
-    fields = [adjoint_mod.control_gradient(spec, point) for point in points]
-    # Per group, the control gradient at every check step.
-    replicates = [
-        _replicate_fields(spec, grid, noise, forward, slice(g * size, (g + 1) * size), basis, points)
-        for g in range(groups)
+    times = grid.times
+    queries = [
+        _Query(i, times[i], forward.states[query_paths, i], forward.controls[query_paths, i]) for i in check_steps
     ]
+
+    def base_fields():
+        points = _query_points(spec, grid, noise, forward, basis, check_steps, query_paths)
+        return [adjoint_mod.control_gradient(spec, point) for point in points]
+
+    def replicate(g):
+        return partial(_replicate_fields, spec, grid, noise, forward, slice(g * size, (g + 1) * size), basis, queries)
+
+    # The control gradient at every check step: on all paths, then per group.
+    fields, *replicates = _in_workers(
+        [(noise.M * grid.N, base_fields)] + [(size * grid.N, replicate(g)) for g in range(groups)]
+    )
 
     min_inner = math.inf
     per_time_min = []
     violations = 0
     total = 0
     for j, field in enumerate(fields):
-        u_q = points[j].u
+        u_q = queries[j].u
         candidates = spec.domain.sample(rng, len(query_paths) * n_candidates, boundary_bias=boundary_bias)
         candidates = candidates.reshape(len(query_paths), n_candidates, spec.k)
         directions = candidates - u_q[:, None, :]
@@ -427,6 +535,16 @@ def _check_steps(n_steps: int, n_times: int) -> list:
     return sorted(set(np.linspace(min(1, n_steps - 1), n_steps - 1, n_times, dtype=int)))
 
 
+@dataclass(frozen=True)
+class _Query:
+    """The query points of check step i: time t, states x (S, n) and controls u (S, k)."""
+
+    i: int
+    t: float
+    x: np.ndarray
+    u: np.ndarray
+
+
 def _query_points(spec, grid, noise, forward, basis, check_steps, query_paths):
     """The :class:`qsmp.adjoint.StepPoint` at the rows ``query_paths`` of
     each check step, from one state-costate sweep at width 2 over all paths;
@@ -443,7 +561,8 @@ def _query_points(spec, grid, noise, forward, basis, check_steps, query_paths):
 
 
 def _replicate_fields(spec, grid, noise, forward, sel, basis, points):
-    """The control gradient at each check step's query points, from the
+    """The control gradient at each check step's query points (a
+    :class:`_Query` or :class:`qsmp.adjoint.StepPoint` each), from the
     solve chain replicated on the paths ``sel`` at width 2. At each check
     step the visit fits the group's Y, Z, p and q with the sweep's regression
     and evaluates the fits at the query states, so no group path array but

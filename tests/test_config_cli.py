@@ -591,3 +591,40 @@ class TestControlsAndLists:
         text = BASE + "\n[gradient_check]\nepsilons = [[0.5], [0.25], [0.125], [0.1]]\n"
         with pytest.raises(ConfigError, match=r"\[gradient_check\] epsilons: need >= 4 epsilons in \(0, 1\]"):
             config.load_config(write(tmp_path, text))
+
+
+class TestPipelineScope:
+    """A config reaches a pipeline only with what that pipeline reads."""
+
+    @pytest.mark.parametrize("pipeline", ["constants", "solve"])
+    @pytest.mark.parametrize("parameter", ["sigma0 = nan", "x0 = inf"], ids=["sigma0", "x0"])
+    def test_non_finite_family_parameter_located(self, tmp_path, capsys, pipeline, parameter):
+        # The linear-quadratic builder derives no checked constant from these two.
+        text = BASE.replace("family = exponential_utility", f"family = linear_quadratic\n{parameter}")
+        key = parameter.split(" ")[0]
+        assert run_cli([pipeline, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [problem] {key}: family linear_quadratic: {key} must be finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("pipeline, section, reader", [
+        (pipeline, section, reader)
+        for section, reader in config.SECTION_READERS.items()
+        for pipeline in config.PIPELINES if pipeline != reader
+    ])
+    def test_section_of_another_pipeline_rejected(self, tmp_path, capsys, pipeline, section, reader):
+        # Every key takes its default, so the section alone is the fault.
+        path = write(tmp_path, BASE + f"\n[{section}]\n")
+        assert run_cli([pipeline, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [{section}]: only the {reader} pipeline reads this section, not {pipeline}" in err
+
+    def test_solve_rejects_descent_and_bmo_sections(self, tmp_path, capsys):
+        text = BASE + "\n[descent]\niterations = 3\n\n[bmo]\nn_max = 2\n"
+        assert run_cli(["solve", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        assert "[descent]: only the descend pipeline reads this section, not solve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, reader", list(config.SECTION_READERS.items()))
+    def test_own_section_accepted(self, tmp_path, section, reader):
+        cfg = write(tmp_path, TINY_GRADIENT_CHECK.replace("M = 2000", "M = 800") + f"\n[{section}]\n")
+        assert run_cli([reader, "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 3)
