@@ -10,6 +10,13 @@ The control gradient H_u and the step of log Gamma read that point, so a
 visitor can form them at storage width 2, and an equation swept after the
 costate (such as the auxiliary equation whose value at zero is the cost
 derivative, :func:`qsmp.smp.gateaux_check`) can read them at the same step.
+(Y, Z) never reads the costate, so at width 2 and from
+``bsde._FORK_MIN_PATH_STEPS`` path-steps on the sweep runs pipelined
+(:func:`qsmp.bsde.backward_sweep`): a partner process builds each step's
+regression and solves (Y, Z), and this process solves the costate, its
+visit and the equations after it on a view of that regression, a few steps
+behind, with the same bits. A visitor runs in this process, so what it
+writes stays here.
 Also: the Gamma-weighted form of the cost derivative.
 """
 

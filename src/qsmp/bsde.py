@@ -21,11 +21,25 @@ width N+1, so slice i is step i. Step i reads only step i+1 and the slices
 written at step i, so width 2 is enough for a caller that consumes each
 step inside the sweep: an equation's step may hand what it solved to a
 callback, as the costate's ``visit`` does (:mod:`qsmp.adjoint`).
+
+The first equation never reads a later one, and in a state-costate sweep
+it is the quadratic one. So a sweep of several equations at width 2 runs
+as a pipeline over two processes where forking pays
+(:func:`processes_for`): a partner process, forked once per sweep, builds
+each step's regression and solves the first equation, and hands both on
+through a ring of shared slots; this process solves the other equations
+on a view of that regression a few steps behind. The arithmetic and its
+order are the same, so the results are the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +47,56 @@ import numpy as np
 from . import bmo
 from .errors import SolverError
 from .model import DerivedConstants, ProblemSpec, clip_rows, derive_constants
-from .paths import BrownianBatch, ForwardBatch, TimeGrid, step_major
+from .paths import BrownianBatch, ForwardBatch, TimeGrid, shared_zeros, step_major
 from .regression import RegressionBasis, StepRegressor
 
 _FIXED_POINT_MAX = 50
 _FIXED_POINT_TOL = 1e-13
+
+#: Total path-steps of a solve below which it forks no process. A fork costs
+#: a few milliseconds and a pool of check workers about 25 ms (two workers
+#: forked from a 130 MB process, 160 KB returned a task); the solves cost 80
+#: to 150 ns a path-step at M = 20000, more at small M. A second CPU saves at
+#: most half of the work, so from 2M path-steps on it saves about four
+#: start-ups; below that the saving did not stand out of the run-to-run spread.
+_FORK_MIN_PATH_STEPS = 2_000_000
+
+#: False in a check's worker process (:func:`forbid_forks`), which has its CPU.
+_forks_allowed = True
+
+#: Slots of the ring through which a pipelined sweep's partner hands its steps on.
+_RING_SLOTS = 4
+
+#: Seconds between two looks of a pipelined sweep's process for the other's
+#: byte. It does not sleep on the pipe: on the 2-CPU virtual machine
+#: measured, a process woken by the other's write ran on the writer's CPU,
+#: so the two ran one after the other and the sweep took longer than in one
+#: process. A step takes the partner about 1.5 ms on `descend` and the ring
+#: lets it run 4 steps ahead, so a look every millisecond keeps it from
+#: waiting. Looking every 0.05, 0.2, 1 or 2 ms gave the same `descend`
+#: times; every 1 ms woke the waiting process a quarter as often as 0.2 ms.
+_POLL_S = 0.001
+
+
+def processes_for(path_steps: int) -> int:
+    """The processes a solve of ``path_steps`` path-steps may run in: the
+    usable CPUs where forking pays, else 1. Forking pays from
+    :data:`_FORK_MIN_PATH_STEPS` path-steps on, with ``fork`` available,
+    outside a check's worker process and outside a daemonic
+    ``multiprocessing`` process (which may not have children)."""
+    if not (_forks_allowed and path_steps >= _FORK_MIN_PATH_STEPS and hasattr(os, "fork")):
+        return 1
+    # Looked up, not imported: a process that never imported it is no multiprocessing child.
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def forbid_forks() -> None:
+    """Makes :func:`processes_for` give 1 in this process from now on."""
+    global _forks_allowed
+    _forks_allowed = False
 
 
 @dataclass
@@ -121,20 +180,168 @@ def backward_sweep(
     grid: TimeGrid, noise: BrownianBatch, states: np.ndarray, equations: list, basis: RegressionBasis, ridge=None
 ) -> None:
     """Solves the equations in place, sharing one regression on ``states``
-    (M, N+1, m) per step; no regressor outlives its step."""
-    m_paths, n_steps, d, dt = noise.M, grid.N, noise.d, grid.dt
-    for i in range(n_steps - 1, -1, -1):
+    (M, N+1, m) per step; no regressor outlives its step. Several equations
+    at width 2 run pipelined over two processes where that can help
+    (:func:`_pipelined_sweep`); then the first equation's step must change
+    nothing but what it returns and its driver sum."""
+    if (
+        len(equations) > 1
+        and all(eq.values.shape[1] == 2 for eq in equations)
+        and processes_for(noise.M * grid.N) > 1
+    ):
+        _pipelined_sweep(grid, noise, states, equations, basis, ridge)
+        return
+    for i in range(grid.N - 1, -1, -1):
         reg = StepRegressor(basis, states[:, i], ridge)
         for eq in equations:
-            nxt = at_step(eq.values, i + 1)
-            cond, _ = reg.fit(nxt)
-            # Martingale control variate: centering the target leaves the
-            # conditional expectation unchanged but removes the O(1/dt) variance
-            # the conditional mean would otherwise inject into the Z estimate.
-            z_target = ((nxt - cond)[:, :, None] * noise.increments[:, i, None, :] / dt).reshape(m_paths, -1)
-            z_flat, _ = reg.fit(z_target)
-            z_i = z_flat.reshape(m_paths, -1, d)
-            at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i, reg)
+            _solve_step(eq, i, reg, noise.increments[:, i], grid.dt)
+
+
+def _solve_step(eq: BackwardEquation, i: int, reg: StepRegressor, increments: np.ndarray, dt: float) -> None:
+    """Step i of ``eq`` on the step's regression, with the step's Brownian
+    increments (M, d)."""
+    m_paths, d = increments.shape
+    nxt = at_step(eq.values, i + 1)
+    cond, _ = reg.fit(nxt)
+    # Martingale control variate: centering the target leaves the
+    # conditional expectation unchanged but removes the O(1/dt) variance
+    # the conditional mean would otherwise inject into the Z estimate.
+    z_target = ((nxt - cond)[:, :, None] * increments[:, None, :] / dt).reshape(m_paths, -1)
+    z_flat, _ = reg.fit(z_target)
+    z_i = z_flat.reshape(m_paths, -1, d)
+    at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i, reg)
+
+
+def _pipelined_sweep(grid, noise, states, equations, basis, ridge) -> None:
+    """:func:`backward_sweep` over two processes. A partner forked here
+    builds each step's regression and solves the first equation
+    (:func:`_partner`); it writes the step's features, Cholesky factor,
+    shift and scale and the first equation's solved step into slot
+    ``i % _RING_SLOTS`` of a ring of shared arrays
+    (:func:`qsmp.paths.shared_zeros`) and sends one byte. On that byte,
+    looked for every :data:`_POLL_S` seconds, this process copies the step
+    into the first equation's storage, solves the others on a
+    :class:`StepRegressor` view of the slot, and sends a byte back to free
+    the slot. An error of the partner at step i is raised here when this
+    process reaches step i, as the in-process sweep would raise it; a
+    partner that dies is a :class:`SolverError`. The partner is killed and
+    reaped on every path."""
+    first, rest = equations[0], equations[1:]
+    m_paths, n_steps = noise.M, grid.N
+    n_feat = len(basis.exponents(states.shape[2]))
+    shapes = {
+        "features_t": (n_feat, m_paths),
+        "chol": (n_feat, n_feat),
+        "shift": (states.shape[2],),
+        "scale": (states.shape[2],),
+        "value": first.values.shape[:1] + first.values.shape[2:],
+        "integrand": first.integrands.shape[:1] + first.integrands.shape[2:],
+    }
+    if first.driver_sum is not None:
+        shapes["driver_sum"] = first.driver_sum.shape
+    ring = {name: shared_zeros((_RING_SLOTS, *shape)) for name, shape in shapes.items()}
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready_r, ready_w, free_r, free_w):
+            os.close(fd)
+        raise
+    if pid == 0:  # the partner
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            _partner(grid, noise, states, first, basis, ridge, ring, ready_w, free_r)
+        finally:
+            os._exit(0)
+    os.close(ready_w)
+    os.close(free_r)
+    os.set_blocking(ready_r, False)
+    try:
+        for i in range(n_steps - 1, -1, -1):
+            status = _read(ready_r, 1)
+            if status != b"\0":
+                raise _partner_failure(status, ready_r, i)
+            slot = {name: slots[i % _RING_SLOTS] for name, slots in ring.items()}
+            at_step(first.values, i)[...] = slot["value"]
+            at_step(first.integrands, i)[...] = slot["integrand"]
+            reg = StepRegressor.from_parts(
+                basis, slot["shift"].copy(), slot["scale"].copy(), slot["features_t"].T, slot["chol"]
+            )
+            for eq in rest:
+                _solve_step(eq, i, reg, noise.increments[:, i], grid.dt)
+            if i >= _RING_SLOTS:  # the partner still needs this slot, for step i - _RING_SLOTS
+                try:
+                    os.write(free_w, b"\0")
+                except BrokenPipeError:
+                    pass  # the partner has ended: its status for step i - 1 says why
+        if first.driver_sum is not None:
+            first.driver_sum[...] = ring["driver_sum"][0]
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        os.kill(pid, signal.SIGKILL)  # its work is done or no longer wanted
+        os.waitpid(pid, 0)
+
+
+def _partner(grid, noise, states, first, basis, ridge, ring, ready_w, free_r) -> None:
+    """The partner's half of :func:`_pipelined_sweep`: builds each step's
+    regression and solves ``first`` on it, from step N-1 down to 0. An error
+    ends the partner after one byte 1 and the pickled exception."""
+    n_steps = grid.N
+    os.set_blocking(free_r, False)
+    for i in range(n_steps - 1, -1, -1):
+        try:
+            reg = StepRegressor(basis, states[:, i], ridge)
+            _solve_step(first, i, reg, noise.increments[:, i], grid.dt)
+        except Exception as err:
+            os.write(ready_w, b"\1" + _pickled(err, i))
+            return
+        if i + _RING_SLOTS < n_steps and _read(free_r, 1) != b"\0":
+            return  # the sweep ended without this step
+        slot = {name: slots[i % _RING_SLOTS] for name, slots in ring.items()}
+        slot["features_t"][...] = reg.features.T
+        slot["chol"][...] = reg.chol
+        slot["shift"][...] = reg.shift
+        slot["scale"][...] = reg.scale
+        slot["value"][...] = at_step(first.values, i)
+        slot["integrand"][...] = at_step(first.integrands, i)
+        if i == 0 and first.driver_sum is not None:
+            slot["driver_sum"][...] = first.driver_sum
+        os.write(ready_w, b"\0")
+
+
+def _pickled(err: Exception, i: int) -> bytes:
+    """``err`` pickled, or a :class:`SolverError` with its text where it does
+    not survive the round trip."""
+    try:
+        payload = pickle.dumps(err)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        return pickle.dumps(SolverError(f"{type(err).__name__}: {err}", step=i))
+
+
+def _partner_failure(status: bytes, ready_r: int, i: int) -> Exception:
+    """The exception for a status byte other than 0 at step i: the partner's
+    own, which follows a byte 1, or a :class:`SolverError` if it died."""
+    if status == b"\1":
+        chunks = []
+        while chunk := _read(ready_r, 1 << 16):
+            chunks.append(chunk)
+        return pickle.loads(b"".join(chunks))
+    return SolverError("the partner process of the sweep died", step=i)
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Up to ``size`` bytes from the non-blocking pipe ``fd``, b"" at its end;
+    checked every :data:`_POLL_S` seconds until they come."""
+    while True:
+        try:
+            return os.read(fd, size)
+        except BlockingIOError:
+            time.sleep(_POLL_S)
 
 
 def quadratic_defaults(spec: ProblemSpec, basis, truncation_radius):

@@ -249,13 +249,13 @@ def _pipeline_adjoint(cfg):
 
     from . import adjoint as adjoint_mod
     from .bmo import cumulate_log_exponential
-    from .paths import solve_forward_sde, step_major
+    from .paths import shared_step_major, solve_forward_sde
 
     noise, basis = _setup(cfg)
     grid = cfg.grid
     forward = solve_forward_sde(cfg.spec, grid, noise, cfg.control("u_bar"))
     rows = [[float(t)] for t in grid.times]  # t, mean |p|, mean |q|, mean Gamma
-    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
+    log_gamma = shared_step_major((noise.M, grid.N + 1))  # zeros, and the visit writes it
 
     def add_norms(i, p, q):
         rows[i] += [float(np.linalg.norm(p, axis=1).mean()), float(np.sqrt((q**2).sum(axis=(1, 2))).mean())]

@@ -9,6 +9,7 @@ step at a time, so each step's slice ``a[:, i]`` is one contiguous block.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -56,6 +57,22 @@ def step_major(shape, fill=None) -> np.ndarray:
     m_paths, steps, *rest = shape
     block = (steps, m_paths, *rest)
     return np.moveaxis(np.empty(block) if fill is None else np.full(block, float(fill)), 0, 1)
+
+
+def shared_zeros(shape) -> np.ndarray:
+    """A float array of zeros in an anonymous shared mapping. A process forked
+    while it lives maps the same pages: each sees what the other writes, and
+    neither's write copies a page, as a write to a private array shared by
+    the fork does."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+
+
+def shared_step_major(shape) -> np.ndarray:
+    """:func:`step_major` storage of zeros in an anonymous shared mapping
+    (:func:`shared_zeros`): for what a sweep's visit writes while the
+    sweep's partner process runs (:func:`qsmp.bsde.backward_sweep`)."""
+    m_paths, steps, *rest = shape
+    return np.moveaxis(shared_zeros((steps, m_paths, *rest)), 0, 1)
 
 
 @dataclass(frozen=True)

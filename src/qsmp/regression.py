@@ -156,8 +156,8 @@ class StepFit:
 
 
 class StepRegressor:
-    """Shares one feature matrix (and its Cholesky factor) across the several
-    targets regressed at a single backward time step."""
+    """Shares one feature matrix (and its Cholesky factor ``chol``) across
+    the several targets regressed at a single backward time step."""
 
     def __init__(self, basis: RegressionBasis, states: np.ndarray, ridge: float | None = None):
         states = np.asarray(states, dtype=np.float64)
@@ -168,7 +168,15 @@ class StepRegressor:
         scale = states.std(axis=0)
         self.scale = np.where(scale > 1e-12, scale, 1.0)
         self.features = basis.features(states, self.shift, self.scale)
-        self._chol = _factorise(self.features, ridge)
+        self.chol = _factorise(self.features, ridge)
+
+    @classmethod
+    def from_parts(cls, basis, shift, scale, features, chol) -> "StepRegressor":
+        """The regressor with the given attributes, such as another process
+        built: the features are neither evaluated nor factorised again."""
+        reg = cls.__new__(cls)
+        reg.basis, reg.shift, reg.scale, reg.features, reg.chol = basis, shift, scale, features, chol
+        return reg
 
     def fit(self, targets: np.ndarray) -> tuple[np.ndarray, StepFit]:
         """Returns (fitted values, reusable fit); targets (M,) or (M, K)."""
@@ -176,7 +184,7 @@ class StepRegressor:
         squeeze = targets.ndim == 1
         if squeeze:
             targets = targets[:, None]
-        coeffs, fitted = _project(self.features, self._chol, targets)
+        coeffs, fitted = _project(self.features, self.chol, targets)
         fit = StepFit(self.basis, self.shift, self.scale, coeffs)
         if squeeze:
             return fitted[:, 0], fit

@@ -12,16 +12,17 @@ the gradient check's derivative sweep and perturbed chains, the
 maximum-principle check's base sweep and replicate groups.
 :func:`_in_workers` runs them in forked worker processes, one per usable
 CPU, and the parent combines what they return. It runs them in-process,
-one after another, on a single usable CPU, where ``fork`` is unavailable,
-inside a daemonic worker process, and below :data:`_FORK_MIN_PATH_STEPS`
-path-steps. Every random draw stays in the parent, so the reports are the
-same bits either way.
+one after another, where :func:`qsmp.bsde.processes_for` says forking does
+not pay: on a single usable CPU, without ``fork``, inside a check's worker
+or a daemonic process, and below ``bsde._FORK_MIN_PATH_STEPS`` path-steps.
+A worker's sweeps fork no partner (:func:`qsmp.bsde.backward_sweep`). Every
+random draw stays in the parent, so the reports are the same bits either
+way.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import adjoint as adjoint_mod
 from . import bmo
-from .bsde import RegressionBasis, linear_equation, solve_quadratic_bsde
+from .bsde import RegressionBasis, forbid_forks, linear_equation, processes_for, solve_quadratic_bsde
 from .errors import SolverError
 from .model import ProblemSpec
 from .paths import (
@@ -39,17 +40,10 @@ from .paths import (
     ForwardBatch,
     TimeGrid,
     check_epsilons,
+    shared_step_major,
     solve_forward_sde,
     step_major,
 )
-
-#: Total path-steps of a check's solves below which they run in-process.
-#: Starting the pool costs about 25 ms (two workers forked from a 130 MB
-#: process, 160 KB returned a task); the solves cost 80 to 150 ns a
-#: path-step at M = 20000, more at small M. A second CPU saves at most half
-#: of the work, so from 2M path-steps on it saves about four start-ups;
-#: below that the saving did not stand out of the run-to-run spread.
-_FORK_MIN_PATH_STEPS = 2_000_000
 
 #: A worker's tasks, which it receives through the fork (:func:`_receive`)
 #: and runs by index (:func:`_run_task`), so no closure is pickled.
@@ -58,15 +52,15 @@ _TASKS: list = []
 
 def _in_workers(tasks) -> list:
     """The results of ``tasks``, (path-steps, zero-argument callable) pairs,
-    in task order: in forked worker processes where that can help, else
-    in-process, in order (module docstring)."""
-    workers = min(len(tasks), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-    if workers > 1 and sum(steps for steps, _ in tasks) >= _FORK_MIN_PATH_STEPS:
-        # Imported here: they add about 25 ms and 1.4 MB to a pipeline that runs no check.
+    in task order: in forked worker processes where that can help
+    (:func:`qsmp.bsde.processes_for` on the total path-steps), else
+    in-process, in order."""
+    workers = min(len(tasks), processes_for(sum(steps for steps, _ in tasks)))
+    if workers > 1:
+        # Imported here: it adds about 25 ms and 1.4 MB to a pipeline that runs no check.
         import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
-            return _forked(tasks, workers, multiprocessing.get_context("fork"))
+        return _forked(tasks, workers, multiprocessing.get_context("fork"))
     return [task() for _, task in tasks]
 
 
@@ -78,8 +72,10 @@ def _forked(tasks, workers, context) -> list:
     functions that cannot be pickled. A task's exception reaches the caller
     as raised; a worker that dies ends the call with a :class:`SolverError`
     (a killed worker breaks a ``ProcessPoolExecutor``, where a
-    ``multiprocessing.Pool`` would wait for ever). No worker outlives the
-    call."""
+    ``multiprocessing.Pool`` would wait for ever). On any other failure the
+    workers are terminated and the tasks not started are cancelled: the pool
+    would wait for the running ones, and for ever after a task it could not
+    pickle. No worker outlives the call."""
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -89,12 +85,17 @@ def _forked(tasks, workers, context) -> list:
         return [futures[j].result() for j in range(len(tasks))]
     except BrokenProcessPool as err:
         raise SolverError("a worker process of the check died") from err
+    except BaseException:
+        for process in list(pool._processes.values()):
+            process.terminate()
+        raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _receive(tasks):
     _TASKS[:] = tasks
+    forbid_forks()  # the worker has its CPU: its sweeps fork no partner
 
 
 def _run_task(index):
@@ -265,11 +266,6 @@ def _quotient(base, perturbed, eps):
     return (y0 - base_y0) / eps, float(diff.std() / (eps * math.sqrt(diff.shape[0])))
 
 
-def _difference_quotient(spec, grid, noise, forward, backward, uhat_at, eps, basis):
-    """:func:`_quotient` of the perturbed chain against the solved ``backward``."""
-    return _quotient(_cost(backward), _perturbed_cost(spec, grid, noise, forward, uhat_at, eps, basis), eps)
-
-
 def _weighted_affine_intercept(xs, ys, ses):
     """Weighted least-squares fit y = c0 + c1 x; returns (c0, se(c0), c1).
 
@@ -343,16 +339,25 @@ class DescentResult:
     halted_on_divergence: bool
 
 
-def _policy_gradient(spec, grid, noise, policy, basis):
+def _gradient_storage(noise, grid, k):
+    """The weights (M, N, k) and log Gamma (M, N+1) that
+    :func:`_policy_gradient` fills, in shared mappings
+    (:func:`qsmp.paths.shared_step_major`): a descent allocates them once
+    for all its iterations, so no iteration faults their pages in again,
+    and no sweep's partner process makes the visit's writes copy them."""
+    return shared_step_major((noise.M, grid.N, k)), shared_step_major((noise.M, grid.N + 1))
+
+
+def _policy_gradient(spec, grid, noise, policy, basis, storage=None):
     """(cost, its standard error, offset gradient (N, k), gain gradient
     (N, k, n)) at the policy, from one state-costate sweep at width 2 whose
     visitor forms H_u, chained through the policy's projection, and the
-    step of log Gamma. Besides the forward batch, the path arrays kept are
-    the weights (M, N, k) and Gamma (M, N+1); they die on return, so one
-    iteration's arrays are never alive next to the previous one's."""
+    step of log Gamma. Besides the forward batch, which dies on return, the
+    path arrays are the weights (M, N, k) and Gamma (M, N+1) of
+    ``storage`` (:func:`_gradient_storage`, allocated here by default)."""
     forward = solve_forward_sde(spec, grid, noise, policy.control())
-    weight = step_major((noise.M, grid.N, spec.k))
-    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
+    weight, log_gamma = storage or _gradient_storage(noise, grid, spec.k)
+    log_gamma[:, 0] = 0.0
 
     def visit(point):
         grad = adjoint_mod.control_gradient(spec, point)
@@ -396,9 +401,10 @@ def projected_gradient_descent(
     best_cost = math.inf
     above_best = 0
     halted = False
+    storage = _gradient_storage(noise, grid, spec.k)
 
     for iteration in range(max_iters):
-        cost, cost_se, grad_offsets, grad_gains = _policy_gradient(spec, grid, noise, policy, basis)
+        cost, cost_se, grad_offsets, grad_gains = _policy_gradient(spec, grid, noise, policy, basis, storage)
         grad_norm = float(
             math.sqrt(np.sum(grad_offsets**2) + np.sum(grad_gains**2)) * math.sqrt(grid.dt)
         )

@@ -270,7 +270,8 @@ class TestDecoupling:
         grid, noise, forward, backward, _, _ = tanh_chain
         zero = np.zeros_like(forward.controls)
         aux, (weighted, _), _ = tanh_auxiliary["zero"]
-        quotient, se = smp._difference_quotient(tanh_spec, grid, noise, forward, backward, lambda i: zero[:, i], 0.25, None)
+        perturbed = smp._perturbed_cost(tanh_spec, grid, noise, forward, lambda i: zero[:, i], 0.25, None)
+        quotient, se = smp._quotient(smp._cost(backward), perturbed, 0.25)
         assert quotient == 0.0 and se == 0.0
         assert aux.y0 == 0.0 and weighted == 0.0
         assert np.all(aux.Y == 0.0) and np.all(aux.Z == 0.0)
@@ -279,8 +280,9 @@ class TestDecoupling:
         grid, noise, forward, backward, _, uhat = tanh_chain
         aux = tanh_auxiliary["uhat"][0]
         sizes = [2.0**-k for k in range(3, 7)]
+        base = smp._cost(backward)
         quotients, ses = zip(*(
-            smp._difference_quotient(tanh_spec, grid, noise, forward, backward, lambda i: uhat[:, i], eps, None)
+            smp._quotient(base, smp._perturbed_cost(tanh_spec, grid, noise, forward, lambda i: uhat[:, i], eps, None), eps)
             for eps in sizes
         ))
         intercept, intercept_se, _ = smp._weighted_affine_intercept(sizes, quotients, ses)

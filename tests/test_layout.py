@@ -31,11 +31,11 @@ def test_step_slices_are_contiguous(tanh_spec, chain, monkeypatch):
     # The descent's weights live inside the policy gradient: record what it allocates.
     allocated = []
 
-    def recording_step_major(shape, fill=None):
-        allocated.append(paths.step_major(shape, fill))
+    def recording_shared_step_major(shape):
+        allocated.append(paths.shared_step_major(shape))
         return allocated[-1]
 
-    monkeypatch.setattr(smp, "step_major", recording_step_major)
+    monkeypatch.setattr(smp, "shared_step_major", recording_shared_step_major)
     smp._policy_gradient(tanh_spec, grid, noise, smp.AffineFeedbackPolicy.zeros(grid, n, k, tanh_spec.domain), None)
     (weight,) = [a for a in allocated if a.shape == (M, N, k)]
     arrays = {

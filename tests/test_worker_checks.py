@@ -9,6 +9,8 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -28,7 +30,7 @@ needs_two_cpus = pytest.mark.skipif(
 
 def _set_mode(monkeypatch, forked):
     """Force forking (any size) or in-process runs (every size)."""
-    monkeypatch.setattr(smp, "_FORK_MIN_PATH_STEPS", 0 if forked else math.inf)
+    monkeypatch.setattr(bsde, "_FORK_MIN_PATH_STEPS", 0 if forked else math.inf)
 
 
 #: Where :func:`_recording_run_task` leaves its files; forked workers inherit it.
@@ -163,6 +165,35 @@ def test_dead_worker_is_a_solver_error_not_a_hang(monkeypatch, lq_spec):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
+
+
+#: Runs in a child process: at exit a hung pool's exit handler would wait for ever too.
+_UNPICKLABLE_TASK = """
+import multiprocessing, pickle
+from qsmp import bsde, smp
+bsde._FORK_MIN_PATH_STEPS = 0
+smp._run_task = lambda index: index  # a lambda cannot be pickled
+try:
+    smp._in_workers([(1, lambda: 1), (1, lambda: 2)])
+except pickle.PicklingError:
+    print("raised", multiprocessing.active_children())
+"""
+
+
+@needs_two_cpus
+def test_task_the_pool_cannot_send_is_an_error_not_a_hang(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    with open(tmp_path / "out", "w+") as out:
+        # A session of its own, so that a timeout can end the pool's workers as well.
+        child = subprocess.Popen([sys.executable, "-c", _UNPICKLABLE_TASK], stdout=out, env=env, start_new_session=True)
+        try:
+            child.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait()
+            pytest.fail("the pool hung on a task it could not send")
+        out.seek(0)
+        assert child.returncode == 0 and out.read() == "raised []\n"
 
 
 def _check_in_daemon(problem, which):
