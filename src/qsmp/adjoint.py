@@ -15,8 +15,10 @@ derivative, :func:`qsmp.smp.gateaux_check`) can read them at the same step.
 (:func:`qsmp.bsde.backward_sweep`): a partner process builds each step's
 regression and solves (Y, Z), and this process solves the costate, its
 visit and the equations after it on a view of that regression, a few steps
-behind, with the same bits. A visitor runs in this process, so what it
-writes stays here.
+behind, with the same bits; the costate reads (Y, Z) where the partner
+wrote them. A visitor runs in this process, so what it writes stays here.
+The partner lives for one sweep, or for many (:func:`state_partner`, which
+a descent forks once).
 Also: the Gamma-weighted form of the cost derivative.
 """
 
@@ -28,10 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bmo
-from .bsde import BackwardEquation, BackwardSolution, at_step, backward_sweep, quadratic_defaults, quadratic_equation
+from .bsde import (
+    BackwardEquation,
+    BackwardSolution,
+    Partner,
+    at_step,
+    backward_sweep,
+    quadratic_defaults,
+    quadratic_equation,
+)
 from .errors import SolverError
 from .model import ProblemSpec
-from .paths import BrownianBatch, ForwardBatch, TimeGrid
+from .paths import BrownianBatch, ForwardBatch, TimeGrid, abs_max
 from .regression import RegressionBasis, StepRegressor
 
 #: Derivatives that take (t, x, u); the others also take (y, z).
@@ -84,11 +94,14 @@ def _coefficients(spec: ProblemSpec, t, x, u, y, z, *names):
 
 
 def costate_equation(
-    spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, y_vals, z_vals, width: int | None = None, visit=None
+    spec: ProblemSpec, grid: TimeGrid, forward: ForwardBatch, state, width: int | None = None, visit=None
 ) -> BackwardEquation:
-    """The costate equation along ``forward`` and the backward pair
-    ``y_vals`` (M, w), ``z_vals`` (M, w, d), read at step i only, through
-    :func:`qsmp.bsde.at_step`; ``width`` is the costate's own storage width.
+    """The costate equation along ``forward`` and the backward pair of
+    ``state``, the quadratic equation (or anything with its ``values``
+    (M, w, 1) and ``integrands`` (M, w, 1, d)): step i of the pair is read
+    through :func:`qsmp.bsde.at_step` when the costate's step i runs, from
+    whatever storage the equation has then (a pipelined sweep lends it the
+    partner's); ``width`` is the costate's own storage width.
 
     Each q-column is recovered from the martingale increment of p against the
     matching Brownian component; the drift couples p and q through the
@@ -101,7 +114,8 @@ def costate_equation(
     eye = np.eye(n)
 
     def step(i, cond_p, q_i, reg):
-        x_i, u_i, y_i, z_i = forward.states[:, i], forward.controls[:, i], at_step(y_vals, i), at_step(z_vals, i)
+        x_i, u_i = forward.states[:, i], forward.controls[:, i]
+        y_i, z_i = at_step(state.values, i)[:, 0], at_step(state.integrands, i)[:, 0]
         f_x, f_y, f_z, b_x, sigma_x = _coefficients(
             spec, times[i], x_i, u_i, y_i, z_i, "f_x", "f_y", "f_z", "b_x", "sigma_x"
         )
@@ -125,7 +139,7 @@ def costate_equation(
                 p_i = np.linalg.solve(eye[None, :, :] - dt * mat, rhs[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 raise SolverError("implicit costate step is singular", step=i) from None
-        if not np.all(np.isfinite(p_i)):
+        if not np.isfinite(abs_max(p_i)):
             raise SolverError("costate turned non-finite", step=i)
         if visit is not None:
             visit(StepPoint(i, times[i], x_i, u_i, y_i, z_i, p_i, q_i, f_y, f_z, reg))
@@ -146,6 +160,7 @@ def solve_state_and_costate(
     width: int | None = None,
     visit=None,
     after=(),
+    partner=None,
 ) -> tuple[BackwardSolution, AdjointSolution]:
     """The quadratic backward pair (as :func:`qsmp.bsde.solve_quadratic_bsde`
     gives it) and the costate along it (:func:`costate_equation`), in one
@@ -153,12 +168,29 @@ def solve_state_and_costate(
     :class:`StepPoint`, from N-1 down to 0. The equations ``after`` run at
     each step after the costate and its visit, in order, on the same
     regression. At ``width`` 2 the solutions hold step 0 and the terminal
-    values only."""
+    values only, and the sweep runs through ``partner`` if given
+    (:func:`state_partner`, made for these arguments)."""
     basis, truncation_radius, constants = quadratic_defaults(spec, basis, truncation_radius)
     quad = quadratic_equation(spec, grid, forward, truncation_radius, constants, width)
-    costate = costate_equation(spec, grid, forward, quad.values[:, :, 0], quad.integrands[:, :, 0], width, visit)
-    backward_sweep(grid, noise, forward.states, [quad, costate, *after], basis, ridge)
+    costate = costate_equation(spec, grid, forward, quad, width, visit)
+    backward_sweep(grid, noise, forward.states, [quad, costate, *after], basis, ridge, partner)
     return quad.scalar_solution(), AdjointSolution(costate.values, costate.integrands, costate.terminal)
+
+
+def state_partner(spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, forward: ForwardBatch, basis, task) -> Partner:
+    """A :class:`qsmp.bsde.Partner` for any number of
+    :func:`solve_state_and_costate` sweeps on ``forward`` at width 2 with
+    ``basis`` (None for the default), the default ridge and the default
+    truncation radius: at each sweep it solves (Y, Z) on ``forward`` as it
+    is then, so the caller keeps the forward batch in shared mappings and
+    refills it between sweeps. ``task`` is what
+    :meth:`qsmp.bsde.Partner.share` runs in the partner."""
+    basis, truncation_radius, constants = quadratic_defaults(spec, basis, None)
+
+    def first():
+        return quadratic_equation(spec, grid, forward, truncation_radius, constants, 2)
+
+    return Partner(grid, noise, forward.states, basis, None, first, task)
 
 
 GAMMA_NAME = "exponential weight"  # what a Gamma overflow is reported as

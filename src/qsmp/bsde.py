@@ -25,11 +25,15 @@ callback, as the costate's ``visit`` does (:mod:`qsmp.adjoint`).
 The first equation never reads a later one, and in a state-costate sweep
 it is the quadratic one. So a sweep of several equations at width 2 runs
 as a pipeline over two processes where forking pays
-(:func:`processes_for`): a partner process, forked once per sweep, builds
-each step's regression and solves the first equation, and hands both on
-through a ring of shared slots; this process solves the other equations
-on a view of that regression a few steps behind. The arithmetic and its
-order are the same, so the results are the same bits.
+(:func:`processes_for`): a partner process (:class:`Partner`) builds each
+step's regression straight into a ring of shared slots and solves the first
+equation in storage the ring holds too; this process solves the other
+equations on a view of that regression a few steps behind, and reads the
+first equation's step where the partner wrote it. The arithmetic and its
+order are the same, so the results are the same bits. A partner is forked
+for one sweep, or once for all the sweeps of a descent
+(:func:`qsmp.adjoint.state_partner`), where it also runs half of each
+forward pass.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 from . import bmo
 from .errors import SolverError
 from .model import DerivedConstants, ProblemSpec, clip_rows, derive_constants
-from .paths import BrownianBatch, ForwardBatch, TimeGrid, shared_zeros, step_major
+from .paths import BrownianBatch, ForwardBatch, TimeGrid, abs_max, shared_step_major, shared_zeros, step_major
 from .regression import RegressionBasis, StepRegressor
 
 _FIXED_POINT_MAX = 50
@@ -71,11 +75,13 @@ _RING_SLOTS = 4
 #: byte. It does not sleep on the pipe: on the 2-CPU virtual machine
 #: measured, a process woken by the other's write ran on the writer's CPU,
 #: so the two ran one after the other and the sweep took longer than in one
-#: process. A step takes the partner about 1.5 ms on `descend` and the ring
-#: lets it run 4 steps ahead, so a look every millisecond keeps it from
-#: waiting. Looking every 0.05, 0.2, 1 or 2 ms gave the same `descend`
-#: times; every 1 ms woke the waiting process a quarter as often as 0.2 ms.
-_POLL_S = 0.001
+#: process. While the partner's half of a step was the longer one, a look
+#: every 0.05 to 2 ms gave the same `descend` times. With the two halves
+#: about even, each side often waits for the other: a look every 0.1 ms
+#: made `descend` faster than every 1 ms in 14 of 20 alternating CLI pairs
+#: (medians 2.5 to 4.8% lower, CPU time no higher), and 0.05 or 0.2 ms did
+#: no better than 0.1 ms.
+_POLL_S = 0.0001
 
 
 def processes_for(path_steps: int) -> int:
@@ -154,7 +160,10 @@ class BackwardEquation:
     The terminal values are also kept apart, for the pathwise targets. ``driver_sum`` (M,) is
     where a scalar equation's step adds its pathwise driver. The step must
     not refer to the equation: that cycle would keep every solve's arrays
-    alive until the garbage collector runs.
+    alive until the garbage collector runs. A pipelined sweep lends the
+    first equation other storage while it runs (:meth:`Partner.sweep`), so
+    a later equation reads it through the equation, not through arrays it
+    kept.
     """
 
     def __init__(self, terminal: np.ndarray, n_steps: int, d: int, step, driver_sum=None, width=None):
@@ -177,24 +186,35 @@ class BackwardEquation:
 
 
 def backward_sweep(
-    grid: TimeGrid, noise: BrownianBatch, states: np.ndarray, equations: list, basis: RegressionBasis, ridge=None
+    grid: TimeGrid,
+    noise: BrownianBatch,
+    states: np.ndarray,
+    equations: list,
+    basis: RegressionBasis,
+    ridge=None,
+    partner=None,
 ) -> None:
     """Solves the equations in place, sharing one regression on ``states``
     (M, N+1, m) per step; no regressor outlives its step. Several equations
-    at width 2 run pipelined over two processes where that can help
-    (:func:`_pipelined_sweep`); then the first equation's step must change
-    nothing but what it returns and its driver sum."""
-    if (
+    at width 2 run pipelined over two processes: through ``partner`` if
+    given (a :class:`Partner` made for these states, basis and ridge),
+    else through a partner forked for this sweep where that can help
+    (:func:`processes_for`). Then the first equation is a scalar one, and
+    its step must change nothing but what it returns and its driver sum."""
+    if partner is not None:
+        partner.sweep(equations)
+    elif (
         len(equations) > 1
         and all(eq.values.shape[1] == 2 for eq in equations)
         and processes_for(noise.M * grid.N) > 1
     ):
-        _pipelined_sweep(grid, noise, states, equations, basis, ridge)
-        return
-    for i in range(grid.N - 1, -1, -1):
-        reg = StepRegressor(basis, states[:, i], ridge)
-        for eq in equations:
-            _solve_step(eq, i, reg, noise.increments[:, i], grid.dt)
+        with Partner(grid, noise, states, basis, ridge, lambda: equations[0]) as one_sweep:
+            one_sweep.sweep(equations)
+    else:
+        for i in range(grid.N - 1, -1, -1):
+            reg = StepRegressor(basis, states[:, i], ridge)
+            for eq in equations:
+                _solve_step(eq, i, reg, noise.increments[:, i], grid.dt)
 
 
 def _solve_step(eq: BackwardEquation, i: int, reg: StepRegressor, increments: np.ndarray, dt: float) -> None:
@@ -212,107 +232,188 @@ def _solve_step(eq: BackwardEquation, i: int, reg: StepRegressor, increments: np
     at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i, reg)
 
 
-def _pipelined_sweep(grid, noise, states, equations, basis, ridge) -> None:
-    """:func:`backward_sweep` over two processes. A partner forked here
-    builds each step's regression and solves the first equation
-    (:func:`_partner`); it writes the step's features, Cholesky factor,
-    shift and scale and the first equation's solved step into slot
-    ``i % _RING_SLOTS`` of a ring of shared arrays
-    (:func:`qsmp.paths.shared_zeros`) and sends one byte. On that byte,
-    looked for every :data:`_POLL_S` seconds, this process copies the step
-    into the first equation's storage, solves the others on a
-    :class:`StepRegressor` view of the slot, and sends a byte back to free
-    the slot. An error of the partner at step i is raised here when this
-    process reaches step i, as the in-process sweep would raise it; a
-    partner that dies is a :class:`SolverError`. The partner is killed and
-    reaped on every path."""
-    first, rest = equations[0], equations[1:]
-    m_paths, n_steps = noise.M, grid.N
-    n_feat = len(basis.exponents(states.shape[2]))
-    shapes = {
-        "features_t": (n_feat, m_paths),
-        "chol": (n_feat, n_feat),
-        "shift": (states.shape[2],),
-        "scale": (states.shape[2],),
-        "value": first.values.shape[:1] + first.values.shape[2:],
-        "integrand": first.integrands.shape[:1] + first.integrands.shape[2:],
-    }
-    if first.driver_sum is not None:
-        shapes["driver_sum"] = first.driver_sum.shape
-    ring = {name: shared_zeros((_RING_SLOTS, *shape)) for name, shape in shapes.items()}
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (ready_r, ready_w, free_r, free_w):
-            os.close(fd)
-        raise
-    if pid == 0:  # the partner
+class Partner:
+    """A forked process that runs the first equation of pipelined sweeps
+    (:func:`backward_sweep`) and, between sweeps, a task of the caller's.
+
+    At each sweep (:meth:`sweep`) the partner builds step i's regression
+    straight into slot ``i % _RING_SLOTS`` of a ring of shared arrays
+    (:func:`qsmp.paths.shared_zeros`) and solves the first equation there:
+    the equation's own storage is the ring's (:func:`_partner`). It sends
+    one byte per step. On that byte, looked for every :data:`_POLL_S`
+    seconds, this process solves the other equations on a
+    :class:`StepRegressor` view of the slot, reading the first equation's
+    step from the same storage, and sends a byte back to free the slot.
+    The arithmetic and its order are those of the in-process sweep, so the
+    results are the same bits. An error of the partner at step i is raised
+    here when this process reaches step i, as the in-process sweep would
+    raise it; a partner that dies is a :class:`SolverError`.
+
+    The ring is mapped once, so a partner that serves many sweeps (a
+    descent's) costs one fork: ``first()`` gives, in the partner, the first
+    equation of each sweep, built on ``states`` as they are when the sweep
+    starts. A caller that refills ``states`` between sweeps keeps them in
+    shared mappings. The partner is killed and reaped by :meth:`close`,
+    which a ``with`` block calls at its end, and so does a sweep that ends
+    in an error or a task interrupted here (KeyboardInterrupt): the partner
+    would be out of step with this process."""
+
+    def __init__(self, grid: TimeGrid, noise: BrownianBatch, states: np.ndarray, basis, ridge, first, task=None):
+        m_paths, n_dim = noise.M, states.shape[2]
+        n_feat = len(basis.exponents(n_dim))
+        self.grid, self.noise, self.basis = grid, noise, basis
+        self._features = shared_zeros((_RING_SLOTS, n_feat, m_paths))
+        self._chol = shared_zeros((_RING_SLOTS, n_feat, n_feat))
+        self._shift = shared_zeros((_RING_SLOTS, n_dim))
+        self._scale = shared_zeros((_RING_SLOTS, n_dim))
+        self._values = shared_step_major((m_paths, _RING_SLOTS, 1))
+        self._integrands = shared_step_major((m_paths, _RING_SLOTS, 1, noise.d))
+        self._driver_sum = shared_zeros((m_paths,))
+        partner_r, caller_w = os.pipe()  # from this process to the partner
+        caller_r, partner_w = os.pipe()  # from the partner to this process
         try:
-            os.close(ready_r)
-            os.close(free_w)
-            _partner(grid, noise, states, first, basis, ridge, ring, ready_w, free_r)
+            pid = os.fork()
+        except OSError:
+            for fd in (partner_r, caller_w, caller_r, partner_w):
+                os.close(fd)
+            raise
+        if pid == 0:  # the partner
+            try:
+                os.close(caller_w)
+                os.close(caller_r)
+                self._inbox, self._outbox = partner_r, partner_w
+                os.set_blocking(self._inbox, False)
+                self._serve(states, ridge, first, task)
+            finally:
+                os._exit(0)
+        os.close(partner_r)
+        os.close(partner_w)
+        self._inbox, self._outbox = caller_r, caller_w
+        os.set_blocking(self._inbox, False)
+        self.pid = pid
+
+    def __enter__(self) -> "Partner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Kills and reaps the partner: its work is done or no longer wanted."""
+        if self.pid is None:
+            return
+        os.close(self._inbox)
+        os.close(self._outbox)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+    def sweep(self, equations: list) -> None:
+        """:func:`backward_sweep` of ``equations`` at width 2, the first
+        solved by the partner. The first equation is lent the partner's
+        storage for the sweep; then its steps 0 and 1 and its driver sum are
+        copied back, which is all that width 2 keeps."""
+        first, rest = equations[0], equations[1:]
+        grid, noise = self.grid, self.noise
+        kept = first.values, first.integrands
+        first.values, first.integrands = self._values, self._integrands
+        try:
+            _send(self._outbox, b"S")
+            for i in range(grid.N - 1, -1, -1):
+                status = _read(self._inbox, 1)
+                if status != b"\0":
+                    raise _partner_failure(status, self._inbox, i)
+                slot = i % _RING_SLOTS
+                reg = StepRegressor.from_parts(
+                    self.basis, self._shift[slot].copy(), self._scale[slot].copy(),
+                    self._features[slot].T, self._chol[slot],
+                )
+                for eq in rest:
+                    _solve_step(eq, i, reg, noise.increments[:, i], grid.dt)
+                if i >= _RING_SLOTS:  # the partner needs this slot for step i - _RING_SLOTS
+                    _send(self._outbox, b"\0")
+        except BaseException:
+            self.close()  # in the middle of a sweep, it serves no other
+            raise
         finally:
-            os._exit(0)
-    os.close(ready_w)
-    os.close(free_r)
-    os.set_blocking(ready_r, False)
-    try:
-        for i in range(n_steps - 1, -1, -1):
-            status = _read(ready_r, 1)
-            if status != b"\0":
-                raise _partner_failure(status, ready_r, i)
-            slot = {name: slots[i % _RING_SLOTS] for name, slots in ring.items()}
-            at_step(first.values, i)[...] = slot["value"]
-            at_step(first.integrands, i)[...] = slot["integrand"]
-            reg = StepRegressor.from_parts(
-                basis, slot["shift"].copy(), slot["scale"].copy(), slot["features_t"].T, slot["chol"]
-            )
-            for eq in rest:
-                _solve_step(eq, i, reg, noise.increments[:, i], grid.dt)
-            if i >= _RING_SLOTS:  # the partner still needs this slot, for step i - _RING_SLOTS
-                try:
-                    os.write(free_w, b"\0")
-                except BrokenPipeError:
-                    pass  # the partner has ended: its status for step i - 1 says why
+            first.values, first.integrands = kept
+        for i in range(min(grid.N, first.values.shape[1])):
+            at_step(first.values, i)[...] = at_step(self._values, i)
+            at_step(first.integrands, i)[...] = at_step(self._integrands, i)
         if first.driver_sum is not None:
-            first.driver_sum[...] = ring["driver_sum"][0]
-    finally:
-        os.close(ready_r)
-        os.close(free_w)
-        os.kill(pid, signal.SIGKILL)  # its work is done or no longer wanted
-        os.waitpid(pid, 0)
+            first.driver_sum[...] = self._driver_sum
 
-
-def _partner(grid, noise, states, first, basis, ridge, ring, ready_w, free_r) -> None:
-    """The partner's half of :func:`_pipelined_sweep`: builds each step's
-    regression and solves ``first`` on it, from step N-1 down to 0. An error
-    ends the partner after one byte 1 and the pickled exception."""
-    n_steps = grid.N
-    os.set_blocking(free_r, False)
-    for i in range(n_steps - 1, -1, -1):
+    def share(self, own, *args) -> None:
+        """Runs the partner's task on ``args`` (pickled) while this process
+        runs ``own(*args)``. If either raises, the error with the lower
+        ``step`` is raised, this process's where the steps tie or neither
+        has one; a partner that dies is a :class:`SolverError`."""
+        errors = []
         try:
-            reg = StepRegressor(basis, states[:, i], ridge)
+            _send(self._outbox, b"J" + _framed(pickle.dumps(args)))
+            try:
+                own(*args)
+            except Exception as err:
+                errors.append(err)
+            status = _read(self._inbox, 1)
+        except BaseException:
+            self.close()
+            raise
+        if status != b"\0":
+            errors.append(_partner_failure(status, self._inbox, None))
+        if errors:
+            raise min(errors, key=lambda err: math.inf if getattr(err, "step", None) is None else err.step)
+
+    def _serve(self, states, ridge, first, task) -> None:
+        """The partner's loop: a byte S starts a sweep, a byte J a task with
+        the pickled arguments that follow; it ends when the caller closes
+        its end. A free byte left from a sweep that ended at an error is
+        skipped."""
+        while command := _read(self._inbox, 1):
+            if command == b"S":
+                _partner(self, states, ridge, first())
+            elif command == b"J":
+                payload = _read_framed(self._inbox)
+                if payload is None:
+                    return
+                args = pickle.loads(payload)
+                try:
+                    task(*args)
+                except Exception as err:
+                    _send(self._outbox, b"\1" + _framed(_pickled(err, getattr(err, "step", None))))
+                else:
+                    _send(self._outbox, b"\0")
+
+
+def _partner(partner: Partner, states, ridge, first: BackwardEquation) -> None:
+    """The partner's half of one :meth:`Partner.sweep`: from step N-1 down
+    to 0, it waits until step i's slot is free, builds the step's regression
+    into it and solves ``first`` on it, with the ring as ``first``'s storage.
+    An error is reported as a byte 1 and the pickled exception, and ends the
+    sweep here."""
+    grid, noise = partner.grid, partner.noise
+    n_steps = grid.N
+    first.values, first.integrands = partner._values, partner._integrands
+    at_step(first.values, n_steps)[...] = first.terminal
+    for i in range(n_steps - 1, -1, -1):
+        slot = i % _RING_SLOTS
+        if i + _RING_SLOTS < n_steps and _read(partner._inbox, 1) != b"\0":
+            return  # the sweep ended without this step
+        try:
+            reg = StepRegressor(partner.basis, states[:, i], ridge, out=partner._features[slot])
             _solve_step(first, i, reg, noise.increments[:, i], grid.dt)
         except Exception as err:
-            os.write(ready_w, b"\1" + _pickled(err, i))
+            _send(partner._outbox, b"\1" + _framed(_pickled(err, i)))
             return
-        if i + _RING_SLOTS < n_steps and _read(free_r, 1) != b"\0":
-            return  # the sweep ended without this step
-        slot = {name: slots[i % _RING_SLOTS] for name, slots in ring.items()}
-        slot["features_t"][...] = reg.features.T
-        slot["chol"][...] = reg.chol
-        slot["shift"][...] = reg.shift
-        slot["scale"][...] = reg.scale
-        slot["value"][...] = at_step(first.values, i)
-        slot["integrand"][...] = at_step(first.integrands, i)
+        partner._chol[slot] = reg.chol
+        partner._shift[slot] = reg.shift
+        partner._scale[slot] = reg.scale
         if i == 0 and first.driver_sum is not None:
-            slot["driver_sum"][...] = first.driver_sum
-        os.write(ready_w, b"\0")
+            partner._driver_sum[...] = first.driver_sum
+        _send(partner._outbox, b"\0")
 
 
-def _pickled(err: Exception, i: int) -> bytes:
+def _pickled(err: Exception, step) -> bytes:
     """``err`` pickled, or a :class:`SolverError` with its text where it does
     not survive the round trip."""
     try:
@@ -320,18 +421,49 @@ def _pickled(err: Exception, i: int) -> bytes:
         pickle.loads(payload)
         return payload
     except Exception:
-        return pickle.dumps(SolverError(f"{type(err).__name__}: {err}", step=i))
+        return pickle.dumps(SolverError(f"{type(err).__name__}: {err}", step=step))
 
 
-def _partner_failure(status: bytes, ready_r: int, i: int) -> Exception:
-    """The exception for a status byte other than 0 at step i: the partner's
-    own, which follows a byte 1, or a :class:`SolverError` if it died."""
-    if status == b"\1":
-        chunks = []
-        while chunk := _read(ready_r, 1 << 16):
-            chunks.append(chunk)
-        return pickle.loads(b"".join(chunks))
-    return SolverError("the partner process of the sweep died", step=i)
+def _partner_failure(status: bytes, fd: int, step) -> Exception:
+    """The exception for a status byte other than 0: the partner's own,
+    which follows a byte 1, or a :class:`SolverError` if it died."""
+    payload = _read_framed(fd) if status == b"\1" else None
+    if payload is None:
+        return SolverError("the partner process of the sweep died", step=step)
+    return pickle.loads(payload)
+
+
+def _framed(payload: bytes) -> bytes:
+    return len(payload).to_bytes(8, "little") + payload
+
+
+def _read_framed(fd: int):
+    """The payload of a :func:`_framed` message, None if the pipe ends first."""
+    header = _read_exactly(fd, 8)
+    if len(header) < 8:
+        return None
+    size = int.from_bytes(header, "little")
+    payload = _read_exactly(fd, size)
+    return payload if len(payload) == size else None
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """``size`` bytes from the non-blocking pipe ``fd``, fewer at its end."""
+    data = b""
+    while len(data) < size and (chunk := _read(fd, size - len(data))):
+        data += chunk
+    return data
+
+
+def _send(fd: int, data: bytes) -> None:
+    """All of ``data`` down the pipe ``fd``; nothing once the other process
+    has closed its end, since what it sent before says why."""
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view) :]
+    except BrokenPipeError:
+        pass
 
 
 def _read(fd: int, size: int) -> bytes:
@@ -374,26 +506,27 @@ def quadratic_equation(
         z_i = clip_rows(z[:, 0], truncation_radius)
         x_i = forward.states[:, i]
         u_i = forward.controls[:, i]
-        y_i = cond_y.copy()
+        y_i = cond_y  # f only reads it, and the first iterate is new
         converged = False
         for _ in range(_FIXED_POINT_MAX):
-            drift = np.asarray(co.f(times[i], x_i, y_i, z_i, u_i), dtype=np.float64)
-            y_new = cond_y + drift * dt
-            gap = np.abs(y_new - y_i).max()
+            increment = np.asarray(co.f(times[i], x_i, y_i, z_i, u_i), dtype=np.float64) * dt
+            y_new = cond_y + increment
+            gap = abs_max(y_new - y_i)
             y_i = y_new
-            if gap <= _FIXED_POINT_TOL * (1.0 + np.abs(y_i).max()):
+            size = abs_max(y_i)
+            if gap <= _FIXED_POINT_TOL * (1.0 + size):
                 converged = True
                 break
         if not converged:
             raise SolverError("fixed-point sub-iteration did not converge", step=i)
-        if not np.all(np.isfinite(y_i)):
+        if not np.isfinite(size):
             raise SolverError("backward value turned non-finite", step=i)
-        if np.abs(y_i).max() > abort_level:
+        if size > abort_level:
             raise SolverError(
                 f"|Y| exceeded 10*A = {abort_level:.3g}; bound violation signals misconfiguration",
                 step=i,
             )
-        driver_sum += drift * dt
+        driver_sum += increment
         return y_i[:, None], z_i[:, None]
 
     terminal = np.asarray(co.Phi(forward.states[:, grid.N]), dtype=np.float64)
@@ -437,7 +570,7 @@ def linear_equation(terminal: np.ndarray, grid: TimeGrid, d: int, coefficients_a
             raise SolverError("implicit linear step is singular (dt * lam too close to 1)", step=i)
         drift = np.einsum("md,md->m", mu, z[:, 0]) + phi
         y_i = (cond[:, 0] + dt * drift) / denom
-        if not np.all(np.isfinite(y_i)):
+        if not np.isfinite(abs_max(y_i)):
             raise SolverError("backward value turned non-finite", step=i)
         driver_sum += (lam * y_i + drift) * dt
         return y_i[:, None], z

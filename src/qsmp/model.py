@@ -157,13 +157,17 @@ class BoxDomain(ControlDomain):
 
 def clip_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     """``rows`` with every row longer than ``radius`` scaled back to that
-    length; the rows themselves when the radius is infinite."""
+    length; the rows themselves when the radius is infinite or no row is
+    longer."""
     if not math.isfinite(radius):
         return rows
     # numpy's own formula for the 2-norm over the last axis, without the
     # overhead of ``np.linalg.norm``: the same bits.
     norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
-    return rows * np.where(norms > radius, radius / np.where(norms > 0, norms, 1.0), 1.0)
+    over = norms > radius
+    if not over.any():
+        return rows
+    return rows * np.where(over, radius / np.where(norms > 0, norms, 1.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,12 @@ class TimeGrid:
         return times
 
 
+def abs_max(a: np.ndarray):
+    """max |a| as ``np.maximum(a.max(), -a.min())``: the same value without
+    the temporary |a|, and NaN where ``a`` holds a NaN."""
+    return np.maximum(a.max(), -a.min())
+
+
 def step_major(shape, fill=None) -> np.ndarray:
     """A float array of logical shape (M, steps, ...) stored step by step,
     so that ``a[:, i]`` is C-contiguous; uninitialised unless ``fill`` is
@@ -151,19 +157,27 @@ class ForwardBatch:
 
 
 def solve_forward_sde(
-    spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, control: Control
+    spec: ProblemSpec,
+    grid: TimeGrid,
+    noise: BrownianBatch,
+    control: Control,
+    out: ForwardBatch | None = None,
+    rows: slice = slice(None),
 ) -> ForwardBatch:
     """Euler-Maruyama: X_{i+1} = X_i + b dt + sigma dW; exact for constant
     coefficients. Aborts with the step index if a state leaves the blow-up
-    guard or turns non-finite."""
-    m_paths = noise.M
+    guard or turns non-finite. Writes into ``out`` if given, else into a new
+    batch, and steps only the paths ``rows``: no path reads another, so two
+    processes that share ``out`` may each step one part of the paths (the
+    control must be a feedback one, which reads only the states given)."""
     if noise.increments.shape[1] != grid.N or noise.d != spec.d:
         raise ValueError("noise batch does not match grid/spec dimensions")
     times = grid.times
     dt = grid.dt
-    states = step_major((m_paths, grid.N + 1, spec.n))
+    if out is None:
+        out = ForwardBatch(step_major((noise.M, grid.N + 1, spec.n)), step_major((noise.M, grid.N + 1, spec.k)))
+    states, controls, increments = out.states[rows], out.controls[rows], noise.increments[rows]
     states[:, 0] = spec.x0
-    controls = step_major((m_paths, grid.N + 1, spec.k))
     co = spec.coeffs
     for i in range(grid.N):
         x_i = states[:, i]
@@ -171,12 +185,12 @@ def solve_forward_sde(
         controls[:, i] = u_i
         drift = np.asarray(co.b(times[i], x_i, u_i), dtype=np.float64)
         diff = np.asarray(co.sigma(times[i], x_i, u_i), dtype=np.float64)
-        nxt = x_i + drift * dt + np.einsum("mnd,md->mn", diff, noise.increments[:, i])
-        if not np.all(np.isfinite(nxt)) or np.abs(nxt).max() > EXPLOSION_GUARD:
+        nxt = x_i + drift * dt + np.einsum("mnd,md->mn", diff, increments[:, i])
+        if not abs_max(nxt) <= EXPLOSION_GUARD:  # also NaN and infinities
             raise ExplosionError("forward state left the admissible range", step=i)
         states[:, i + 1] = nxt
     controls[:, grid.N] = control.values(grid.N, times[-1], states[:, grid.N])
-    return ForwardBatch(states, controls)
+    return out
 
 
 DEFAULT_EPSILONS = (0.25, 0.125, 0.0625, 0.03125, 0.015625)

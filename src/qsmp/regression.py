@@ -11,6 +11,14 @@ Gram and fitted-value products gave the same bits at 1 and 2 threads for 1 to
 40 features, 48 to 16384 paths per chunk and 1 to 3 targets. Results are
 therefore reproducible bit for bit across BLAS thread counts, as verified at 1
 and 2 threads only: the machine measured has 2 cores.
+
+A step's regression (:class:`StepRegressor`) may be built straight into a
+given (F, M) buffer, such as a slot of a pipelined sweep's shared ring
+(:class:`qsmp.bsde.Partner`), so no copy of the features is made. The build
+centres the states once, for the scale and for the features, and starts
+each feature from its first factor, making power arrays only for powers
+p >= 2. The bits are those of the plain product of powers from a row of
+ones, since 1.0 * a is exactly a.
 """
 
 from __future__ import annotations
@@ -60,29 +68,37 @@ class RegressionBasis:
         states = np.asarray(states, dtype=np.float64)
         if states.ndim == 1:
             states = states[:, None]
-        m_paths, state_dim = states.shape
+        state_dim = states.shape[1]
         if shift is None:
             shift = np.zeros(state_dim)
         if scale is None:
             scale = np.ones(state_dim)
-        z = (states - shift) / scale
-        # Powers per coordinate up to the total degree, multiplied per monomial.
-        pows = [None] * state_dim
-        for j in range(state_dim):
-            col = np.empty((self.degree + 1, m_paths))
-            col[0] = 1.0
-            for p in range(1, self.degree + 1):
-                col[p] = col[p - 1] * z[:, j]
-            pows[j] = col
+        return self.monomials((states - shift) / scale)
+
+    def monomials(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The features of centred and scaled states ``z`` (M, state_dim),
+        written as the rows of ``out`` (F, M), a new array by default; returns
+        the (M, F) transpose. Each feature is one contiguous row (strided
+        column writes are an order of magnitude slower), the product of its
+        coordinates' powers in coordinate order. A power p >= 2 is its power
+        p - 1 times the coordinate, and power 1 is the coordinate itself."""
+        m_paths, state_dim = z.shape
         expo = self.exponents(state_dim)
-        # Each feature is written as one contiguous row of an (F, M) array
-        # (strided column writes are an order of magnitude slower); the
-        # (M, F) result is its transpose.
-        feats = np.ones((expo.shape[0], m_paths))
+        feats = np.empty((expo.shape[0], m_paths)) if out is None else out
+        pows = [[None, z[:, j]] for j in range(state_dim)]
+        for j, powers in enumerate(pows):
+            for _ in range(2, self.degree + 1):
+                powers.append(powers[-1] * z[:, j])
         for f_idx, row in enumerate(expo):
-            for j, p in enumerate(row):
-                if p:
-                    feats[f_idx] *= pows[j][p]
+            factors = [pows[j][p] for j, p in enumerate(row) if p]
+            if not factors:
+                feats[f_idx] = 1.0
+            elif len(factors) == 1:
+                feats[f_idx] = factors[0]
+            else:
+                np.multiply(factors[0], factors[1], out=feats[f_idx])
+                for factor in factors[2:]:
+                    feats[f_idx] *= factor
         return feats.T
 
 
@@ -157,17 +173,23 @@ class StepFit:
 
 class StepRegressor:
     """Shares one feature matrix (and its Cholesky factor ``chol``) across
-    the several targets regressed at a single backward time step."""
+    the several targets regressed at a single backward time step. The
+    features (M, F) are the transpose of ``out`` (F, M) if given, whatever
+    it held before, else of a new array; both give the same bits."""
 
-    def __init__(self, basis: RegressionBasis, states: np.ndarray, ridge: float | None = None):
+    def __init__(self, basis: RegressionBasis, states: np.ndarray, ridge: float | None = None, out=None):
         states = np.asarray(states, dtype=np.float64)
         if states.ndim == 1:
             states = states[:, None]
         self.basis = basis
         self.shift = states.mean(axis=0)
-        scale = states.std(axis=0)
+        # The states are centred once, for the scale and for the features.
+        # The scale is numpy's own formula of ``np.std``: the same bits.
+        z = states - self.shift
+        scale = np.sqrt(np.add.reduce(np.square(z), axis=0) / states.shape[0])
         self.scale = np.where(scale > 1e-12, scale, 1.0)
-        self.features = basis.features(states, self.shift, self.scale)
+        z /= self.scale
+        self.features = basis.monomials(z, out)
         self.chol = _factorise(self.features, ridge)
 
     @classmethod

@@ -22,6 +22,7 @@ way.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -339,24 +340,36 @@ class DescentResult:
     halted_on_divergence: bool
 
 
-def _gradient_storage(noise, grid, k):
-    """The weights (M, N, k) and log Gamma (M, N+1) that
-    :func:`_policy_gradient` fills, in shared mappings
-    (:func:`qsmp.paths.shared_step_major`): a descent allocates them once
-    for all its iterations, so no iteration faults their pages in again,
-    and no sweep's partner process makes the visit's writes copy them."""
-    return shared_step_major((noise.M, grid.N, k)), shared_step_major((noise.M, grid.N + 1))
+def _gradient_storage(spec, grid, noise):
+    """The forward batch (states (M, N+1, n), controls (M, N+1, k)), the
+    weights (M, N, k) and log Gamma (M, N+1) that :func:`_policy_gradient`
+    fills, in shared mappings (:func:`qsmp.paths.shared_step_major`): a
+    descent allocates them once for all its iterations, so no iteration
+    faults their pages in again, a sweep's partner process reads the forward
+    batch as this process last wrote it, and no partner makes the visit's
+    writes copy a page."""
+    m_paths, n_steps = noise.M, grid.N
+    forward = ForwardBatch(
+        shared_step_major((m_paths, n_steps + 1, spec.n)), shared_step_major((m_paths, n_steps + 1, spec.k))
+    )
+    return forward, shared_step_major((m_paths, n_steps, spec.k)), shared_step_major((m_paths, n_steps + 1))
 
 
-def _policy_gradient(spec, grid, noise, policy, basis, storage=None):
+def _policy_gradient(spec, grid, noise, policy, basis, storage=None, partner=None):
     """(cost, its standard error, offset gradient (N, k), gain gradient
     (N, k, n)) at the policy, from one state-costate sweep at width 2 whose
     visitor forms H_u, chained through the policy's projection, and the
-    step of log Gamma. Besides the forward batch, which dies on return, the
-    path arrays are the weights (M, N, k) and Gamma (M, N+1) of
-    ``storage`` (:func:`_gradient_storage`, allocated here by default)."""
-    forward = solve_forward_sde(spec, grid, noise, policy.control())
-    weight, log_gamma = storage or _gradient_storage(noise, grid, spec.k)
+    step of log Gamma. The path arrays are those of ``storage``
+    (:func:`_gradient_storage`, allocated here by default). With a
+    ``partner`` (:func:`_descent_partner`), the partner runs Euler on the
+    second half of the paths while this process runs it on the first, and
+    the sweep runs through it."""
+    forward, weight, log_gamma = storage or _gradient_storage(spec, grid, noise)
+    control = policy.control()
+    if partner is None:
+        solve_forward_sde(spec, grid, noise, control, out=forward)
+    else:
+        partner.share(lambda c: solve_forward_sde(spec, grid, noise, c, out=forward, rows=slice(0, noise.M // 2)), control)
     log_gamma[:, 0] = 0.0
 
     def visit(point):
@@ -364,11 +377,27 @@ def _policy_gradient(spec, grid, noise, policy, basis, storage=None):
         weight[:, point.i] = policy.domain.pullback(policy.raw(point.i, point.x), grad)
         log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
 
-    backward, _ = adjoint_mod.solve_state_and_costate(spec, grid, noise, forward, basis, width=2, visit=visit)
+    backward, _ = adjoint_mod.solve_state_and_costate(
+        spec, grid, noise, forward, basis, width=2, visit=visit, partner=partner
+    )
     weight *= bmo.cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)[:, : grid.N, None]
     grad_offsets = weight.mean(axis=0)  # (N, k)
     grad_gains = np.einsum("mik,min->ikn", weight, forward.states[:, : grid.N]) / noise.M
     return backward.y0, backward.y0_standard_error, grad_offsets, grad_gains
+
+
+def _descent_partner(spec, grid, noise, forward, basis):
+    """One partner process for every iteration of a descent on the shared
+    ``forward`` (:func:`qsmp.adjoint.state_partner`): its task is Euler on
+    the second half of the paths. A null context where forking does not pay
+    (:func:`qsmp.bsde.processes_for`)."""
+    if processes_for(noise.M * grid.N) < 2:
+        return contextlib.nullcontext()
+
+    def second_half(control):
+        solve_forward_sde(spec, grid, noise, control, out=forward, rows=slice(noise.M // 2, None))
+
+    return adjoint_mod.state_partner(spec, grid, noise, forward, basis, second_half)
 
 
 def projected_gradient_descent(
@@ -393,6 +422,14 @@ def projected_gradient_descent(
     early if the cost ends more than its standard error above the best cost
     so far five times in a row: with clipped controls a diverging descent
     can stall on a plateau without rising at every iteration.
+
+    Where forking pays (:func:`qsmp.bsde.processes_for`), one partner
+    process serves every iteration (:func:`_descent_partner`): it runs
+    Euler on the second half of the paths while this process runs the
+    first, into forward arrays kept in shared mappings for the whole
+    descent, then the quadratic half of the pipelined sweep. The paths do
+    not interact, so the results are the same bits as in one process. The
+    partner is killed and reaped when the descent ends, however it ends.
     """
     eta = float(step_schedule)
     policy = u_init.copy()
@@ -401,28 +438,31 @@ def projected_gradient_descent(
     best_cost = math.inf
     above_best = 0
     halted = False
-    storage = _gradient_storage(noise, grid, spec.k)
+    storage = _gradient_storage(spec, grid, noise)
 
-    for iteration in range(max_iters):
-        cost, cost_se, grad_offsets, grad_gains = _policy_gradient(spec, grid, noise, policy, basis, storage)
-        grad_norm = float(
-            math.sqrt(np.sum(grad_offsets**2) + np.sum(grad_gains**2)) * math.sqrt(grid.dt)
-        )
-        trace.append(DescentRow(iteration, cost, cost_se, grad_norm))
+    with _descent_partner(spec, grid, noise, storage[0], basis) as partner:
+        for iteration in range(max_iters):
+            cost, cost_se, grad_offsets, grad_gains = _policy_gradient(
+                spec, grid, noise, policy, basis, storage, partner
+            )
+            grad_norm = float(
+                math.sqrt(np.sum(grad_offsets**2) + np.sum(grad_gains**2)) * math.sqrt(grid.dt)
+            )
+            trace.append(DescentRow(iteration, cost, cost_se, grad_norm))
 
-        if cost > best_cost + cost_se:
-            above_best += 1
-            if above_best >= 5:
-                halted = True
-                break
-        else:
-            above_best = 0
-        if cost < best_cost:
-            best_cost = cost
-            best = policy.copy()
+            if cost > best_cost + cost_se:
+                above_best += 1
+                if above_best >= 5:
+                    halted = True
+                    break
+            else:
+                above_best = 0
+            if cost < best_cost:
+                best_cost = cost
+                best = policy.copy()
 
-        policy.offsets[: grid.N] -= eta * grad_offsets
-        policy.gains[: grid.N] -= eta * grad_gains
+            policy.offsets[: grid.N] -= eta * grad_offsets
+            policy.gains[: grid.N] -= eta * grad_gains
 
     return DescentResult(best, trace, halted)
 

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,9 @@ def gauss_hermite_log_moment(gamma: float = 1.0, mean: float = 0.0, var: float =
 def costate_alone(spec, grid, noise, forward, backward):
     """The costate pair along a solved backward pair, in a sweep of its own:
     the reference for the costate that the shared state-costate sweep solves."""
-    eq = adjoint.costate_equation(spec, grid, forward, backward.Y, backward.Z)
+    # The costate reads the pair as the quadratic equation stores it: (M, w, 1) and (M, w, 1, d).
+    state = types.SimpleNamespace(values=backward.Y[:, :, None], integrands=backward.Z[:, :, None])
+    eq = adjoint.costate_equation(spec, grid, forward, state)
     bsde.backward_sweep(grid, noise, forward.states, [eq], bsde.RegressionBasis(3))
     return adjoint.AdjointSolution(eq.values, eq.integrands, eq.terminal)
 

@@ -5,12 +5,13 @@
 Runs each config in ``CHECKOUT/configs`` through its pipeline at ``--seed 1``,
 each in a fresh process with ``CHECKOUT/src`` on ``PYTHONPATH``, into a
 temporary directory, and writes one ``sha256  config/file`` line per artifact
-to OUT, sorted by config and file. Each pipeline's peak resident set size and
-its user + system CPU time go to stderr, one ``config pipeline MB s`` line
-each, so OUT holds hashes only. Both come from ``os.wait4`` on the pipeline's
-process: ``ru_maxrss`` is the largest over that process and the worker
-processes it forked and reaped (a check's solves run in workers), and the
-CPU time is their sum. Two checkouts are byte-identical on the
+to OUT, sorted by config and file. Each pipeline's peak resident set size,
+its user + system CPU time, its system time and its minor page faults go to
+stderr, one ``config pipeline MB s sys_s minflt`` line each, so OUT holds
+hashes only. All come from ``os.wait4`` on the pipeline's process:
+``ru_maxrss`` is the largest over that process and the processes it forked
+and reaped (a check's workers, a sweep's partner), and the times and faults
+are their sums. Two checkouts are byte-identical on the
 shipped configs when ``diff`` of their two files is empty:
 
     python3 tools/artifact_hashes.py . before.txt   # at the parent commit
@@ -51,14 +52,15 @@ def _sha256(path: str) -> str:
 
 
 def _run(cmd: list, env: dict, cwd: str) -> tuple:
-    """(exit code, peak RSS in MB, user + system CPU seconds) of one child
-    process and the workers it reaped; ``os.wait4`` reaps the child, so the
-    usage is not that of every child of this process."""
+    """(exit code, peak RSS in MB, user + system CPU seconds, system seconds,
+    minor page faults) of one child process and the processes it reaped;
+    ``os.wait4`` reaps the child, so the usage is not that of every child of
+    this process."""
     proc = subprocess.Popen(cmd, env=env, cwd=cwd, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     peak_rss_mb = usage.ru_maxrss / 1024.0  # kilobytes on Linux
-    return proc.returncode, peak_rss_mb, usage.ru_utime + usage.ru_stime
+    return proc.returncode, peak_rss_mb, usage.ru_utime + usage.ru_stime, usage.ru_stime, usage.ru_minflt
 
 
 def artifact_lines(checkout: str) -> list:
@@ -73,8 +75,8 @@ def artifact_lines(checkout: str) -> list:
                 "--config", os.path.join(checkout, "configs", f"{config}.cfg"),
                 "--seed", "1", "--out", out_dir,
             ]
-            code, peak_rss_mb, cpu_s = _run(cmd, env, checkout)
-            print(f"{config} {pipeline} {peak_rss_mb:.1f} MB {cpu_s:.2f} s", file=sys.stderr)
+            code, peak_rss_mb, cpu_s, sys_s, minflt = _run(cmd, env, checkout)
+            print(f"{config} {pipeline} {peak_rss_mb:.1f} MB {cpu_s:.2f} s {sys_s:.2f} sys_s {minflt} minflt", file=sys.stderr)
             if code not in _WRITTEN:
                 raise SystemExit(f"{config}: `{pipeline}` exited with code {code}")
             for name in sorted(os.listdir(out_dir)):
