@@ -4,6 +4,10 @@ Covers the critical-exponent function and its inverse (both in the offset
 from 1), a grid estimator of the BMO2 norm of an integral process, the energy
 inequality, the reverse Hoelder constant, and exact multiplicative stepping
 of stochastic exponentials.
+
+The BMO2 estimator streams: it walks the steps backwards with one running
+(M,) tail of the squared integrand, so beyond its input it holds one step's
+vectors and regression, never a whole-path array of squares or tails.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .paths import step_major
+from .paths import abs_max
 from .regression import RegressionBasis, StepRegressor
 
 #: Marker for an infinite critical exponent (zero-norm integrand).
@@ -125,6 +129,11 @@ def estimate_bmo2(
     the maximum fitted value over paths and times. Deterministic grid times
     stand in for arbitrary stopping times and the empirical maximum for the
     essential supremum, so the estimator can only undershoot the true norm.
+
+    The tails are accumulated one step at a time, from the last step back,
+    and equal ``np.cumsum`` over the reversed steps bit for bit; raises
+    ``SolverError`` at the step where a fitted tail first (counting down)
+    stops being finite.
     """
     return _tail_sup_profile(integrand, grid, features, basis, ridge)[0]
 
@@ -132,26 +141,39 @@ def estimate_bmo2(
 def _tail_sup_profile(integrand, grid, features, basis, ridge, quantile=None):
     """(square root of the largest fitted conditional tail over paths and
     times, square root of the largest per-time ``quantile`` of the fitted
-    tails, or 0.0 when no quantile is asked for)."""
+    tails, or 0.0 when no quantile is asked for).
+
+    The tail sum_{i>=j} |H_i|^2 dt is one running (M,) vector, walked from
+    step N-1 down to 0 and fitted at each step, so only one step's squares
+    and tail are held. Its sums run in the order of ``np.cumsum`` over the
+    reversed steps, so every tail, fit and estimate matches that whole-path
+    form bit for bit. Raises ``SolverError`` at the first step, counting
+    down, whose fitted tail is not finite: the step of a NaN or infinite
+    square, or of a non-finite feature.
+    """
     integrand = np.asarray(integrand, dtype=np.float64)
     m_paths, n_steps, _ = integrand.shape
     if n_steps != grid.N:
         raise ValueError(f"integrand has {n_steps} steps, grid has {grid.N}")
-    sq = np.einsum("mnd,mnd->mn", integrand, integrand) * grid.dt
-    # tails[:, j] = sum_{i >= j} |H_i|^2 dt
-    tails = step_major((m_paths, n_steps + 1), fill=0.0)
-    np.cumsum(sq[:, ::-1], axis=1, out=tails[:, -2::-1])
     basis = basis or RegressionBasis(2)
+    square = np.empty(m_paths)
+    tail = np.zeros(m_paths)
     best_max = 0.0
     best_q = 0.0
-    for j in range(n_steps):
+    for j in range(n_steps - 1, -1, -1):
+        h_j = integrand[:, j]
+        np.einsum("md,md->m", h_j, h_j, out=square)
+        square *= grid.dt
+        tail += square  # tail = sum_{i >= j} |H_i|^2 dt
         if features is None:
-            fitted = np.full(m_paths, tails[:, j].mean())
+            fitted = np.full(m_paths, tail.mean())
         else:
-            reg = StepRegressor(basis, features[:, j], ridge)
-            fitted, _ = reg.fit(tails[:, j])
+            fitted, _ = StepRegressor(basis, features[:, j], ridge).fit(tail)
         fitted = np.maximum(fitted, 0.0)
-        best_max = max(best_max, float(fitted.max()))
+        top = float(fitted.max())
+        if not math.isfinite(top):
+            raise SolverError("fitted BMO tail is not finite", step=j)
+        best_max = max(best_max, top)
         if quantile is not None:
             best_q = max(best_q, float(np.quantile(fitted, quantile)))
     return math.sqrt(best_max), math.sqrt(best_q)
@@ -221,7 +243,7 @@ def cumulate_log_exponential(log_values: np.ndarray, what: str) -> np.ndarray:
     """
     for i in range(log_values.shape[1] - 1):
         log_values[:, i + 1] += log_values[:, i]
-        if not np.abs(log_values[:, i + 1]).max() <= 700.0:
+        if not abs_max(log_values[:, i + 1]) <= 700.0:
             raise SolverError(f"{what} exponent overflow", step=i)
     return np.exp(log_values, out=log_values)
 

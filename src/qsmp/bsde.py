@@ -621,8 +621,12 @@ def estimate_apriori_bound(
 ) -> BoundReport:
     """Check the solution against its theoretical ceiling: the sup of |Y| plus
     the squared BMO2 estimate of the Z-integral must stay below A, and the
-    moments of the quadratic variation below ([p]+1)! A^(2p)."""
-    sup_y = float(np.abs(solution.Y).max())
+    moments of the quadratic variation below ([p]+1)! A^(2p).
+
+    sup|Y| is read without a copy of |Y|, and the BMO2 estimate streams its
+    tails one step at a time (:func:`bmo.estimate_bmo2`), so beyond the
+    solution this holds (M,) vectors only."""
+    sup_y = float(abs_max(solution.Y))
     integrand = solution.Z[:, : grid.N, :]
     est = bmo.estimate_bmo2(integrand, grid, features=forward.states, basis=basis, ridge=ridge)
     combined = sup_y + est**2

@@ -32,7 +32,8 @@ Recognised sections and keys::
                    pipeline rejects a key it does not use
 
 A pipeline rejects a section that only another pipeline reads
-(:data:`SECTION_READERS`). Family parameters must be finite numbers.
+(:data:`SECTION_READERS`). Family parameters and the ``[bmo]`` level must
+be finite numbers.
 
 A family problem without ``[controls]`` uses that family's default pair of
 controls; an inline problem defaults both u_bar and u to k zeros.
@@ -109,6 +110,11 @@ def _bounded(default, **bounds):
     return field(default=default, metadata=bounds)
 
 
+def _finite(default):
+    """A float key whose NaN and infinities mean nothing."""
+    return field(default=default, metadata={"finite": True})
+
+
 @dataclass
 class DescentParams:
     iterations: int = _bounded(25, min=1)
@@ -131,7 +137,7 @@ class CheckParams:
 @dataclass
 class BmoParams:
     source: str = _choice("backward", "constant")
-    level: float = 0.3
+    level: float = _finite(0.3)
     n_max: int = _bounded(3, min=1, max=6)
 
 
@@ -230,6 +236,8 @@ def _parse_section(section: str, values: dict):
             raise ConfigError(f"{spec.name} must be >= {low}", f"[{section}] {spec.name}")
         if high is not None and not value <= high:
             raise ConfigError(f"{spec.name} must be <= {high}", f"[{section}] {spec.name}")
+        if spec.metadata.get("finite") and not math.isfinite(value):
+            raise ConfigError(f"{spec.name} must be finite", f"[{section}] {spec.name}")
         setattr(parsed, spec.name, value)
     return parsed
 

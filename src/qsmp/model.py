@@ -32,6 +32,7 @@ import numpy as np
 
 from . import bmo
 from .errors import QsmpError
+from .paths import abs_max
 
 
 @dataclass(frozen=True)
@@ -283,7 +284,7 @@ class HalfspaceDomain(ControlDomain):
                 viol = np.maximum(np.einsum("mk,k->m", y, a_mat[h]) - c_vec[h], 0.0)
                 x = y - (viol / norms_sq[h])[:, None] * a_mat[h]
                 corrections[h] = y - x
-            if np.max(np.abs(x - x_prev)) <= 1e-13:
+            if abs_max(x - x_prev) <= 1e-13:
                 break
         return x
 
@@ -565,7 +566,7 @@ def _central_difference(fn, args, pos, j):
 
 
 def _relative_gap(fd, exact, scale) -> float:
-    return float(np.abs(fd - exact).max() / (1.0 + np.abs(scale).max()))
+    return float(abs_max(fd - exact) / (1.0 + abs_max(scale)))
 
 
 def _derivative_discrepancy(co, t, x, y, z, u, bx, bu, sx, su, fx, fy, fz, fu) -> float:

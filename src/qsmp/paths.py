@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ExplosionError
 
-if TYPE_CHECKING:  # annotations only: model imports bmo, which allocates through this module
+if TYPE_CHECKING:  # annotations only: model imports this module, for abs_max
     from .model import ProblemSpec
 
 EXPLOSION_GUARD = 1e8
@@ -51,9 +51,10 @@ class TimeGrid:
 
 
 def abs_max(a: np.ndarray):
-    """max |a| as ``np.maximum(a.max(), -a.min())``: the same value without
-    the temporary |a|, and NaN where ``a`` holds a NaN."""
-    return np.maximum(a.max(), -a.min())
+    """max |a| as ``np.maximum(a.max(), -a.min())``: the same value as
+    ``np.abs(a).max()`` without the temporary |a|, NaN where ``a`` holds a
+    NaN, and +0.0 (not the -0.0 of ``-a.min()``) where ``a`` is all zeros."""
+    return np.maximum(a.max(), -a.min()) + 0.0
 
 
 def step_major(shape, fill=None) -> np.ndarray:

@@ -607,6 +607,14 @@ class TestPipelineScope:
         assert f"config error: [problem] {key}: family linear_quadratic: {key} must be finite" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_bmo_level_located(self, tmp_path, capsys, value):
+        # A NaN level once ran to exit 0 with an estimate of 0, an infinite one with inf.
+        text = BASE + f"\n[bmo]\nsource = constant\nlevel = {value}\n"
+        assert run_cli(["bmo", "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: [bmo] level: level must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("pipeline, section, reader", [
         (pipeline, section, reader)
         for section, reader in config.SECTION_READERS.items()

@@ -234,3 +234,29 @@ def test_every_option_in_src_is_set_by_a_caller():
     assert sorted(f"{qual}({option})" for qual, option in unset - allowed) == []
     used = {entry for qual, option in unset for entry in (qual, f"{qual}({option})")}
     assert set(UNSET_OPTIONS_ALLOWED) - used == set(), "allowed options that a caller sets now"
+
+
+def _abs_then_max(call):
+    """Whether ``call`` is ``np.abs(a).max()`` or ``np.max(np.abs(a))`` (also
+    with ``absolute``, ``amax`` or the builtin ``abs``)."""
+    def is_abs(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) in ("abs", "absolute") or getattr(node.func, "id", None) == "abs"
+        )
+
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr == "max" and is_abs(func.value):
+        return True
+    return getattr(func, "attr", None) in ("max", "amax") and bool(call.args) and is_abs(call.args[0])
+
+
+def test_no_abs_then_max_in_src():
+    """max |a| of an array goes through ``paths.abs_max``, which reads the
+    same value without allocating the temporary |a|."""
+    sites = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and _abs_then_max(node)
+    ]
+    assert sites == [], "use paths.abs_max"

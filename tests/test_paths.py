@@ -198,3 +198,14 @@ class TestRealization:
         uhat_at = smp._direction(feedback, grid, fwd)
         assert uhat_at(3).shape == (20, 1)
         assert np.allclose(uhat_at(3)[:, 0], np.tanh(fwd.states[:, 3, 0]) - 0.1)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-3.0, 2.0], [1.5, -1.5, 0.25], [2.0, math.nan, -7.0],
+], ids=["zeros", "negative-zeros", "mixed-zeros", "negative-wins", "tie", "nan"])
+def test_abs_max_equals_abs_then_max(values):
+    # The lint in test_layout.py sends every max |a| in src through abs_max.
+    a = np.array(values)
+    got, expected = paths.abs_max(a), np.abs(a).max()
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert math.isnan(got) or math.copysign(1.0, got) == 1.0
