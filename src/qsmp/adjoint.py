@@ -18,7 +18,7 @@ visit and the equations after it on a view of that regression, a few steps
 behind, with the same bits; the costate reads (Y, Z) where the partner
 wrote them. A visitor runs in this process, so what it writes stays here.
 The partner lives for one sweep, or for many (:func:`state_partner`, which
-a descent forks once).
+a descent forks once). Like a check's worker, it is a ``bsde._Child``.
 Also: the Gamma-weighted form of the cost derivative.
 """
 

@@ -34,6 +34,9 @@ order are the same, so the results are the same bits. A partner is forked
 for one sweep, or once for all the sweeps of a descent
 (:func:`qsmp.adjoint.state_partner`), where it also runs half of each
 forward pass.
+
+Every process this package forks is a :class:`_Child`: the partner, and
+the workers that run the checks' independent solves (:func:`forked_calls`).
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import select
 import signal
-import sys
 import time
 from dataclasses import dataclass
 
@@ -57,15 +60,15 @@ from .regression import RegressionBasis, StepRegressor
 _FIXED_POINT_MAX = 50
 _FIXED_POINT_TOL = 1e-13
 
-#: Total path-steps of a solve below which it forks no process. A fork costs
-#: a few milliseconds and a pool of check workers about 25 ms (two workers
-#: forked from a 130 MB process, 160 KB returned a task); the solves cost 80
-#: to 150 ns a path-step at M = 20000, more at small M. A second CPU saves at
-#: most half of the work, so from 2M path-steps on it saves about four
-#: start-ups; below that the saving did not stand out of the run-to-run spread.
+#: Total path-steps of a solve below which it forks no process. The solves
+#: cost 80 to 150 ns a path-step at M = 20000, more at small M, and a second
+#: CPU saves at most half of the work. From 2M path-steps on that was about
+#: four start-ups of the 25 ms a pool of two check workers took; below, the
+#: saving did not stand out of the run-to-run spread. Two forked children
+#: now cost about 8 ms (from a 130 MB process, 160 KB returned by each).
 _FORK_MIN_PATH_STEPS = 2_000_000
 
-#: False in a check's worker process (:func:`forbid_forks`), which has its CPU.
+#: False in a forked child (:class:`_Child`): its parent forked it for a CPU of its own.
 _forks_allowed = True
 
 #: Slots of the ring through which a pipelined sweep's partner hands its steps on.
@@ -88,21 +91,10 @@ def processes_for(path_steps: int) -> int:
     """The processes a solve of ``path_steps`` path-steps may run in: the
     usable CPUs where forking pays, else 1. Forking pays from
     :data:`_FORK_MIN_PATH_STEPS` path-steps on, with ``fork`` available,
-    outside a check's worker process and outside a daemonic
-    ``multiprocessing`` process (which may not have children)."""
+    outside a forked child (:class:`_Child`)."""
     if not (_forks_allowed and path_steps >= _FORK_MIN_PATH_STEPS and hasattr(os, "fork")):
         return 1
-    # Looked up, not imported: a process that never imported it is no multiprocessing child.
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.current_process().daemon:
-        return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def forbid_forks() -> None:
-    """Makes :func:`processes_for` give 1 in this process from now on."""
-    global _forks_allowed
-    _forks_allowed = False
 
 
 @dataclass
@@ -232,7 +224,107 @@ def _solve_step(eq: BackwardEquation, i: int, reg: StepRegressor, increments: np
     at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i, reg)
 
 
-class Partner:
+class _Child:
+    """A forked process that runs ``serve(child)`` and exits, talking to
+    this one through two pipes: each process's own ends are ``_inbox`` and
+    ``_outbox``, blocking unless made otherwise. The child forks nothing
+    (:func:`processes_for`); :meth:`close`, or a ``with`` block, kills and reaps it."""
+
+    def __init__(self, serve):
+        global _forks_allowed
+        child_r, parent_w = os.pipe()  # from this process to the child
+        parent_r, child_w = os.pipe()  # from the child to this process
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (child_r, parent_w, parent_r, child_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            try:
+                _forks_allowed = False
+                os.close(parent_w)
+                os.close(parent_r)
+                self._inbox, self._outbox = child_r, child_w
+                serve(self)
+            finally:
+                os._exit(0)
+        os.close(child_r)
+        os.close(child_w)
+        self._inbox, self._outbox, self.pid = parent_r, parent_w, pid
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Kills and reaps the child: its work is done or no longer wanted."""
+        if self.pid is None:
+            return
+        os.close(self._inbox)
+        os.close(self._outbox)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+
+
+def forked_calls(tasks) -> list:
+    """The results of ``tasks``, (path-steps, zero-argument callable) pairs,
+    in task order: in forked children (:class:`_Child`), one per process
+    :func:`processes_for` allows the total path-steps, else in-process. A
+    free child is sent the index of the heaviest task not yet started (ties
+    keep their order), and this process waits in a blocking ``select``. The
+    tasks' closures need not pickle, only their results. As in-process, the
+    first failed task in order raises: after a failure only earlier tasks
+    start. A child that dies is a :class:`SolverError`; none outlives the call."""
+    workers = min(len(tasks), processes_for(sum(steps for steps, _ in tasks)))
+    if workers < 2:
+        return [task() for _, task in tasks]
+    todo = sorted(range(len(tasks)), key=lambda j: -tasks[j][0])
+    children, busy, replies = [], {}, [None] * len(tasks)
+    try:
+        for _ in range(workers):
+            children.append(_Child(lambda child: _serve_calls(child, tasks)))
+        free = children[:]
+        while todo or busy:
+            while free and todo:
+                child, j = free.pop(), todo.pop(0)
+                busy[child._inbox] = child, j
+                _send(child._outbox, j.to_bytes(8, "little"))
+            for fd in select.select(list(busy), [], [])[0]:
+                child, j = busy.pop(fd)
+                status = _read(fd, 1)
+                payload = _read_framed(fd)
+                if payload is None:
+                    raise SolverError("a worker process of the check died")
+                replies[j] = status, pickle.loads(payload)
+                if status != b"\0":
+                    todo[:] = [i for i in todo if i < j]
+                free.append(child)
+    finally:
+        for child in children:
+            child.close()
+    for status, value in replies:  # filled up to the first failed task
+        if status != b"\0":
+            raise value
+    return [value for _, value in replies]
+
+
+def _serve_calls(child: _Child, tasks) -> None:
+    """A :func:`forked_calls` child: for each task index it is sent, it sends
+    back a byte 0 and the pickled result, or a byte 1 and the pickled
+    exception (a result that cannot be pickled included), until the pipe ends."""
+    while len(index := _read_exactly(child._inbox, 8)) == 8:
+        try:
+            reply = b"\0" + _framed(pickle.dumps(tasks[int.from_bytes(index, "little")][1]()))
+        except Exception as err:
+            reply = b"\1" + _framed(_pickled(err, getattr(err, "step", None)))
+        _send(child._outbox, reply)
+
+
+class Partner(_Child):
     """A forked process that runs the first equation of pipelined sweeps
     (:func:`backward_sweep`) and, between sweeps, a task of the caller's.
 
@@ -254,9 +346,8 @@ class Partner:
     equation of each sweep, built on ``states`` as they are when the sweep
     starts. A caller that refills ``states`` between sweeps keeps them in
     shared mappings. The partner is killed and reaped by :meth:`close`,
-    which a ``with`` block calls at its end, and so does a sweep that ends
-    in an error or a task interrupted here (KeyboardInterrupt): the partner
-    would be out of step with this process."""
+    and so is one whose sweep ends in an error or whose task is interrupted
+    here (KeyboardInterrupt): it would be out of step with this process."""
 
     def __init__(self, grid: TimeGrid, noise: BrownianBatch, states: np.ndarray, basis, ridge, first, task=None):
         m_paths, n_dim = noise.M, states.shape[2]
@@ -269,44 +360,8 @@ class Partner:
         self._values = shared_step_major((m_paths, _RING_SLOTS, 1))
         self._integrands = shared_step_major((m_paths, _RING_SLOTS, 1, noise.d))
         self._driver_sum = shared_zeros((m_paths,))
-        partner_r, caller_w = os.pipe()  # from this process to the partner
-        caller_r, partner_w = os.pipe()  # from the partner to this process
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (partner_r, caller_w, caller_r, partner_w):
-                os.close(fd)
-            raise
-        if pid == 0:  # the partner
-            try:
-                os.close(caller_w)
-                os.close(caller_r)
-                self._inbox, self._outbox = partner_r, partner_w
-                os.set_blocking(self._inbox, False)
-                self._serve(states, ridge, first, task)
-            finally:
-                os._exit(0)
-        os.close(partner_r)
-        os.close(partner_w)
-        self._inbox, self._outbox = caller_r, caller_w
+        super().__init__(lambda partner: partner._serve(states, ridge, first, task))
         os.set_blocking(self._inbox, False)
-        self.pid = pid
-
-    def __enter__(self) -> "Partner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Kills and reaps the partner: its work is done or no longer wanted."""
-        if self.pid is None:
-            return
-        os.close(self._inbox)
-        os.close(self._outbox)
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        self.pid = None
 
     def sweep(self, equations: list) -> None:
         """:func:`backward_sweep` of ``equations`` at width 2, the first
@@ -369,6 +424,7 @@ class Partner:
         the pickled arguments that follow; it ends when the caller closes
         its end. A free byte left from a sweep that ended at an error is
         skipped."""
+        os.set_blocking(self._inbox, False)
         while command := _read(self._inbox, 1):
             if command == b"S":
                 _partner(self, states, ridge, first())
@@ -448,7 +504,7 @@ def _read_framed(fd: int):
 
 
 def _read_exactly(fd: int, size: int) -> bytes:
-    """``size`` bytes from the non-blocking pipe ``fd``, fewer at its end."""
+    """``size`` bytes from the pipe ``fd``, fewer at its end."""
     data = b""
     while len(data) < size and (chunk := _read(fd, size - len(data))):
         data += chunk
@@ -467,8 +523,8 @@ def _send(fd: int, data: bytes) -> None:
 
 
 def _read(fd: int, size: int) -> bytes:
-    """Up to ``size`` bytes from the non-blocking pipe ``fd``, b"" at its end;
-    checked every :data:`_POLL_S` seconds until they come."""
+    """Up to ``size`` bytes from the pipe ``fd``, b"" at its end; on a
+    non-blocking pipe, checked every :data:`_POLL_S` seconds until they come."""
     while True:
         try:
             return os.read(fd, size)

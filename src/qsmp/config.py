@@ -32,8 +32,8 @@ Recognised sections and keys::
                    pipeline rejects a key it does not use
 
 A pipeline rejects a section that only another pipeline reads
-(:data:`SECTION_READERS`). Family parameters and the ``[bmo]`` level must
-be finite numbers.
+(:data:`SECTION_READERS`). Family parameters and the float keys of
+``[descent]``, ``[check]`` and ``[bmo]`` must be finite numbers.
 
 A family problem without ``[controls]`` uses that family's default pair of
 controls; an inline problem defaults both u_bar and u to k zeros.
@@ -110,17 +110,17 @@ def _bounded(default, **bounds):
     return field(default=default, metadata=bounds)
 
 
-def _finite(default):
-    """A float key whose NaN and infinities mean nothing."""
-    return field(default=default, metadata={"finite": True})
+def _finite(default, **bounds):
+    """A float key whose NaN, infinities and values beyond ``min`` or ``max`` mean nothing."""
+    return field(default=default, metadata={"finite": True, **bounds})
 
 
 @dataclass
 class DescentParams:
     iterations: int = _bounded(25, min=1)
-    step: float = 0.5
+    step: float = _finite(0.5)
     init: str = _choice("zeros", "random")
-    init_scale: float = 0.5
+    init_scale: float = _finite(0.5)
     init_seed: int = 0
 
 
@@ -130,7 +130,7 @@ class CheckParams:
     states: int = _bounded(48, min=1)
     candidates: int = _bounded(8, min=1)
     groups: int = _bounded(8, min=2)  # the replicate standard error needs two
-    se_multiplier: float = _bounded(5.0, min=0)
+    se_multiplier: float = _finite(5.0, min=0)
     boundary_bias: float = _bounded(0.5, min=0, max=1)
 
 
@@ -170,7 +170,7 @@ def unused_tolerances(pipeline: str, keys) -> list:
 
 # Sections parsed from a dataclass: each field is a key, its annotation gives
 # the type and its default the default; metadata may add "choices", "min" or
-# "max" (both inclusive).
+# "max" (both inclusive), or "finite".
 # A new key in one of these sections is one field line.
 _SCHEMAS = {"descent": DescentParams, "check": CheckParams, "bmo": BmoParams, "tolerances": Overrides}
 

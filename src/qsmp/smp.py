@@ -10,14 +10,14 @@ small-o behaviour would drown in Monte Carlo noise.
 Once the base forward pass exists, each check's solves are independent:
 the gradient check's derivative sweep and perturbed chains, the
 maximum-principle check's base sweep and replicate groups.
-:func:`_in_workers` runs them in forked worker processes, one per usable
-CPU, and the parent combines what they return. It runs them in-process,
-one after another, where :func:`qsmp.bsde.processes_for` says forking does
-not pay: on a single usable CPU, without ``fork``, inside a check's worker
-or a daemonic process, and below ``bsde._FORK_MIN_PATH_STEPS`` path-steps.
-A worker's sweeps fork no partner (:func:`qsmp.bsde.backward_sweep`). Every
-random draw stays in the parent, so the reports are the same bits either
-way.
+:func:`qsmp.bsde.forked_calls` runs them in forked worker processes, one
+per usable CPU, and the parent combines what they return. It runs them
+in-process, one after another, where :func:`qsmp.bsde.processes_for` says
+forking does not pay: on a single usable CPU, without ``fork``, inside a
+forked child, and below ``bsde._FORK_MIN_PATH_STEPS`` path-steps. A
+worker is such a child, so its sweeps fork no partner
+(:func:`qsmp.bsde.backward_sweep`). Every random draw stays in the parent,
+so the reports are the same bits either way.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import numpy as np
 
 from . import adjoint as adjoint_mod
 from . import bmo
-from .bsde import RegressionBasis, forbid_forks, linear_equation, processes_for, solve_quadratic_bsde
-from .errors import SolverError
+from .bsde import RegressionBasis, forked_calls, linear_equation, processes_for, solve_quadratic_bsde
 from .model import ProblemSpec
 from .paths import (
     DEFAULT_EPSILONS,
@@ -45,63 +44,6 @@ from .paths import (
     solve_forward_sde,
     step_major,
 )
-
-#: A worker's tasks, which it receives through the fork (:func:`_receive`)
-#: and runs by index (:func:`_run_task`), so no closure is pickled.
-_TASKS: list = []
-
-
-def _in_workers(tasks) -> list:
-    """The results of ``tasks``, (path-steps, zero-argument callable) pairs,
-    in task order: in forked worker processes where that can help
-    (:func:`qsmp.bsde.processes_for` on the total path-steps), else
-    in-process, in order."""
-    workers = min(len(tasks), processes_for(sum(steps for steps, _ in tasks)))
-    if workers > 1:
-        # Imported here: it adds about 25 ms and 1.4 MB to a pipeline that runs no check.
-        import multiprocessing
-
-        return _forked(tasks, workers, multiprocessing.get_context("fork"))
-    return [task() for _, task in tasks]
-
-
-def _forked(tasks, workers, context) -> list:
-    """:func:`_in_workers` in ``workers`` processes forked by ``context``;
-    the tasks start in decreasing order of path-steps (ties keep their
-    order, so a caller lists its heaviest solve first). Forked workers share
-    the parent's arrays and the tasks' closures, which hold coefficient
-    functions that cannot be pickled. A task's exception reaches the caller
-    as raised; a worker that dies ends the call with a :class:`SolverError`
-    (a killed worker breaks a ``ProcessPoolExecutor``, where a
-    ``multiprocessing.Pool`` would wait for ever). On any other failure the
-    workers are terminated and the tasks not started are cancelled: the pool
-    would wait for the running ones, and for ever after a task it could not
-    pickle. No worker outlives the call."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_receive, initargs=([t for _, t in tasks],))
-    try:
-        futures = {j: pool.submit(_run_task, j) for j in sorted(range(len(tasks)), key=lambda j: -tasks[j][0])}
-        return [futures[j].result() for j in range(len(tasks))]
-    except BrokenProcessPool as err:
-        raise SolverError("a worker process of the check died") from err
-    except BaseException:
-        for process in list(pool._processes.values()):
-            process.terminate()
-        raise
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _receive(tasks):
-    _TASKS[:] = tasks
-    forbid_forks()  # the worker has its CPU: its sweeps fork no partner
-
-
-def _run_task(index):
-    return _TASKS[index]()
-
 
 def cost_functional(spec: ProblemSpec, grid: TimeGrid, noise: BrownianBatch, control: Control) -> float:
     """Time-zero value of the backward component under the given control."""
@@ -152,9 +94,9 @@ def gateaux_check(
     state-costate sweep gives (:func:`_derivative_sweep`). Each step forms
     the direction when it reads it, and every chain keeps two time slices.
     After the base forward pass, the derivative sweep and the perturbed
-    chains run as tasks of :func:`_in_workers`; each returns its cost and
-    the per-path values the standard errors need, and the quotients are
-    formed here (:func:`_quotient`)."""
+    chains run as tasks of :func:`qsmp.bsde.forked_calls`; each returns its
+    cost and the per-path values the standard errors need, and the
+    quotients are formed here (:func:`_quotient`)."""
     eps_list = check_epsilons(epsilons)
     forward = solve_forward_sde(spec, grid, noise, u_bar)
     uhat_at = _direction(u, grid, forward)
@@ -165,7 +107,7 @@ def gateaux_check(
         weighted = adjoint_mod.gamma_weighted_integral(gamma, phi, grid.dt)
         return _cost(backward), (aux.y0, aux.y0_standard_error), weighted
 
-    (base, (yhat0, yhat0_se), (y0_gamma, y0_gamma_se)), *costs = _in_workers(
+    (base, (yhat0, yhat0_se), (y0_gamma, y0_gamma_se)), *costs = forked_calls(
         [(path_steps, derivatives)]
         + [(path_steps, partial(_perturbed_cost, spec, grid, noise, forward, uhat_at, eps, basis)) for eps in eps_list]
     )
@@ -520,8 +462,9 @@ def check_maximum_principle(
     points. Every sweep runs at width 2 and keeps only what it reads at the
     check steps. The query points' states and controls come from the
     forward batch, so after the forward pass the base sweep and each
-    replicate group's sweep run as tasks of :func:`_in_workers`; the random
-    draws (query paths, then candidates) happen here, in that order.
+    replicate group's sweep run as tasks of :func:`qsmp.bsde.forked_calls`;
+    the random draws (query paths, then candidates) happen here, in that
+    order.
     """
     size = replicate_group_size(noise.M, groups)
     if basis is None:
@@ -543,7 +486,7 @@ def check_maximum_principle(
         return partial(_replicate_fields, spec, grid, noise, forward, slice(g * size, (g + 1) * size), basis, queries)
 
     # The control gradient at every check step: on all paths, then per group.
-    fields, *replicates = _in_workers(
+    fields, *replicates = forked_calls(
         [(noise.M * grid.N, base_fields)] + [(size * grid.N, replicate(g)) for g in range(groups)]
     )
 

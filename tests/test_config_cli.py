@@ -454,6 +454,7 @@ class TestSchema:
             ("[check]\ncandidates = 0", "[check] candidates", "candidates must be >= 1"),
             ("[check]\nse_multiplier = -1", "[check] se_multiplier", "se_multiplier must be >= 0"),
             ("[check]\nse_multiplier = nan", "[check] se_multiplier", "se_multiplier must be >= 0"),
+            ("[check]\nse_multiplier = inf", "[check] se_multiplier", "se_multiplier must be finite"),
             ("[check]\nboundary_bias = 1.5", "[check] boundary_bias", "boundary_bias must be <= 1"),
             ("[check]\nboundary_bias = -0.5", "[check] boundary_bias", "boundary_bias must be >= 0"),
             ("[descent]\niterations = 0", "[descent] iterations", "iterations must be >= 1"),
@@ -462,6 +463,11 @@ class TestSchema:
             ("[tolerances]\nridge = -1", "[tolerances] ridge", "ridge must be >= 0"),
             ("[tolerances]\ntruncation_radius = -1", "[tolerances] truncation_radius", "truncation_radius must be >= 0"),
             ("[tolerances]\nvalidation_samples = 0", "[tolerances] validation_samples", "validation_samples must be >= 1"),
+            # NaN and infinities, which mean nothing as a step or a scale.
+            ("[descent]\nstep = nan", "[descent] step", "step must be finite"),
+            ("[descent]\nstep = inf", "[descent] step", "step must be finite"),
+            ("[descent]\ninit_scale = nan", "[descent] init_scale", "init_scale must be finite"),
+            ("[descent]\ninit_scale = inf", "[descent] init_scale", "init_scale must be finite"),
         ):
             with pytest.raises(ConfigError) as err:
                 config.load_config(write(tmp_path, BASE + "\n" + text + "\n"))

@@ -19,7 +19,7 @@ from qsmp import bsde, paths, smp
 from qsmp.errors import ExplosionError, SolverError
 from test_pipelined_sweep import _assert_reaped, _chain, _set_pipelined, partners  # noqa: F401 (a fixture)
 from test_streamed_checks import PROBLEMS
-from test_worker_checks import needs_two_cpus
+from test_worker_checks import _assert_no_child, needs_two_cpus
 
 pytestmark = needs_two_cpus
 
@@ -44,8 +44,7 @@ def _assert_no_process_left(pids):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _assert_no_child()
 
 
 def _policy(spec, grid, seed=92):

@@ -260,3 +260,22 @@ def test_no_abs_then_max_in_src():
         if isinstance(node, ast.Call) and _abs_then_max(node)
     ]
     assert sites == [], "use paths.abs_max"
+
+
+def test_one_fork_layer_in_src():
+    """Every process ``src/qsmp`` forks is a ``bsde._Child``: no module
+    imports ``multiprocessing`` or ``concurrent``, and ``os.fork`` is called
+    at one site."""
+    banned = ("multiprocessing", "concurrent")
+    imports, forks = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                imports += [f"{where} {alias.name}" for alias in node.names if alias.name.partition(".")[0] in banned]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] in banned:
+                imports.append(f"{where} {node.module}")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork":
+                forks.append(where)
+    assert imports == []
+    assert len(forks) == 1, forks

@@ -1,7 +1,7 @@
 """A state-costate sweep at width 2 runs pipelined over two processes
-(``bsde._pipelined_sweep``): a partner process builds each step's regression
-and solves the quadratic equation, and the calling process solves the
-costate and any later equation a few steps behind. Pipelined or in-process,
+(``bsde.backward_sweep``): a partner process (``bsde.Partner``) builds each
+step's regression and solves the quadratic equation, and the calling
+process solves the costate and any later equation a few steps behind. Pipelined or in-process,
 the sweep must give the same bits; the errors must come at the step and in
 the order of the in-process sweep; a partner that dies must be a solver
 error, not a hang; no partner may outlive its sweep; and a check's worker

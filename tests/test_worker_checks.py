@@ -1,22 +1,23 @@
 """Both checks run their independent solves in forked worker processes
-(``smp._in_workers``). Forked or in-process, they must give the same bits; a
-worker's solver error must reach the caller with its step; a worker that
-dies must end the check with a solver error, not a hang; and no worker may
-outlive the check."""
+(``bsde.forked_calls``). Forked or in-process, they must give the same bits;
+a worker's solver error must reach the caller with its step; a worker that
+dies, or a result that cannot be pickled, must end the check with an error,
+not a hang; no worker may outlive the check; and a forked child forks
+nothing more."""
 
+import contextlib
 import math
 import multiprocessing
 import os
 import pathlib
+import pickle
 import signal
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
-from qsmp import bsde, cli, model, paths, smp
+from qsmp import adjoint, bsde, cli, model, paths, smp
 from qsmp.errors import SolverError
 from test_streamed_checks import PROBLEMS
 
@@ -33,23 +34,50 @@ def _set_mode(monkeypatch, forked):
     monkeypatch.setattr(bsde, "_FORK_MIN_PATH_STEPS", 0 if forked else math.inf)
 
 
-#: Where :func:`_recording_run_task` leaves its files; forked workers inherit it.
-_RECORDS = {}
-_run_task = smp._run_task
-
-
-def _recording_run_task(index):
-    (_RECORDS["dir"] / f"task-{index}-{os.getpid()}").touch()
-    return _run_task(index)
-
-
 @pytest.fixture
 def worker_pids(monkeypatch, tmp_path):
-    """Records the pid of the process that runs each task, a file per call
-    of ``smp._run_task``; returns the reader of the recorded pids."""
-    monkeypatch.setitem(_RECORDS, "dir", tmp_path)
-    monkeypatch.setattr(smp, "_run_task", _recording_run_task)
+    """Records the pid of each process other than this one that runs a task
+    of ``smp``'s ``forked_calls``, a file per task run; returns the reader
+    of the recorded pids."""
+    forked_calls, own = bsde.forked_calls, os.getpid()
+
+    def recording(j, task):
+        def run():
+            if os.getpid() != own:
+                (tmp_path / f"task-{j}-{os.getpid()}").touch()
+            return task()
+
+        return run
+
+    def recorded_calls(tasks):
+        return forked_calls([(steps, recording(j, task)) for j, (steps, task) in enumerate(tasks)])
+
+    monkeypatch.setattr(smp, "forked_calls", recorded_calls)
     return lambda: sorted(int(p.name.rsplit("-", 1)[1]) for p in tmp_path.glob("task-*"))
+
+
+def _assert_no_child():
+    """This process has no child left, not even a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("the call hung")
+
+
+@contextlib.contextmanager
+def _no_hang(seconds=10.0):
+    """Fails a block that takes longer than ``seconds``, and ends it after 60 s."""
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(60)
+    try:
+        start = time.perf_counter()
+        yield
+        assert time.perf_counter() - start < seconds
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _check(problem, which):
@@ -81,7 +109,7 @@ def test_forked_and_in_process_reports_are_the_same_bits(problem, which, monkeyp
     pids = worker_pids()
     # Every task (6 chains, or the base sweep and 4 groups) ran outside this process.
     assert len(pids) == (6 if which == "gradient" else 5) and os.getpid() not in pids
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     _assert_same_bits(forked, in_process)
 
 
@@ -125,7 +153,7 @@ def test_worker_solver_error_reaches_the_caller_with_its_step(monkeypatch, worke
         with pytest.raises(SolverError) as err:
             smp.gateaux_check(spec, grid, noise, *controls)
         raised[forked] = err.value
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
     assert worker_pids() and os.getpid() not in worker_pids()
     assert str(raised[True]) == str(raised[False])
     assert "exponential weight exponent overflow" in str(raised[True])
@@ -144,72 +172,91 @@ class _KillsItsWorker(paths.Control):
         return np.full((states.shape[0], 1), 0.5)
 
 
-def _timeout(signum, frame):
-    raise TimeoutError("the check hung after its worker died")
-
-
 @needs_two_cpus
 def test_dead_worker_is_a_solver_error_not_a_hang(monkeypatch, lq_spec):
     _set_mode(monkeypatch, forked=True)
     grid = paths.TimeGrid(10, 1.0)
     noise = paths.simulate_brownian(grid, 500, 1, seed=4)
     # The direction toward u is formed inside the workers' sweeps.
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(60)
-    try:
-        start = time.perf_counter()
-        with pytest.raises(SolverError, match="a worker process of the check died"):
-            smp.gateaux_check(lq_spec, grid, noise, paths.ConstantControl((0.0,)), _KillsItsWorker())
-        assert time.perf_counter() - start < 10.0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    with _no_hang(), pytest.raises(SolverError, match="a worker process of the check died"):
+        smp.gateaux_check(lq_spec, grid, noise, paths.ConstantControl((0.0,)), _KillsItsWorker())
+    _assert_no_child()
 
 
-#: Runs in a child process: at exit a hung pool's exit handler would wait for ever too.
-_UNPICKLABLE_TASK = """
-import multiprocessing, pickle
-from qsmp import bsde, smp
-bsde._FORK_MIN_PATH_STEPS = 0
-smp._run_task = lambda index: index  # a lambda cannot be pickled
-try:
-    smp._in_workers([(1, lambda: 1), (1, lambda: 2)])
-except pickle.PicklingError:
-    print("raised", multiprocessing.active_children())
-"""
+#: pickle finds a function by its name, and this one's is ``<lambda>``.
+_MODULE_LAMBDA = lambda: None  # noqa: E731
 
 
 @needs_two_cpus
-def test_task_the_pool_cannot_send_is_an_error_not_a_hang(tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH", "")]))
-    with open(tmp_path / "out", "w+") as out:
-        # A session of its own, so that a timeout can end the pool's workers as well.
-        child = subprocess.Popen([sys.executable, "-c", _UNPICKLABLE_TASK], stdout=out, env=env, start_new_session=True)
-        try:
-            child.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(child.pid, signal.SIGKILL)
-            child.wait()
-            pytest.fail("the pool hung on a task it could not send")
-        out.seek(0)
-        assert child.returncode == 0 and out.read() == "raised []\n"
+@pytest.mark.parametrize(
+    "local, error", [(True, AttributeError), (False, pickle.PicklingError)], ids=["local", "module"]
+)
+def test_unpicklable_result_raises_in_the_caller_not_a_hang(local, error, monkeypatch):
+    _set_mode(monkeypatch, forked=True)
+    result = (lambda: None) if local else _MODULE_LAMBDA
+    with _no_hang(), pytest.raises(error, match="Can't pickle"):
+        bsde.forked_calls([(1, lambda: 1), (1, lambda: result)])
+    _assert_no_child()
+
+
+def _fails(text):
+    def task():
+        raise ValueError(text)
+
+    return task
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("forked", [False, True])
+def test_the_first_failed_task_in_order_is_raised(forked, monkeypatch):
+    # The heaviest task starts first and fails first, but the task before it fails too.
+    _set_mode(monkeypatch, forked)
+    with pytest.raises(ValueError, match="^second$"):
+        bsde.forked_calls([(1, lambda: 1), (1, _fails("second")), (5, _fails("third")), (1, lambda: 4)])
+    _assert_no_child()
+
+
+@needs_two_cpus
+def test_a_forked_child_forks_nothing(monkeypatch, lq_spec):
+    _set_mode(monkeypatch, forked=True)
+    assert bsde.processes_for(10**12) > 1
+    assert bsde.forked_calls([(1, lambda: bsde.processes_for(10**12))] * 2) == [1, 1]
+    grid = paths.TimeGrid(10, 1.0)
+    noise = paths.simulate_brownian(grid, 500, 1, seed=5)
+    forward = paths.solve_forward_sde(lq_spec, grid, noise, paths.ConstantControl((0.2,)))
+    seen = paths.shared_zeros((1,))
+
+    def task():
+        seen[0] = bsde.processes_for(10**12)
+
+    with adjoint.state_partner(lq_spec, grid, noise, forward, None, task) as partner:
+        partner.share(lambda: None)
+    assert seen[0] == 1
+    _assert_no_child()
 
 
 def _check_in_daemon(problem, which):
+    """The check's report, this pool worker's pid, and whether the check left it a child."""
     assert multiprocessing.current_process().daemon
-    return _check(problem, which)
+    report = _check(problem, which)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return report, os.getpid(), False
+    return report, os.getpid(), True
 
 
 @needs_two_cpus
 @pytest.mark.parametrize("which", ["gradient", "mp"])
-def test_check_inside_a_daemonic_worker_runs_in_process(which, monkeypatch, worker_pids):
+def test_check_in_a_daemonic_worker_forks_and_leaves_no_child(which, monkeypatch, worker_pids):
     _set_mode(monkeypatch, forked=False)
     expected = _check("lq", which)
-    # The pool's worker inherits the forced forking, but a daemonic process
-    # may not have children.
+    # The pool's worker inherits the forced forking, and os.fork, unlike
+    # multiprocessing, lets a daemonic process have children.
     _set_mode(monkeypatch, forked=True)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        report = pool.apply(_check_in_daemon, ("lq", which))
-    assert worker_pids() == []
+        report, daemon, left_a_child = pool.apply(_check_in_daemon, ("lq", which))
+    pids = worker_pids()
+    assert pids and daemon not in pids and os.getpid() not in pids
+    assert not left_a_child
     _assert_same_bits(report, expected)

@@ -11,8 +11,11 @@ stderr, one ``config pipeline MB s sys_s minflt`` line each, so OUT holds
 hashes only. All come from ``os.wait4`` on the pipeline's process:
 ``ru_maxrss`` is the largest over that process and the processes it forked
 and reaped (a check's workers, a sweep's partner), and the times and faults
-are their sums. Two checkouts are byte-identical on the
-shipped configs when ``diff`` of their two files is empty:
+are their sums. Each pipeline runs in a session of its own, and no process
+of that session may outlive it: one that does (a worker or partner the
+pipeline failed to reap) is killed, and the tool exits non-zero, naming the
+config. Two checkouts are byte-identical on the shipped configs when
+``diff`` of their two files is empty:
 
     python3 tools/artifact_hashes.py . before.txt   # at the parent commit
     python3 tools/artifact_hashes.py . after.txt    # with the change
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -53,14 +57,22 @@ def _sha256(path: str) -> str:
 
 def _run(cmd: list, env: dict, cwd: str) -> tuple:
     """(exit code, peak RSS in MB, user + system CPU seconds, system seconds,
-    minor page faults) of one child process and the processes it reaped;
-    ``os.wait4`` reaps the child, so the usage is not that of every child of
-    this process."""
-    proc = subprocess.Popen(cmd, env=env, cwd=cwd, stdout=subprocess.DEVNULL)
+    minor page faults, whether a process of its session outlived it) of one
+    child process and the processes it reaped; ``os.wait4`` reaps the child,
+    so the usage is not that of every child of this process. A process left
+    in the child's session is killed."""
+    proc = subprocess.Popen(cmd, env=env, cwd=cwd, stdout=subprocess.DEVNULL, start_new_session=True)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
+    try:
+        os.killpg(proc.pid, 0)  # the session's process group has the child's pid as its id
+    except ProcessLookupError:
+        left = False
+    else:
+        os.killpg(proc.pid, signal.SIGKILL)
+        left = True
     peak_rss_mb = usage.ru_maxrss / 1024.0  # kilobytes on Linux
-    return proc.returncode, peak_rss_mb, usage.ru_utime + usage.ru_stime, usage.ru_stime, usage.ru_minflt
+    return proc.returncode, peak_rss_mb, usage.ru_utime + usage.ru_stime, usage.ru_stime, usage.ru_minflt, left
 
 
 def artifact_lines(checkout: str) -> list:
@@ -75,8 +87,10 @@ def artifact_lines(checkout: str) -> list:
                 "--config", os.path.join(checkout, "configs", f"{config}.cfg"),
                 "--seed", "1", "--out", out_dir,
             ]
-            code, peak_rss_mb, cpu_s, sys_s, minflt = _run(cmd, env, checkout)
+            code, peak_rss_mb, cpu_s, sys_s, minflt, left = _run(cmd, env, checkout)
             print(f"{config} {pipeline} {peak_rss_mb:.1f} MB {cpu_s:.2f} s {sys_s:.2f} sys_s {minflt} minflt", file=sys.stderr)
+            if left:
+                raise SystemExit(f"{config}: `{pipeline}` left a process behind")
             if code not in _WRITTEN:
                 raise SystemExit(f"{config}: `{pipeline}` exited with code {code}")
             for name in sorted(os.listdir(out_dir)):
