@@ -40,7 +40,7 @@ from .bsde import (
     quadratic_equation,
 )
 from .errors import SolverError
-from .model import ProblemSpec
+from .model import ProblemSpec, Zero
 from .paths import BrownianBatch, ForwardBatch, TimeGrid, abs_max
 from .regression import RegressionBasis, StepRegressor
 
@@ -78,19 +78,41 @@ class StepPoint:
     @staticmethod
     def at(spec: ProblemSpec, i: int, t, x, u, y, z, p, q) -> "StepPoint":
         """The point at given states, with the slopes evaluated there."""
-        f_y, f_z = _coefficients(spec, t, x, u, y, z, "f_y", "f_z")
+        f_y, f_z = _slopes(spec, t, x, u, y, z)
         return StepPoint(i, t, x, u, y, z, p, q, f_y, f_z, None)
 
 
 def _coefficients(spec: ProblemSpec, t, x, u, y, z, *names):
-    """The named coefficient derivatives at a batch of points, in order."""
+    """The named coefficient derivatives at a batch of points, in order:
+    None for each that is a :class:`qsmp.model.Zero`, whose terms the caller
+    skips."""
     co = spec.coeffs
     out = []
     for name in names:
         fn = getattr(co, name)
+        if isinstance(fn, Zero):
+            out.append(None)
+            continue
         value = fn(t, x, u) if name in _STATE_DERIVATIVES else fn(t, x, y, z, u)
         out.append(np.asarray(value, dtype=np.float64))
     return out
+
+
+def _slopes(spec: ProblemSpec, t, x, u, y, z):
+    """f_y (S,) and f_z (S, d) at a batch of points, as arrays, zeros for a
+    :class:`qsmp.model.Zero`: a :class:`StepPoint` carries both."""
+    co = spec.coeffs
+    return np.asarray(co.f_y(t, x, y, z, u), dtype=np.float64), np.asarray(co.f_z(t, x, y, z, u), dtype=np.float64)
+
+
+def _plus(total, term):
+    """``total + term``, in place in ``total``; ``term`` itself where no term
+    came before (``total`` None), so a coefficient's own array, which must
+    not be written, may only be the last term of a sum."""
+    if total is None:
+        return term
+    total += term
+    return total
 
 
 def costate_equation(
@@ -106,30 +128,40 @@ def costate_equation(
     Each q-column is recovered from the martingale increment of p against the
     matching Brownian component; the drift couples p and q through the
     state-sensitivity and generator-slope terms and is resolved implicitly in
-    p (an (n x n) solve per path, scalar division when n = 1). Once step i
-    is solved, ``visit`` (if given) receives its :class:`StepPoint`.
+    p (an (n x n) solve per path, scalar division when n = 1). A term with a
+    :class:`qsmp.model.Zero` factor is skipped, and the others are added in
+    their order; with no drift term left, p_i is the right-hand side. Once
+    step i is solved, ``visit`` (if given) receives its :class:`StepPoint`.
     """
     n = spec.n
     dt, times = grid.dt, grid.times
     eye = np.eye(n)
+    y_slope, z_slope = (not isinstance(fn, Zero) for fn in (spec.coeffs.f_y, spec.coeffs.f_z))
 
     def step(i, cond_p, q_i, reg):
         x_i, u_i = forward.states[:, i], forward.controls[:, i]
         y_i, z_i = at_step(state.values, i)[:, 0], at_step(state.integrands, i)[:, 0]
-        f_x, f_y, f_z, b_x, sigma_x = _coefficients(
-            spec, times[i], x_i, u_i, y_i, z_i, "f_x", "f_y", "f_z", "b_x", "sigma_x"
-        )
+        f_y, f_z = _slopes(spec, times[i], x_i, u_i, y_i, z_i)
+        f_x, b_x, sigma_x = _coefficients(spec, times[i], x_i, u_i, y_i, z_i, "f_x", "b_x", "sigma_x")
         # drift matrix acting on p:  sum_i f_{z_i} (sigma_x^i)^T + f_y I + b_x^T
-        mat = np.einsum("mi,miba->mab", f_z, sigma_x)
-        mat += f_y[:, None, None] * eye
-        mat += np.swapaxes(b_x, 1, 2)
+        mat = None
+        if z_slope and sigma_x is not None:
+            mat = np.einsum("mi,miba->mab", f_z, sigma_x)
+        if y_slope:
+            mat = _plus(mat, f_y[:, None, None] * eye)
+        if b_x is not None:
+            mat = _plus(mat, np.swapaxes(b_x, 1, 2))
         # q-coupling and driver:  sum_i [f_{z_i} I + (sigma_x^i)^T] q^i + f_x
-        rest = np.einsum("mi,mai->ma", f_z, q_i)
-        rest += np.einsum("miba,mbi->ma", sigma_x, q_i)
-        rest += f_x
+        rest = np.einsum("mi,mai->ma", f_z, q_i) if z_slope else None
+        if sigma_x is not None:
+            rest = _plus(rest, np.einsum("miba,mbi->ma", sigma_x, q_i))
+        if f_x is not None:
+            rest = _plus(rest, f_x)
 
-        rhs = cond_p + dt * rest
-        if n == 1:
+        rhs = cond_p if rest is None else cond_p + dt * rest
+        if mat is None:
+            p_i = rhs
+        elif n == 1:
             denom = 1.0 - dt * mat[:, 0, 0]
             if np.abs(denom).min() < 1e-8:
                 raise SolverError("implicit costate step is singular", step=i)
@@ -203,14 +235,19 @@ def gamma_log_increment(point: StepPoint, noise: BrownianBatch, dt: float) -> np
 
 
 def control_gradient(spec: ProblemSpec, point: StepPoint) -> np.ndarray:
-    """Control gradient of the Hamiltonian at the point, shape (S, k):
-    b_u^T p + sum_i (sigma_u^i)^T q^i + sum_i f_{z_i} (sigma_u^i)^T p + f_u."""
+    """Control gradient of the Hamiltonian at the point, a new array (S, k):
+    b_u^T p + sum_i (sigma_u^i)^T q^i + sum_i f_{z_i} (sigma_u^i)^T p + f_u,
+    without the terms that have a :class:`qsmp.model.Zero` factor, the
+    others added in this order."""
     b_u, sigma_u, f_u = _coefficients(spec, point.t, point.x, point.u, point.y, point.z, "b_u", "sigma_u", "f_u")
-    grad = np.einsum("sak,sa->sk", b_u, point.p)
-    grad += np.einsum("sai,siak->sk", point.q, sigma_u)
-    grad += np.einsum("si,siak,sa->sk", point.f_z, sigma_u, point.p)
-    grad += f_u
-    return grad
+    grad = np.einsum("sak,sa->sk", b_u, point.p) if b_u is not None else None
+    if sigma_u is not None:
+        grad = _plus(grad, np.einsum("sai,siak->sk", point.q, sigma_u))
+        if not isinstance(spec.coeffs.f_z, Zero):
+            grad = _plus(grad, np.einsum("si,siak,sa->sk", point.f_z, sigma_u, point.p))
+    if f_u is not None:
+        grad = f_u.copy() if grad is None else _plus(grad, f_u)
+    return np.zeros((len(point.p), spec.k)) if grad is None else grad
 
 
 def gamma_weighted_integral(gamma: np.ndarray, phi: np.ndarray, dt: float) -> tuple[float, float]:

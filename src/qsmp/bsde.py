@@ -11,9 +11,10 @@ one wrote at the same step: the costate reads Y_i and Z_i, and the
 gradient check's auxiliary equation reads the slopes and the forcing that
 the costate's visitor formed at step i. The quadratic step
 (:func:`quadratic_equation`) iterates the implicit y-argument to a fixed
-point (a contraction while dt * |f_y| < 1) and caps |Z| inside the
-generator; the affine step (:func:`linear_equation`, whose data may be
-formed inside the sweep) inverts its y-dependence exactly.
+point (a contraction while dt * |f_y| < 1), or takes one explicit step for
+a generator free of y, and caps |Z| inside the generator; the affine step
+(:func:`linear_equation`, whose data may be formed inside the sweep)
+inverts its y-dependence exactly.
 
 Each equation stores ``width`` time slices, and step i lives in slice
 ``i % width`` (:func:`at_step`). A solve that returns the whole path uses
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import bmo
 from .errors import SolverError
-from .model import DerivedConstants, ProblemSpec, clip_rows, derive_constants
+from .model import DerivedConstants, ProblemSpec, clip_rows, derive_constants, reads_y
 from .paths import BrownianBatch, ForwardBatch, TimeGrid, abs_max, shared_step_major, shared_zeros, step_major
 from .regression import RegressionBasis, StepRegressor
 
@@ -550,10 +551,16 @@ def quadratic_equation(
 ) -> BackwardEquation:
     """The backward component of the state system, with quadratic z-growth
     allowed in the generator. Its step aborts if the fixed-point iteration
-    stalls or |Y| exceeds ten times the theoretical ceiling (both signal
-    misconfiguration)."""
+    stalls, Y turns non-finite, or |Y| exceeds ten times the theoretical
+    ceiling (all signal misconfiguration).
+
+    A generator marked free of y (:func:`qsmp.model.reads_y`) makes the
+    implicit step explicit: Y_i = E[Y_{i+1} | X_i] + f dt with one
+    evaluation of f. The iteration would reach the same bits, with a second
+    evaluation that only confirms the first."""
     abort_level = 10.0 * constants.A
     dt, times, co = grid.dt, grid.times, spec.coeffs
+    explicit = not reads_y(co.f)
     driver_sum = np.zeros(forward.states.shape[0])
 
     def step(i, cond, z, reg):
@@ -562,19 +569,24 @@ def quadratic_equation(
         z_i = clip_rows(z[:, 0], truncation_radius)
         x_i = forward.states[:, i]
         u_i = forward.controls[:, i]
-        y_i = cond_y  # f only reads it, and the first iterate is new
-        converged = False
-        for _ in range(_FIXED_POINT_MAX):
-            increment = np.asarray(co.f(times[i], x_i, y_i, z_i, u_i), dtype=np.float64) * dt
-            y_new = cond_y + increment
-            gap = abs_max(y_new - y_i)
-            y_i = y_new
+        if explicit:
+            increment = np.asarray(co.f(times[i], x_i, cond_y, z_i, u_i), dtype=np.float64) * dt
+            y_i = cond_y + increment
             size = abs_max(y_i)
-            if gap <= _FIXED_POINT_TOL * (1.0 + size):
-                converged = True
-                break
-        if not converged:
-            raise SolverError("fixed-point sub-iteration did not converge", step=i)
+        else:
+            y_i = cond_y  # f only reads it, and the first iterate is new
+            converged = False
+            for _ in range(_FIXED_POINT_MAX):
+                increment = np.asarray(co.f(times[i], x_i, y_i, z_i, u_i), dtype=np.float64) * dt
+                y_new = cond_y + increment
+                gap = abs_max(y_new - y_i)
+                y_i = y_new
+                size = abs_max(y_i)
+                if gap <= _FIXED_POINT_TOL * (1.0 + size):
+                    converged = True
+                    break
+            if not converged:
+                raise SolverError("fixed-point sub-iteration did not converge", step=i)
         if not np.isfinite(size):
             raise SolverError("backward value turned non-finite", step=i)
         if size > abort_level:

@@ -59,6 +59,8 @@ from .model import (
     CoefficientSet,
     HalfspaceDomain,
     ProblemSpec,
+    WithoutY,
+    Zero,
 )
 from .paths import DEFAULT_EPSILONS, FeedbackControl, TimeGrid, check_epsilons
 
@@ -509,12 +511,24 @@ def _eval_to(shape, asts, env):
     return out
 
 
+def _unless_free(field, base, names, *shape):
+    """``field``, or a :class:`qsmp.model.Zero` of trailing shape ``shape``
+    where none of the variables ``names`` occurs in the expression ``base``:
+    a derivative in variables the expression does not read."""
+    return field if expr.variables(base) & set(names) else Zero(*shape)
+
+
 def build_expression_problem(n, d, k, T, x0, sources, domain, constants) -> ProblemSpec:
     """Wire a ProblemSpec from coefficient expressions; derivatives are
-    obtained by symbolic differentiation of the parsed trees."""
+    obtained by symbolic differentiation of the parsed trees. A derivative
+    field is a :class:`qsmp.model.Zero` where its variables do not occur in
+    the expression (a test on the text, not on the folded derivative), and
+    f is :class:`qsmp.model.WithoutY` where y does not occur in it."""
     dims = (n, d, k)
-    b_ast = _vector_asts(_parse_coefficient(sources["b"], dims, "b"), n, "b")
-    sigma_ast = _matrix_asts(_parse_coefficient(sources["sigma"], dims, "sigma"), n, d, "sigma")
+    b_src = _parse_coefficient(sources["b"], dims, "b")
+    sigma_src = _parse_coefficient(sources["sigma"], dims, "sigma")
+    b_ast = _vector_asts(b_src, n, "b")
+    sigma_ast = _matrix_asts(sigma_src, n, d, "sigma")
     f_ast = _parse_coefficient(sources["f"], dims, "f")
     phi_ast = _parse_coefficient(sources["Phi"], dims, "Phi")
     if isinstance(f_ast, expr.ListLit) or isinstance(phi_ast, expr.ListLit):
@@ -541,20 +555,27 @@ def build_expression_problem(n, d, k, T, x0, sources, domain, constants) -> Prob
     f_u_ast = [expr.differentiate(f_ast, v) for v in u_vars]
     phi_x_ast = [expr.differentiate(phi_ast, v) for v in x_vars]
 
+    def f(t, x, y, z, u):
+        return _eval_to((), f_ast, _state_env(t, x, u, y, z))[:]
+
     coeffs = CoefficientSet(
         b=lambda t, x, u: _eval_to((n,), b_ast, _state_env(t, x, u)),
         sigma=lambda t, x, u: _eval_to((n, d), sigma_ast, _state_env(t, x, u)),
-        f=lambda t, x, y, z, u: _eval_to((), f_ast, _state_env(t, x, u, y, z))[:],
+        f=f if "y" in expr.variables(f_ast) else WithoutY(lambda t, x, z, u: f(t, x, None, z, u)),
         Phi=lambda x: _eval_to((), phi_ast, _state_env(0.0, x)),
-        b_x=lambda t, x, u: _eval_to((n, n), b_x_ast, _state_env(t, x, u)),
-        b_u=lambda t, x, u: _eval_to((n, k), b_u_ast, _state_env(t, x, u)),
-        sigma_x=lambda t, x, u: _eval_to((d, n, n), sigma_x_ast, _state_env(t, x, u)),
-        sigma_u=lambda t, x, u: _eval_to((d, n, k), sigma_u_ast, _state_env(t, x, u)),
-        f_x=lambda t, x, y, z, u: _eval_to((n,), f_x_ast, _state_env(t, x, u, y, z)),
-        f_y=lambda t, x, y, z, u: _eval_to((), f_y_ast, _state_env(t, x, u, y, z)),
-        f_z=lambda t, x, y, z, u: _eval_to((d,), f_z_ast, _state_env(t, x, u, y, z)),
-        f_u=lambda t, x, y, z, u: _eval_to((k,), f_u_ast, _state_env(t, x, u, y, z)),
-        Phi_x=lambda x: _eval_to((n,), phi_x_ast, _state_env(0.0, x)),
+        b_x=_unless_free(lambda t, x, u: _eval_to((n, n), b_x_ast, _state_env(t, x, u)), b_src, x_vars, n, n),
+        b_u=_unless_free(lambda t, x, u: _eval_to((n, k), b_u_ast, _state_env(t, x, u)), b_src, u_vars, n, k),
+        sigma_x=_unless_free(
+            lambda t, x, u: _eval_to((d, n, n), sigma_x_ast, _state_env(t, x, u)), sigma_src, x_vars, d, n, n
+        ),
+        sigma_u=_unless_free(
+            lambda t, x, u: _eval_to((d, n, k), sigma_u_ast, _state_env(t, x, u)), sigma_src, u_vars, d, n, k
+        ),
+        f_x=_unless_free(lambda t, x, y, z, u: _eval_to((n,), f_x_ast, _state_env(t, x, u, y, z)), f_ast, x_vars, n),
+        f_y=_unless_free(lambda t, x, y, z, u: _eval_to((), f_y_ast, _state_env(t, x, u, y, z)), f_ast, ["y"]),
+        f_z=_unless_free(lambda t, x, y, z, u: _eval_to((d,), f_z_ast, _state_env(t, x, u, y, z)), f_ast, z_vars, d),
+        f_u=_unless_free(lambda t, x, y, z, u: _eval_to((k,), f_u_ast, _state_env(t, x, u, y, z)), f_ast, u_vars, k),
+        Phi_x=_unless_free(lambda x: _eval_to((n,), phi_x_ast, _state_env(0.0, x)), phi_ast, x_vars, n),
     )
     x0_arr = np.asarray(x0, dtype=np.float64)
     if x0_arr.shape != (n,):

@@ -358,6 +358,23 @@ def _eval(node, env):
     raise EvaluationError(f"unknown node type {type(node).__name__}")
 
 
+def variables(node: ExpressionAst) -> set:
+    """The names of the variables that occur in ``node``."""
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Neg):
+        children = (node.operand,)
+    elif isinstance(node, BinOp):
+        children = (node.left, node.right)
+    elif isinstance(node, Call):
+        children = node.args
+    elif isinstance(node, ListLit):
+        children = node.items
+    else:
+        children = ()
+    return set().union(*map(variables, children))
+
+
 # --- differentiation ---------------------------------------------------------
 
 

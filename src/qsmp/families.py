@@ -16,12 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import VALIDATION_BOUND, AssumptionConstants, BoxDomain, CoefficientSet, ProblemSpec
+from .model import VALIDATION_BOUND, AssumptionConstants, BoxDomain, CoefficientSet, ProblemSpec, WithoutY, Zero
 from .paths import FeedbackControl
-
-
-def _zeros(*shape):
-    return np.zeros(shape)
 
 
 def _scalar_state(x):
@@ -37,22 +33,22 @@ def build_exponential_utility(gamma: float = 1.0, u_max: float = 1.0) -> Problem
     if gamma <= 0:
         raise ValueError("gamma must be positive")
 
-    def f(t, x, y, z, u):
+    def f(t, x, z, u):
         return 0.5 * gamma * np.einsum("md,md->m", z, z)
 
     coeffs = CoefficientSet(
         b=lambda t, x, u: u.copy(),
         sigma=lambda t, x, u: np.ones((x.shape[0], 1, 1)),
-        f=f,
+        f=WithoutY(f),
         Phi=lambda x: np.tanh(_scalar_state(x)),
-        b_x=lambda t, x, u: _zeros(x.shape[0], 1, 1),
+        b_x=Zero(1, 1),
         b_u=lambda t, x, u: np.ones((x.shape[0], 1, 1)),
-        sigma_x=lambda t, x, u: _zeros(x.shape[0], 1, 1, 1),
-        sigma_u=lambda t, x, u: _zeros(x.shape[0], 1, 1, 1),
-        f_x=lambda t, x, y, z, u: _zeros(x.shape[0], 1),
-        f_y=lambda t, x, y, z, u: _zeros(x.shape[0]),
+        sigma_x=Zero(1, 1, 1),
+        sigma_u=Zero(1, 1, 1),
+        f_x=Zero(1),
+        f_y=Zero(),
         f_z=lambda t, x, y, z, u: gamma * z,
-        f_u=lambda t, x, y, z, u: _zeros(x.shape[0], 1),
+        f_u=Zero(1),
         Phi_x=lambda x: (1.0 - np.tanh(_scalar_state(x)) ** 2)[:, None],
     )
     constants = AssumptionConstants(
@@ -96,21 +92,21 @@ def build_linear_quadratic(
     if r <= 0:
         raise ValueError("control weight r must be positive")
 
-    def f(t, x, y, z, u):
+    def f(t, x, z, u):
         return 0.5 * (q * _scalar_state(x) ** 2 + r * u[:, 0] ** 2)
 
     coeffs = CoefficientSet(
         b=lambda t, x, u: a * x + b * u,
         sigma=lambda t, x, u: np.full((x.shape[0], 1, 1), sigma0),
-        f=f,
+        f=WithoutY(f),
         Phi=lambda x: 0.5 * g * _scalar_state(x) ** 2,
         b_x=lambda t, x, u: np.full((x.shape[0], 1, 1), a),
         b_u=lambda t, x, u: np.full((x.shape[0], 1, 1), b),
-        sigma_x=lambda t, x, u: _zeros(x.shape[0], 1, 1, 1),
-        sigma_u=lambda t, x, u: _zeros(x.shape[0], 1, 1, 1),
+        sigma_x=Zero(1, 1, 1),
+        sigma_u=Zero(1, 1, 1),
         f_x=lambda t, x, y, z, u: q * x,
-        f_y=lambda t, x, y, z, u: _zeros(x.shape[0]),
-        f_z=lambda t, x, y, z, u: _zeros(x.shape[0], 1),
+        f_y=Zero(),
+        f_z=Zero(1),
         f_u=lambda t, x, y, z, u: r * u,
         Phi_x=lambda x: g * x,
     )
@@ -211,17 +207,17 @@ def build_controlled_geometric(mu: float = 0.0, vol: float = 0.2, x0: float = 1.
     coeffs = CoefficientSet(
         b=lambda t, x, u: x * (mu + u[:, 0])[:, None],
         sigma=lambda t, x, u: vol * x[:, :, None],
-        f=lambda t, x, y, z, u: _zeros(x.shape[0]),
-        Phi=lambda x: _zeros(x.shape[0]),
+        f=Zero(),
+        Phi=Zero(),
         b_x=lambda t, x, u: (mu + u[:, 0])[:, None, None],
         b_u=lambda t, x, u: x[:, :, None],
         sigma_x=lambda t, x, u: np.full((x.shape[0], 1, 1, 1), vol),
-        sigma_u=lambda t, x, u: _zeros(x.shape[0], 1, 1, 1),
-        f_x=lambda t, x, y, z, u: _zeros(x.shape[0], 1),
-        f_y=lambda t, x, y, z, u: _zeros(x.shape[0]),
-        f_z=lambda t, x, y, z, u: _zeros(x.shape[0], 1),
-        f_u=lambda t, x, y, z, u: _zeros(x.shape[0], 1),
-        Phi_x=lambda x: _zeros(x.shape[0], 1),
+        sigma_u=Zero(1, 1, 1),
+        f_x=Zero(1),
+        f_y=Zero(),
+        f_z=Zero(1),
+        f_u=Zero(1),
+        Phi_x=Zero(1),
     )
     region = VALIDATION_BOUND
     constants = AssumptionConstants(

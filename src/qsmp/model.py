@@ -19,6 +19,19 @@ Phi_x(x)                                         (M, n)
 
 The i-th diffusion column is sigma[..., :, i]; sigma_x[:, i] is the Jacobian
 of that column with respect to the state.
+
+Two markers declare structure once, so that the solvers stop computing it:
+
+- a :class:`Zero` coefficient is identically zero. Called like the field it
+  stands for, it returns zeros of that field's shape; the costate step, the
+  control gradient and the descent's weight Gamma skip every term it is a
+  factor of.
+- a :class:`WithoutY` generator does not read y. Its implicit step is then
+  explicit, and the quadratic step evaluates it once (as it does a
+  :class:`Zero` generator).
+
+A plain callable carries no marker and takes the general path, with the
+same bits.
 """
 
 from __future__ import annotations
@@ -33,6 +46,34 @@ import numpy as np
 from . import bmo
 from .errors import QsmpError
 from .paths import abs_max
+
+
+class Zero:
+    """An identically zero coefficient of trailing shape ``shape``: called
+    with the field's arguments, it returns zeros (M,) + ``shape``, M the
+    length of the last argument (u, or x for Phi and Phi_x)."""
+
+    def __init__(self, *shape):
+        self.shape = shape
+
+    def __call__(self, *args):
+        return np.zeros((len(args[-1]),) + self.shape)
+
+
+class WithoutY:
+    """A generator that does not read y: ``fn(t, x, z, u)``, called as
+    f(t, x, y, z, u) with y ignored."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, t, x, y, z, u):
+        return self.fn(t, x, z, u)
+
+
+def reads_y(f) -> bool:
+    """False for a generator marked free of y (:class:`WithoutY`, :class:`Zero`)."""
+    return not isinstance(f, (WithoutY, Zero))
 
 
 @dataclass(frozen=True)
@@ -91,6 +132,9 @@ class ControlDomain:
     """Convex control domain with an exact projection."""
 
     kind = "abstract"
+    #: Whether :meth:`pullback` gives the same bits at the projected point
+    #: as at the raw one, so a caller may pass the control it already holds.
+    pullback_from_projection = False
 
     def project(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -116,6 +160,7 @@ class BoxDomain(ControlDomain):
     lower: tuple
     upper: tuple
     kind = "box"
+    pullback_from_projection = True
 
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lower))
@@ -133,7 +178,9 @@ class BoxDomain(ControlDomain):
         return np.clip(np.asarray(v, dtype=np.float64), self.lower, self.upper)
 
     def pullback(self, raw, weight):
-        """Zeroes the components whose projection sits on a bound."""
+        """Zeroes the components at or past a bound. The projection of
+        ``raw`` is at a bound exactly where ``raw`` is at or past it (NaN is
+        neither), so ``raw`` may also be the projected point."""
         weight[(raw <= self.lower) | (raw >= self.upper)] = 0.0
         return weight
 

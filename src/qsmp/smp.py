@@ -32,7 +32,7 @@ import numpy as np
 from . import adjoint as adjoint_mod
 from . import bmo
 from .bsde import RegressionBasis, forked_calls, linear_equation, processes_for, solve_quadratic_bsde
-from .model import ProblemSpec
+from .model import ProblemSpec, Zero
 from .paths import (
     DEFAULT_EPSILONS,
     BrownianBatch,
@@ -289,40 +289,59 @@ def _gradient_storage(spec, grid, noise):
     descent allocates them once for all its iterations, so no iteration
     faults their pages in again, a sweep's partner process reads the forward
     batch as this process last wrote it, and no partner makes the visit's
-    writes copy a page."""
+    writes copy a page. No log Gamma (None) where Gamma is identically one
+    (:func:`_unit_gamma`)."""
     m_paths, n_steps = noise.M, grid.N
     forward = ForwardBatch(
         shared_step_major((m_paths, n_steps + 1, spec.n)), shared_step_major((m_paths, n_steps + 1, spec.k))
     )
-    return forward, shared_step_major((m_paths, n_steps, spec.k)), shared_step_major((m_paths, n_steps + 1))
+    log_gamma = None if _unit_gamma(spec) else shared_step_major((m_paths, n_steps + 1))
+    return forward, shared_step_major((m_paths, n_steps, spec.k)), log_gamma
+
+
+def _unit_gamma(spec) -> bool:
+    """Whether Gamma = exp(int f_y ds) E(int f_z . dW) is identically one:
+    f_y and f_z are both :class:`qsmp.model.Zero`, so every step of log
+    Gamma is zero."""
+    return isinstance(spec.coeffs.f_y, Zero) and isinstance(spec.coeffs.f_z, Zero)
 
 
 def _policy_gradient(spec, grid, noise, policy, basis, storage=None, partner=None):
     """(cost, its standard error, offset gradient (N, k), gain gradient
     (N, k, n)) at the policy, from one state-costate sweep at width 2 whose
     visitor forms H_u, chained through the policy's projection, and the
-    step of log Gamma. The path arrays are those of ``storage``
-    (:func:`_gradient_storage`, allocated here by default). With a
-    ``partner`` (:func:`_descent_partner`), the partner runs Euler on the
-    second half of the paths while this process runs it on the first, and
-    the sweep runs through it."""
+    step of log Gamma. Where Gamma is identically one (:func:`_unit_gamma`)
+    no step of log Gamma is formed and no weight is multiplied by Gamma:
+    exp(0) = 1 leaves the same bits. The pullback of a domain whose mask
+    the projected control gives (``pullback_from_projection``) reads the
+    forward batch's control; other domains read the policy's raw map. The
+    path arrays are those of ``storage`` (:func:`_gradient_storage`,
+    allocated here by default). With a ``partner``
+    (:func:`_descent_partner`), the partner runs Euler on the second half of
+    the paths while this process runs it on the first, and the sweep runs
+    through it."""
     forward, weight, log_gamma = storage or _gradient_storage(spec, grid, noise)
     control = policy.control()
     if partner is None:
         solve_forward_sde(spec, grid, noise, control, out=forward)
     else:
         partner.share(lambda c: solve_forward_sde(spec, grid, noise, c, out=forward, rows=slice(0, noise.M // 2)), control)
-    log_gamma[:, 0] = 0.0
+    if log_gamma is not None:
+        log_gamma[:, 0] = 0.0
+    domain = policy.domain
 
     def visit(point):
         grad = adjoint_mod.control_gradient(spec, point)
-        weight[:, point.i] = policy.domain.pullback(policy.raw(point.i, point.x), grad)
-        log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
+        at = point.u if domain.pullback_from_projection else policy.raw(point.i, point.x)
+        weight[:, point.i] = domain.pullback(at, grad)
+        if log_gamma is not None:
+            log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
 
     backward, _ = adjoint_mod.solve_state_and_costate(
         spec, grid, noise, forward, basis, width=2, visit=visit, partner=partner
     )
-    weight *= bmo.cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)[:, : grid.N, None]
+    if log_gamma is not None:
+        weight *= bmo.cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)[:, : grid.N, None]
     grad_offsets = weight.mean(axis=0)  # (N, k)
     grad_gains = np.einsum("mik,min->ikn", weight, forward.states[:, : grid.N]) / noise.M
     return backward.y0, backward.y0_standard_error, grad_offsets, grad_gains

@@ -279,3 +279,65 @@ def test_one_fork_layer_in_src():
                 forks.append(where)
     assert imports == []
     assert len(forks) == 1, forks
+
+
+def _zero_fields(source: str) -> list:
+    """The keywords of each ``CoefficientSet(...)`` call in ``source`` whose
+    coefficient makes its zeros itself: a lambda or a local function that
+    returns a literal 0, a product with one, or the result of a call of
+    ``np.zeros``, ``np.zeros_like`` (or any callee named ``*zeros*``) or of
+    ``np.full`` with a literal 0."""
+    def is_zero(node):
+        return isinstance(node, ast.Constant) and not isinstance(node.value, bool) and node.value == 0
+
+    def makes_zeros(expression):
+        for node in ast.walk(expression):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "attr", None) or getattr(node.func, "id", "")
+                zero_fill = callee in ("full", "full_like") and len(node.args) > 1 and is_zero(node.args[1])
+                if "zeros" in callee or zero_fill:
+                    return True
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                if is_zero(node.left) or is_zero(node.right):
+                    return True
+        return is_zero(expression)
+
+    found = []
+    tree = ast.parse(source)
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "CoefficientSet"):
+            continue
+        for keyword in call.keywords:
+            todo, bodies = [keyword.value], []
+            while todo:
+                node = todo.pop()
+                if isinstance(node, ast.Lambda):
+                    bodies.append(node.body)
+                elif isinstance(node, ast.Name) and node.id in functions:
+                    returns = [ret for ret in ast.walk(functions[node.id]) if isinstance(ret, ast.Return)]
+                    bodies += [ret.value for ret in returns if ret.value]
+                elif isinstance(node, ast.Call):  # a marker's argument, such as WithoutY(f)
+                    todo += node.args
+            if any(makes_zeros(body) for body in bodies):
+                found.append(keyword.arg)
+    return found
+
+
+def test_identically_zero_coefficients_in_families_are_markers():
+    """An identically zero field of a built-in family is a ``model.Zero``,
+    which the solvers skip; zeros made by a lambda or a function would take
+    the slow path unnoticed."""
+    assert _zero_fields((PACKAGE / "families.py").read_text()) == []
+    # The lint sees the forms it forbids.
+    forbidden = """
+def build():
+    def f(t, x, z, u):
+        return np.zeros(x.shape[0])
+    return CoefficientSet(
+        f=WithoutY(f), f_y=lambda t, x, y, z, u: _zeros(x.shape[0]), f_z=lambda t, x, y, z, u: 0.0 * z,
+        b_x=lambda t, x, u: np.full((x.shape[0], 1, 1), 0.0), Phi=lambda x: np.zeros_like(x[:, 0]),
+        b=lambda t, x, u: u.copy(), f_u=Zero(1),
+    )
+"""
+    assert _zero_fields(forbidden) == ["f", "f_y", "f_z", "b_x", "Phi"]
