@@ -1,38 +1,7 @@
 """Monte Carlo toolkit for decoupled forward-backward stochastic control systems
 whose backward component has a quadratic generator.
 
-Subpackages are imported lazily so that the command-line front end can
-configure BLAS threading before numpy is first loaded.
+The package imports none of its modules; import each by name (``from qsmp import config``).
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "adjoint",
-    "bmo",
-    "bsde",
-    "cli",
-    "config",
-    "errors",
-    "expr",
-    "families",
-    "model",
-    "paths",
-    "regression",
-    "smp",
-    "storage",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f"{__name__}.{name}")
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

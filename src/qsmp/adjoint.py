@@ -39,7 +39,7 @@ from .bsde import (
     quadratic_defaults,
     quadratic_equation,
 )
-from .errors import SolverError
+from .errors import SolverError, located
 from .model import ProblemSpec, Zero
 from .paths import BrownianBatch, ForwardBatch, TimeGrid, abs_max
 from .regression import RegressionBasis, StepRegressor
@@ -177,7 +177,7 @@ def costate_equation(
             visit(StepPoint(i, times[i], x_i, u_i, y_i, z_i, p_i, q_i, f_y, f_z, reg))
         return p_i, q_i
 
-    terminal = np.asarray(spec.coeffs.Phi_x(forward.states[:, grid.N]), dtype=np.float64)
+    terminal = np.asarray(located(spec.coeffs.Phi_x, forward.states[:, grid.N], step=grid.N), dtype=np.float64)
     return BackwardEquation(terminal, grid.N, spec.d, step, width=width)
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bmo
-from .errors import SolverError
+from .errors import SolverError, located
 from .model import DerivedConstants, ProblemSpec, clip_rows, derive_constants, reads_y
 from .paths import BrownianBatch, ForwardBatch, TimeGrid, abs_max, shared_step_major, shared_zeros, step_major
 from .regression import RegressionBasis, StepRegressor
@@ -222,7 +222,7 @@ def _solve_step(eq: BackwardEquation, i: int, reg: StepRegressor, increments: np
     z_target = ((nxt - cond)[:, :, None] * increments[:, None, :] / dt).reshape(m_paths, -1)
     z_flat, _ = reg.fit(z_target)
     z_i = z_flat.reshape(m_paths, -1, d)
-    at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = eq.step(i, cond, z_i, reg)
+    at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = located(eq.step, i, cond, z_i, reg, step=i)
 
 
 class _Child:
@@ -597,7 +597,7 @@ def quadratic_equation(
         driver_sum += increment
         return y_i[:, None], z_i[:, None]
 
-    terminal = np.asarray(co.Phi(forward.states[:, grid.N]), dtype=np.float64)
+    terminal = np.asarray(located(co.Phi, forward.states[:, grid.N], step=grid.N), dtype=np.float64)
     return BackwardEquation(terminal[:, None], grid.N, spec.d, step, driver_sum, width)
 
 

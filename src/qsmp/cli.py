@@ -4,9 +4,10 @@ Subcommands match the pipeline names: solve, adjoint, gradient-check,
 descend, mp-check, bmo, constants. Every run writes a deterministic set of
 artifacts (manifest, summary, result tables) into the output directory;
 rerunning with the same configuration and seed reproduces them byte for
-byte regardless of the thread count and of the number of worker processes
-(the checks run their independent solves in forked workers, see
-:mod:`qsmp.smp`).
+byte regardless of the number of worker processes (the checks run their
+independent solves in forked workers, see :mod:`qsmp.smp`) and of the BLAS
+thread count, which the environment sets before numpy loads
+(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``).
 
 Exit codes: 0 success, 1 solver error, 2 configuration error,
 3 inconclusive check.
@@ -23,18 +24,6 @@ import sys
 
 from .errors import ConfigError, QsmpError
 
-_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _apply_thread_limit(threads: int | None) -> None:
-    """Best-effort BLAS thread hint. Must run before numpy is first imported
-    to take effect; artifact content does not depend on it either way (all
-    artifact-relevant reductions run in fixed chunk order)."""
-    if threads is None:
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(threads)
-
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -47,7 +36,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the experiment config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="BLAS thread hint")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",
                        help="result table format (manifest and summary are always written)")
     return parser
@@ -55,7 +43,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    _apply_thread_limit(args.threads)
     try:
         return _run(args)
     except ConfigError as err:
@@ -70,23 +57,13 @@ def _run(args) -> int:
     from . import config as config_mod
 
     cfg = config_mod.load_config(args.config)
-    if cfg.pipeline is not None and cfg.pipeline != args.pipeline:
-        raise ConfigError(
-            f"config declares pipeline {cfg.pipeline!r} but the {args.pipeline} subcommand was invoked",
-            "[pipeline] kind",
-        )
-    for section, reader in config_mod.SECTION_READERS.items():
-        if section in cfg.raw and reader != args.pipeline:
-            raise ConfigError(f"only the {reader} pipeline reads this section, not {args.pipeline}", f"[{section}]")
-    unused = config_mod.unused_tolerances(args.pipeline, cfg.raw.get("tolerances", {}))
-    if unused:
-        raise ConfigError(f"the {args.pipeline} pipeline does not use this key", f"[tolerances] {unused[0]}")
+    config_mod.check_pipeline(cfg, args.pipeline)
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("seed must be >= 0")
         cfg.seed = args.seed
     out_dir = args.out or cfg.output_dir
-    if out_dir is None:
+    if not out_dir:
         raise ConfigError("no output directory: set [output] directory or pass --out")
     os.makedirs(out_dir, exist_ok=True)
 

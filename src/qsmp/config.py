@@ -8,32 +8,37 @@ coefficient definitions reuse the expression language of :mod:`qsmp.expr`.
 Recognised sections and keys::
 
     [problem]      family = <name> plus builder parameters, OR an inline
-                   definition: n, d, k, x0, b, sigma, f, Phi, domain
+                   definition: n, d, k (>= 1), x0, b, sigma, f, Phi, domain
                    (box | ball | halfspace-intersection) with
                    domain_lower, domain_upper | domain_center, domain_radius |
                    domain_normals, domain_offsets, and the declared constants
-                   alpha, gamma, L1, L2, L3, f_y_sup, Phi_sup, sigma_x_sup,
-                   b_x_sup, b_u_sup, sigma_u_sup, Phi_x_sup
-    [grid]         N, T
-    [monte_carlo]  M, seed
-    [pipeline]     kind (optional; must match the subcommand when present)
+                   (finite, >= 0; gamma > 0) alpha, gamma, L1, L2, L3,
+                   f_y_sup, Phi_sup, sigma_x_sup, b_x_sup, b_u_sup,
+                   sigma_u_sup, Phi_x_sup
+    [grid]         N (>= 1), T (finite, > 0)
+    [monte_carlo]  M (>= 1), seed (>= 0)
+    [pipeline]     kind (optional; one of the pipelines, and it must match
+                   the subcommand)
     [output]       directory (optional)
     [controls]     u_bar, u: feedback expressions [expr, ...] in t, x1..xn,
                    or the special value ``riccati`` (linear_quadratic only)
-    [descent]      iterations, step, init (zeros|random), init_scale, init_seed
-                   (descend only)
-    [check]        times, states, candidates, groups, se_multiplier,
-                   boundary_bias (mp-check only)
-    [gradient_check] epsilons (gradient-check only)
-    [bmo]          source (backward|constant), level, n_max (at most 6)
+    [descent]      iterations (>= 1), step and init_scale (finite), init
+                   (zeros|random), init_seed (descend only)
+    [check]        times, states, candidates (>= 1), groups (>= 2),
+                   se_multiplier (finite, >= 0), boundary_bias (in [0, 1])
+                   (mp-check only)
+    [gradient_check] epsilons (at least 4, in (0, 1]) (gradient-check only)
+    [bmo]          source (backward|constant), level (finite), n_max (1 to 6)
                    (bmo only)
-    [tolerances]   basis_degree (every pipeline), truncation_radius and ridge
-                   (solve, adjoint, bmo), validation_samples (constants); a
-                   pipeline rejects a key it does not use
+    [tolerances]   basis_degree (>= 0, every pipeline), truncation_radius
+                   and ridge (>= 0; solve, adjoint, bmo), validation_samples
+                   (>= 1; constants); a pipeline rejects a key it does not use
 
-A pipeline rejects a section that only another pipeline reads
-(:data:`SECTION_READERS`). Family parameters and the float keys of
-``[descent]``, ``[check]`` and ``[bmo]`` must be finite numbers.
+Every section but ``[problem]`` is parsed from one dataclass schema
+(:data:`_SCHEMAS`), which declares each key's type, default or
+required-ness, and bounds. A pipeline rejects a section that only another
+pipeline reads (:data:`SECTION_READERS`). Family parameters must be finite
+numbers.
 
 A family problem without ``[controls]`` uses that family's default pair of
 controls; an inline problem defaults both u_bar and u to k zeros.
@@ -44,13 +49,14 @@ from __future__ import annotations
 import configparser
 import inspect
 import math
+import operator
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import expr
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .families import FAMILIES, riccati_from_spec
 from .model import (
     AssumptionConstants,
@@ -66,22 +72,7 @@ from .paths import DEFAULT_EPSILONS, FeedbackControl, TimeGrid, check_epsilons
 
 PIPELINES = ("solve", "adjoint", "gradient-check", "descend", "mp-check", "bmo", "constants")
 
-# Keys of the sections without a dataclass; the dataclass-backed sections
-# (_SCHEMAS, below) take their keys from the dataclass fields.
-_SECTION_KEYS = {
-    "problem": None,  # validated separately
-    "grid": {"N", "T"},
-    "monte_carlo": {"M", "seed"},
-    "pipeline": {"kind"},
-    "output": {"directory"},
-    "controls": {"u_bar", "u"},
-    "gradient_check": {"epsilons"},
-}
-
-_CONSTANT_KEYS = (
-    "alpha", "gamma", "L1", "L2", "L3", "f_y_sup", "Phi_sup",
-    "b_x_sup", "b_u_sup", "sigma_u_sup", "Phi_x_sup",
-)
+_CONSTANT_KEYS = tuple(spec.name for spec in fields(AssumptionConstants) if spec.name != "sigma_x_sup")
 
 # The keys of each [problem] domain kind.
 _DOMAIN_KEYS = {
@@ -103,50 +94,71 @@ _DEFAULT_CONTROLS = {
 }
 
 
-def _choice(default, *others):
-    return field(default=default, metadata={"choices": (default, *others)})
+def _key(default=MISSING, **rules):
+    """A key of a schema section, ``default`` where the file omits it; a key
+    without a default is required. ``rules`` may give "choices", "min" and
+    "max" (inclusive), "above" (exclusive), "finite", and "pipelines": the
+    only pipelines that use the key, which any other rejects."""
+    return field(default=default, metadata=rules)
 
 
-def _bounded(default, **bounds):
-    """A key whose values below ``min`` or above ``max`` mean nothing."""
-    return field(default=default, metadata=bounds)
+@dataclass
+class GridParams:
+    N: int = _key(min=1)
+    T: float = _key(finite=True, above=0)
 
 
-def _finite(default, **bounds):
-    """A float key whose NaN, infinities and values beyond ``min`` or ``max`` mean nothing."""
-    return field(default=default, metadata={"finite": True, **bounds})
+@dataclass
+class MonteCarloParams:
+    M: int = _key(min=1)
+    seed: int = _key(min=0)
+
+
+@dataclass
+class PipelineParams:
+    kind: str | None = _key(None, choices=PIPELINES)  # must match the subcommand
+
+
+@dataclass
+class OutputParams:
+    directory: str | None = None
+
+
+@dataclass
+class ControlsParams:
+    u_bar: str | None = None  # None: the family's default control
+    u: str | None = None
 
 
 @dataclass
 class DescentParams:
-    iterations: int = _bounded(25, min=1)
-    step: float = _finite(0.5)
-    init: str = _choice("zeros", "random")
-    init_scale: float = _finite(0.5)
+    iterations: int = _key(25, min=1)
+    step: float = _key(0.5, finite=True)
+    init: str = _key("zeros", choices=("zeros", "random"))
+    init_scale: float = _key(0.5, finite=True)
     init_seed: int = 0
 
 
 @dataclass
 class CheckParams:
-    times: int = _bounded(12, min=1)
-    states: int = _bounded(48, min=1)
-    candidates: int = _bounded(8, min=1)
-    groups: int = _bounded(8, min=2)  # the replicate standard error needs two
-    se_multiplier: float = _finite(5.0, min=0)
-    boundary_bias: float = _bounded(0.5, min=0, max=1)
+    times: int = _key(12, min=1)
+    states: int = _key(48, min=1)
+    candidates: int = _key(8, min=1)
+    groups: int = _key(8, min=2)  # the replicate standard error needs two
+    se_multiplier: float = _key(5.0, finite=True, min=0)
+    boundary_bias: float = _key(0.5, min=0, max=1)
+
+
+@dataclass
+class GradientCheckParams:
+    epsilons: list = DEFAULT_EPSILONS
 
 
 @dataclass
 class BmoParams:
-    source: str = _choice("backward", "constant")
-    level: float = _finite(0.3)
-    n_max: int = _bounded(3, min=1, max=6)
-
-
-def _used_by(*pipelines, default=None, **bounds):
-    """A [tolerances] key that only the named pipelines use; any other
-    pipeline rejects it rather than ignore it."""
-    return field(default=default, metadata={"pipelines": pipelines, **bounds})
+    source: str = _key("backward", choices=("backward", "constant"))
+    level: float = _key(0.3, finite=True)
+    n_max: int = _key(3, min=1, max=6)
 
 
 _SOLVERS = ("solve", "adjoint", "bmo")
@@ -154,27 +166,31 @@ _SOLVERS = ("solve", "adjoint", "bmo")
 
 @dataclass
 class Overrides:
-    basis_degree: int | None = _bounded(None, min=0)  # every pipeline
-    truncation_radius: float | None = _used_by(*_SOLVERS, min=0)
-    ridge: float | None = _used_by(*_SOLVERS, min=0)
-    validation_samples: int = _used_by("constants", default=256, min=1)
+    basis_degree: int | None = _key(None, min=0)  # every pipeline
+    truncation_radius: float | None = _key(None, pipelines=_SOLVERS, min=0)
+    ridge: float | None = _key(None, pipelines=_SOLVERS, min=0)
+    validation_samples: int = _key(256, pipelines=("constants",), min=1)
 
 
 #: Sections that one pipeline alone reads; any other pipeline rejects them.
 SECTION_READERS = {"descent": "descend", "check": "mp-check", "bmo": "bmo", "gradient_check": "gradient-check"}
 
 
-def unused_tolerances(pipeline: str, keys) -> list:
-    """The given [tolerances] keys that ``pipeline`` does not use, sorted."""
-    users = {spec.name: spec.metadata.get("pipelines", PIPELINES) for spec in fields(Overrides)}
-    return sorted(key for key in keys if pipeline not in users[key])
-
-
-# Sections parsed from a dataclass: each field is a key, its annotation gives
-# the type and its default the default; metadata may add "choices", "min" or
-# "max" (both inclusive), or "finite".
-# A new key in one of these sections is one field line.
-_SCHEMAS = {"descent": DescentParams, "check": CheckParams, "bmo": BmoParams, "tolerances": Overrides}
+# Every section but [problem], parsed from a dataclass: each field is a key,
+# its annotation gives the type and its default the default (see _key).
+# A new key is one field line.
+_SCHEMAS = {
+    "grid": GridParams,
+    "monte_carlo": MonteCarloParams,
+    "pipeline": PipelineParams,
+    "output": OutputParams,
+    "controls": ControlsParams,
+    "descent": DescentParams,
+    "check": CheckParams,
+    "gradient_check": GradientCheckParams,
+    "bmo": BmoParams,
+    "tolerances": Overrides,
+}
 
 
 @dataclass
@@ -198,50 +214,62 @@ class ExperimentConfig:
         return self.controls[which]
 
 
+def check_pipeline(cfg: ExperimentConfig, pipeline: str) -> None:
+    """Rejects a config for ``pipeline`` that declares another pipeline, has
+    a section that only another pipeline reads, or sets a [tolerances] key
+    that ``pipeline`` does not use."""
+    if cfg.pipeline not in (None, pipeline):
+        message = f"config declares pipeline {cfg.pipeline!r} but the {pipeline} subcommand was invoked"
+        raise ConfigError(message, "[pipeline] kind")
+    for section, reader in SECTION_READERS.items():
+        if section in cfg.raw and reader != pipeline:
+            raise ConfigError(f"only the {reader} pipeline reads this section, not {pipeline}", f"[{section}]")
+    for spec in fields(Overrides):
+        if spec.name in cfg.raw.get("tolerances", {}) and pipeline not in spec.metadata.get("pipelines", PIPELINES):
+            raise ConfigError(f"the {pipeline} pipeline does not use this key", f"[tolerances] {spec.name}")
+
+
 _TYPE_NAMES = {int: "an integer", float: "a number"}
+# The bound rules of _key, each a test that NaN fails.
+_BOUNDS = {"min": (operator.ge, ">="), "above": (operator.gt, ">"), "max": (operator.le, "<=")}
 
 
 def _scalar(kind, section, key, value):
+    if kind is list:
+        return _numeric_list(section, key, value)
     try:
         return kind(value)
     except ValueError:
         raise ConfigError(f"expected {_TYPE_NAMES[kind]}, got {value!r}", f"[{section}] {key}")
 
 
-def _required(raw: dict, section: str, *typed_keys):
-    """The values of required ``(key, type)`` pairs of a section; every key
-    is checked for presence before any is parsed."""
-    values = raw[section]
-    for key, _ in typed_keys:
-        if key not in values:
-            raise ConfigError(f"missing key {key}", f"[{section}] {key}")
-    return [_scalar(kind, section, key, values[key]) for key, kind in typed_keys]
-
-
 def _parse_section(section: str, values: dict):
-    """The dataclass of a _SCHEMAS section, from its raw ``key = value``
-    pairs (keys already checked), parsed in field order."""
+    """The dataclass of a _SCHEMAS section from its raw ``key = value``
+    pairs, parsed in field order."""
     schema = _SCHEMAS[section]
     hints = typing.get_type_hints(schema)
-    parsed = schema()
+    for key in values:
+        if key not in hints:
+            raise ConfigError(f"unknown key {key!r}", f"[{section}] {key}")
+    parsed = {}
     for spec in fields(schema):
+        location = f"[{section}] {spec.name}"
         if spec.name not in values:
+            if spec.default is MISSING:
+                raise ConfigError(f"missing key {spec.name}", location)
             continue
         # ``int | None`` parses as int
         kind = next(t for t in typing.get_args(hints[spec.name]) or (hints[spec.name],) if t is not type(None))
-        value = _scalar(kind, section, spec.name, values[spec.name])
-        choices, low, high = (spec.metadata.get(key) for key in ("choices", "min", "max"))
-        if choices is not None and value not in choices:
-            raise ConfigError(f"{spec.name} must be {' or '.join(choices)}", f"[{section}] {spec.name}")
-        # Written so that NaN fails too.
-        if low is not None and not value >= low:
-            raise ConfigError(f"{spec.name} must be >= {low}", f"[{section}] {spec.name}")
-        if high is not None and not value <= high:
-            raise ConfigError(f"{spec.name} must be <= {high}", f"[{section}] {spec.name}")
-        if spec.metadata.get("finite") and not math.isfinite(value):
-            raise ConfigError(f"{spec.name} must be finite", f"[{section}] {spec.name}")
-        setattr(parsed, spec.name, value)
-    return parsed
+        value = parsed[spec.name] = _scalar(kind, section, spec.name, values[spec.name])
+        rules = spec.metadata
+        if "choices" in rules and value not in rules["choices"]:
+            raise ConfigError(f"{spec.name} must be {' or '.join(rules['choices'])}", location)
+        for rule, (holds, sign) in _BOUNDS.items():
+            if rule in rules and not holds(value, rules[rule]):
+                raise ConfigError(f"{spec.name} must be {sign} {rules[rule]}", location)
+        if rules.get("finite") and not math.isfinite(value):
+            raise ConfigError(f"{spec.name} must be finite", location)
+    return schema(**parsed)
 
 
 def _numeric_list(section, key, value):
@@ -263,7 +291,6 @@ def load_config(path: str) -> ExperimentConfig:
         delimiters=("=",),
         comment_prefixes=("#", ";"),
         inline_comment_prefixes=("#", ";"),
-        strict=True,
         interpolation=None,
     )
     parser.optionxform = str  # keys are case-sensitive
@@ -276,69 +303,38 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config: {err}")
 
     raw = {section: dict(parser.items(section)) for section in parser.sections()}
-
     for section in raw:
-        if section in _SCHEMAS:
-            allowed = {spec.name for spec in fields(_SCHEMAS[section])}
-        elif section in _SECTION_KEYS:
-            allowed = _SECTION_KEYS[section]
-        else:
+        if section != "problem" and section not in _SCHEMAS:
             raise ConfigError(f"unknown section [{section}]", f"[{section}]")
-        if allowed is not None:
-            for key in raw[section]:
-                if key not in allowed:
-                    raise ConfigError(f"unknown key {key!r}", f"[{section}] {key}")
+    if "problem" not in raw:
+        raise ConfigError("missing required section [problem]", "[problem]")
+    params = {name: _parse_section(name, raw.get(name, {})) for name in _SCHEMAS}
 
-    for required in ("problem", "grid", "monte_carlo"):
-        if required not in raw:
-            raise ConfigError(f"missing required section [{required}]", f"[{required}]")
-
-    n_steps, horizon = _required(raw, "grid", ("N", int), ("T", float))
-    if n_steps < 1 or horizon <= 0:
-        raise ConfigError("need N >= 1 and T > 0", "[grid]")
-    grid = TimeGrid(n_steps, horizon)
-
-    m_paths, seed = _required(raw, "monte_carlo", ("M", int), ("seed", int))
-    if m_paths < 1 or seed < 0:
-        raise ConfigError("need M >= 1 and seed >= 0", "[monte_carlo]")
-
-    pipeline = None
-    if "pipeline" in raw:
-        pipeline = raw["pipeline"].get("kind")
-        if pipeline not in PIPELINES:
-            raise ConfigError(
-                f"unknown pipeline {pipeline!r}; expected one of {PIPELINES}", "[pipeline] kind"
-            )
-
-    spec, family, family_params = _build_problem(raw["problem"], horizon)
+    grid = TimeGrid(params["grid"].N, params["grid"].T)
+    spec, family, family_params = _build_problem(raw["problem"], params["grid"].T)
 
     zeros = "[" + ", ".join(["0.0"] * spec.k) + "]"
     defaults = dict(zip(("u_bar", "u"), _DEFAULT_CONTROLS.get(family, (zeros, zeros))))
-    sources = {**defaults, **raw.get("controls", {})}
+    sources = {**defaults, **{which: v for which, v in vars(params["controls"]).items() if v is not None}}
     controls = {which: build_control(which, sources[which], spec, family, family_params) for which in ("u_bar", "u")}
-
-    descent, check, bmo_params = (_parse_section(name, raw.get(name, {})) for name in ("descent", "check", "bmo"))
-
-    epsilons = list(DEFAULT_EPSILONS)
-    if "gradient_check" in raw and "epsilons" in raw["gradient_check"]:
-        try:
-            epsilons = check_epsilons(_numeric_list("gradient_check", "epsilons", raw["gradient_check"]["epsilons"]))
-        except ValueError as err:
-            raise ConfigError(str(err), "[gradient_check] epsilons")
+    try:
+        epsilons = check_epsilons(params["gradient_check"].epsilons)
+    except ValueError as err:
+        raise ConfigError(str(err), "[gradient_check] epsilons")
 
     return ExperimentConfig(
         spec=spec,
         grid=grid,
-        M=m_paths,
-        seed=seed,
-        pipeline=pipeline,
-        output_dir=raw.get("output", {}).get("directory"),
+        M=params["monte_carlo"].M,
+        seed=params["monte_carlo"].seed,
+        pipeline=params["pipeline"].kind,
+        output_dir=params["output"].directory,
         controls=controls,
-        descent=descent,
-        check=check,
-        bmo=bmo_params,
+        descent=params["descent"],
+        check=params["check"],
+        bmo=params["bmo"],
         gradient_epsilons=epsilons,
-        overrides=_parse_section("tolerances", raw.get("tolerances", {})),
+        overrides=params["tolerances"],
         family=family,
         raw=raw,
     )
@@ -348,20 +344,13 @@ def _build_problem(section: dict, horizon: float):
     if "family" in section:
         name = section["family"]
         if name not in FAMILIES:
-            raise ConfigError(
-                f"unknown family {name!r}; available: {sorted(FAMILIES)}", "[problem] family"
-            )
+            raise ConfigError(f"unknown family {name!r}; available: {sorted(FAMILIES)}", "[problem] family")
         builder = FAMILIES[name]
         signature = inspect.signature(builder)
-        params = {}
-        for key, value in section.items():
-            if key == "family":
-                continue
-            if key not in signature.parameters:
-                raise ConfigError(
-                    f"family {name} has no parameter {key!r}", f"[problem] {key}"
-                )
-            params[key] = _scalar(float, "problem", key, value)
+        for key in section:
+            if key != "family" and key not in signature.parameters:
+                raise ConfigError(f"family {name} has no parameter {key!r}", f"[problem] {key}")
+        params = {key: _scalar(float, "problem", key, value) for key, value in section.items() if key != "family"}
         if "T" in signature.parameters and "T" not in params:
             params["T"] = horizon
         try:
@@ -374,10 +363,7 @@ def _build_problem(section: dict, horizon: float):
             if not math.isfinite(value):
                 raise ConfigError(f"family {name}: {key} must be finite", f"[problem] {key}")
         if abs(spec.T - horizon) > 1e-12:
-            raise ConfigError(
-                f"grid horizon T={horizon} differs from the family horizon T={spec.T}",
-                "[grid] T",
-            )
+            raise ConfigError(f"grid horizon T={horizon} differs from the family horizon T={spec.T}", "[grid] T")
         return spec, name, params
 
     for key in section:
@@ -387,6 +373,9 @@ def _build_problem(section: dict, horizon: float):
         if key not in section:
             raise ConfigError(f"inline problem needs key {key}", f"[problem] {key}")
     dims = tuple(_scalar(int, "problem", key, section[key]) for key in ("n", "d", "k"))
+    for key, size in zip("ndk", dims):
+        if size < 1:
+            raise ConfigError(f"{key} must be >= 1", f"[problem] {key}")
     try:
         domain = _build_domain(section, dims[2])
     except ValueError as err:
@@ -412,38 +401,39 @@ def _build_domain(section: dict, k: int):
         if key.startswith("domain_") and key not in _DOMAIN_KEYS[kind]:
             raise ConfigError(f"a {kind} domain has no key {key!r}", f"[problem] {key}")
     if kind == "box":
-        lower = _numeric_list("problem", "domain_lower", section.get("domain_lower", "[-1.0]" if k == 1 else ""))
-        upper = _numeric_list("problem", "domain_upper", section.get("domain_upper", "[1.0]" if k == 1 else ""))
-        if len(lower) != k or len(upper) != k:
-            raise ConfigError(f"box bounds must have length k={k}", "[problem] domain_lower")
-        return BoxDomain(tuple(lower), tuple(upper))
+        lower = _vector(section, "domain_lower", k, "[-1.0]" if k == 1 else "")
+        return BoxDomain(lower, _vector(section, "domain_upper", k, "[1.0]" if k == 1 else ""))
     if kind == "ball":
-        center = _numeric_list("problem", "domain_center", section.get("domain_center", "[0.0]"))
-        radius = _scalar(float, "problem", "domain_radius", section.get("domain_radius", "1.0"))
-        if len(center) != k:
-            raise ConfigError(f"ball center must have length k={k}", "[problem] domain_center")
-        return BallDomain(tuple(center), radius)
-    if kind == "halfspace-intersection":
-        if "domain_normals" not in section or "domain_offsets" not in section:
-            raise ConfigError("halfspace domain needs domain_normals and domain_offsets", "[problem] domain")
-        normals = _numeric_list("problem", "domain_normals", section["domain_normals"])
-        offsets = _numeric_list("problem", "domain_offsets", section["domain_offsets"])
-        if not isinstance(normals[0], list):
-            normals = [normals]
-        return HalfspaceDomain(tuple(map(tuple, normals)), tuple(offsets))
+        center = _vector(section, "domain_center", k, "[0.0]")
+        return BallDomain(center, _scalar(float, "problem", "domain_radius", section.get("domain_radius", "1.0")))
+    if "domain_normals" not in section or "domain_offsets" not in section:
+        raise ConfigError("halfspace domain needs domain_normals and domain_offsets", "[problem] domain")
+    normals = _numeric_list("problem", "domain_normals", section["domain_normals"])
+    offsets = _numeric_list("problem", "domain_offsets", section["domain_offsets"])
+    if not isinstance(normals[0], list):
+        normals = [normals]
+    return HalfspaceDomain(tuple(map(tuple, normals)), tuple(offsets))
+
+
+def _vector(section: dict, key: str, length: int, default: str) -> tuple:
+    """The [problem] key ``key``, ``default`` where it is absent, as a flat
+    list of ``length`` numbers."""
+    values = _numeric_list("problem", key, section.get(key, default))
+    if len(values) != length or any(isinstance(v, list) for v in values):
+        raise ConfigError(f"{key} must be a list of {length} numbers", f"[problem] {key}")
+    return tuple(values)
 
 
 def _build_constants(section: dict, d: int) -> AssumptionConstants:
-    values = {}
-    for key in _CONSTANT_KEYS:
-        values[key] = _scalar(float, "problem", key, section.get(key, "0.0"))
-    sigma_x = _numeric_list("problem", "sigma_x_sup", section.get("sigma_x_sup", "[" + ", ".join(["0.0"] * d) + "]"))
-    if len(sigma_x) != d:
-        raise ConfigError(f"sigma_x_sup must have length d={d}", "[problem] sigma_x_sup")
+    values = {key: _scalar(float, "problem", key, section.get(key, "0.0")) for key in _CONSTANT_KEYS}
+    sigma_x = _vector(section, "sigma_x_sup", d, "[" + ", ".join(["0.0"] * d) + "]")
+    for key, value in [*values.items(), *(("sigma_x_sup", s) for s in sigma_x)]:
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{key} must be finite and nonnegative", f"[problem] {key}")
     try:
-        return AssumptionConstants(sigma_x_sup=tuple(sigma_x), **values)
-    except ValueError as err:
-        raise ConfigError(str(err), "[problem]")
+        return AssumptionConstants(sigma_x_sup=sigma_x, **values)
+    except ValueError as err:  # gamma = 0
+        raise ConfigError(str(err), "[problem] gamma")
 
 
 def _parse_coefficient(source: str, dims, key: str):
@@ -497,17 +487,21 @@ def _state_env(t, x, u=None, y=None, z=None):
     return env
 
 
-def _eval_to(shape, asts, env):
-    """Evaluate a nested list of ASTs into a dense array of the given shape
-    (leading batch dimension inferred from the environment arrays)."""
+def _eval_to(what, shape, asts, env):
+    """Evaluate the nested list of ASTs of ``what`` (a coefficient or a
+    control) into a dense array of the given shape (leading batch dimension
+    inferred from the environment arrays). A failure is a
+    :class:`SolverError` naming ``what``, to which a solver adds its step."""
     m = next((value.shape[0] for value in env.values() if isinstance(value, np.ndarray)), 1)
     out = np.empty((m,) + shape)
     for idx in np.ndindex(shape):
         node = asts
         for axis in idx:
             node = node[axis]
-        value = expr.evaluate_expression(node, env)
-        out[(slice(None),) + idx] = value
+        try:
+            out[(slice(None),) + idx] = expr.evaluate_expression(node, env)
+        except expr.EvaluationError as err:
+            raise SolverError(f"{what}: {err}") from None
     return out
 
 
@@ -531,8 +525,9 @@ def build_expression_problem(n, d, k, T, x0, sources, domain, constants) -> Prob
     sigma_ast = _matrix_asts(sigma_src, n, d, "sigma")
     f_ast = _parse_coefficient(sources["f"], dims, "f")
     phi_ast = _parse_coefficient(sources["Phi"], dims, "Phi")
-    if isinstance(f_ast, expr.ListLit) or isinstance(phi_ast, expr.ListLit):
-        raise ConfigError("f and Phi must be scalar expressions", "[problem] f")
+    for key, ast in (("f", f_ast), ("Phi", phi_ast)):
+        if isinstance(ast, expr.ListLit):
+            raise ConfigError(f"{key} must be a scalar expression", f"[problem] {key}")
 
     x_vars = [f"x{j+1}" for j in range(n)]
     u_vars = [f"u{j+1}" for j in range(k)]
@@ -555,27 +550,31 @@ def build_expression_problem(n, d, k, T, x0, sources, domain, constants) -> Prob
     f_u_ast = [expr.differentiate(f_ast, v) for v in u_vars]
     phi_x_ast = [expr.differentiate(phi_ast, v) for v in x_vars]
 
-    def f(t, x, y, z, u):
-        return _eval_to((), f_ast, _state_env(t, x, u, y, z))[:]
+    # A coefficient of (t, x, u), one of the generator's (t, x, y, z, u), and one of the terminal state.
+    def of_state(name, shape, asts):
+        return lambda t, x, u: _eval_to(f"coefficient {name}", shape, asts, _state_env(t, x, u))
 
+    def of_generator(name, shape, asts):
+        return lambda t, x, y, z, u: _eval_to(f"coefficient {name}", shape, asts, _state_env(t, x, u, y, z))
+
+    def of_terminal(name, shape, asts):
+        return lambda x: _eval_to(f"coefficient {name}", shape, asts, _state_env(0.0, x))
+
+    f = of_generator("f", (), f_ast)
     coeffs = CoefficientSet(
-        b=lambda t, x, u: _eval_to((n,), b_ast, _state_env(t, x, u)),
-        sigma=lambda t, x, u: _eval_to((n, d), sigma_ast, _state_env(t, x, u)),
+        b=of_state("b", (n,), b_ast),
+        sigma=of_state("sigma", (n, d), sigma_ast),
         f=f if "y" in expr.variables(f_ast) else WithoutY(lambda t, x, z, u: f(t, x, None, z, u)),
-        Phi=lambda x: _eval_to((), phi_ast, _state_env(0.0, x)),
-        b_x=_unless_free(lambda t, x, u: _eval_to((n, n), b_x_ast, _state_env(t, x, u)), b_src, x_vars, n, n),
-        b_u=_unless_free(lambda t, x, u: _eval_to((n, k), b_u_ast, _state_env(t, x, u)), b_src, u_vars, n, k),
-        sigma_x=_unless_free(
-            lambda t, x, u: _eval_to((d, n, n), sigma_x_ast, _state_env(t, x, u)), sigma_src, x_vars, d, n, n
-        ),
-        sigma_u=_unless_free(
-            lambda t, x, u: _eval_to((d, n, k), sigma_u_ast, _state_env(t, x, u)), sigma_src, u_vars, d, n, k
-        ),
-        f_x=_unless_free(lambda t, x, y, z, u: _eval_to((n,), f_x_ast, _state_env(t, x, u, y, z)), f_ast, x_vars, n),
-        f_y=_unless_free(lambda t, x, y, z, u: _eval_to((), f_y_ast, _state_env(t, x, u, y, z)), f_ast, ["y"]),
-        f_z=_unless_free(lambda t, x, y, z, u: _eval_to((d,), f_z_ast, _state_env(t, x, u, y, z)), f_ast, z_vars, d),
-        f_u=_unless_free(lambda t, x, y, z, u: _eval_to((k,), f_u_ast, _state_env(t, x, u, y, z)), f_ast, u_vars, k),
-        Phi_x=_unless_free(lambda x: _eval_to((n,), phi_x_ast, _state_env(0.0, x)), phi_ast, x_vars, n),
+        Phi=of_terminal("Phi", (), phi_ast),
+        b_x=_unless_free(of_state("b_x", (n, n), b_x_ast), b_src, x_vars, n, n),
+        b_u=_unless_free(of_state("b_u", (n, k), b_u_ast), b_src, u_vars, n, k),
+        sigma_x=_unless_free(of_state("sigma_x", (d, n, n), sigma_x_ast), sigma_src, x_vars, d, n, n),
+        sigma_u=_unless_free(of_state("sigma_u", (d, n, k), sigma_u_ast), sigma_src, u_vars, d, n, k),
+        f_x=_unless_free(of_generator("f_x", (n,), f_x_ast), f_ast, x_vars, n),
+        f_y=_unless_free(of_generator("f_y", (), f_y_ast), f_ast, ["y"]),
+        f_z=_unless_free(of_generator("f_z", (d,), f_z_ast), f_ast, z_vars, d),
+        f_u=_unless_free(of_generator("f_u", (k,), f_u_ast), f_ast, u_vars, k),
+        Phi_x=_unless_free(of_terminal("Phi_x", (n,), phi_x_ast), phi_ast, x_vars, n),
     )
     x0_arr = np.asarray(x0, dtype=np.float64)
     if x0_arr.shape != (n,):
@@ -602,12 +601,4 @@ def build_control(which: str, source: str, spec: ProblemSpec, family, family_par
     if shape != (spec.k,) and not (shape == () and spec.k == 1):
         raise ConfigError(f"control must have k={spec.k} components", location)
     comps = list(ast.items) if shape else [ast]
-
-    def fn(t, states):
-        env = _state_env(t, states)
-        out = np.empty((states.shape[0], spec.k))
-        for j, comp in enumerate(comps):
-            out[:, j] = expr.evaluate_expression(comp, env)
-        return out
-
-    return FeedbackControl(fn, k=spec.k)
+    return FeedbackControl(lambda t, x: _eval_to(f"control {which}", (spec.k,), comps, _state_env(t, x)), k=spec.k)

@@ -6,11 +6,25 @@ class QsmpError(Exception):
 
 
 class SolverError(QsmpError):
-    """A numerical solve aborted; ``step`` is the offending time-step index."""
+    """A numerical solve aborted; ``step`` is the offending time-step index,
+    and ``phase`` names the part of the run that failed where no step does."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message if step is None else f"{message} (step {step})")
-        self.step = step
+    def __init__(self, message, step=None, phase=None):
+        where = phase if step is None else f"step {step}"
+        super().__init__(message if where is None else f"{message} ({where})")
+        self.reason, self.step = message, step
+
+
+def located(fn, *args, step=None, phase=None):
+    """``fn(*args)``, where a :class:`SolverError` that names no step (an
+    expression coefficient that fails to evaluate) is raised again at
+    ``step``, or in ``phase``."""
+    try:
+        return fn(*args)
+    except SolverError as err:
+        if err.step is not None:
+            raise
+        raise SolverError(err.reason, step=step, phase=phase) from None
 
 
 class ExplosionError(SolverError):

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from . import bmo
-from .errors import QsmpError
+from .errors import SolverError, located
 from .paths import abs_max
 
 
@@ -427,31 +427,36 @@ class DerivedConstants:
         }
 
 
+def _degenerate(reason: str) -> SolverError:
+    return SolverError(f"degenerate parameter set: {reason}", phase="deriving the constants")
+
+
 def derive_constants(spec: ProblemSpec) -> DerivedConstants:
     """Ceiling A for the backward solution, critical exponent of the
     linearisation weights, and the admissibility moment exponent."""
     c = spec.constants
     gamma, t_hor = c.gamma, spec.T
-    alpha_tilde = math.exp(t_hor * c.f_y_sup) * (
-        c.Phi_sup + t_hor * c.f_y_sup + c.alpha * t_hor + c.L2**2 * t_hor / (4.0 * gamma)
-    )
-    growth = 4.0 * gamma * alpha_tilde
-    if growth > 700.0:
-        raise QsmpError("degenerate parameter set: exponential ceiling overflows")
-    big_a = alpha_tilde + (1.0 / (2.0 * gamma)) * math.exp(growth) * (
-        1.0 / (4.0 * gamma) + (1.0 + c.f_y_sup * t_hor) * alpha_tilde
-    )
-    sigma_x_term = 2.0 * t_hor * sum(s**2 for s in c.sigma_x_sup)
-    target = math.sqrt(
-        (c.L3**2 * t_hor + 2.0 * gamma**2 * big_a) * (3.0 + 4.0 * spec.n * spec.d) + sigma_x_term
-    )
+    try:  # a float power or math.exp beyond the float range raises
+        alpha_tilde = math.exp(t_hor * c.f_y_sup) * (
+            c.Phi_sup + t_hor * c.f_y_sup + c.alpha * t_hor + c.L2**2 * t_hor / (4.0 * gamma)
+        )
+        growth = 4.0 * gamma * alpha_tilde
+        if growth > 700.0:
+            raise _degenerate("exponential ceiling overflows")
+        big_a = alpha_tilde + (1.0 / (2.0 * gamma)) * math.exp(growth) * (
+            1.0 / (4.0 * gamma) + (1.0 + c.f_y_sup * t_hor) * alpha_tilde
+        )
+        sigma_x_term = 2.0 * t_hor * sum(s**2 for s in c.sigma_x_sup)
+        target = math.sqrt(
+            (c.L3**2 * t_hor + 2.0 * gamma**2 * big_a) * (3.0 + 4.0 * spec.n * spec.d) + sigma_x_term
+        )
+    except OverflowError:
+        raise _degenerate("a constant overflows") from None
     if not math.isfinite(target):
-        raise QsmpError("degenerate parameter set: critical-exponent target is not finite")
+        raise _degenerate("critical-exponent target is not finite")
     offset = bmo.psi_inverse_offset(target)
     if offset == 0.0:
-        raise QsmpError(
-            f"degenerate parameter set: critical exponent underflows (target {target:.3g})"
-        )
+        raise _degenerate(f"critical exponent underflows (target {target:.3g})")
     p_star = bmo.conjugate_exponent_from_offset(offset)
     return DerivedConstants(
         alpha_tilde=alpha_tilde,
@@ -517,10 +522,15 @@ def validate_assumptions(
     carries the worst observed left/right ratio per check (values above 1
     fail). Derivative evaluators are compared against central finite
     differences of the base evaluators. Non-finite evaluator output raises
-    immediately: it signals an ill-posed problem, not a failed bound.
+    immediately: it signals an ill-posed problem, not a failed bound, and
+    so does an evaluator that raises a :class:`qsmp.errors.SolverError`.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    return located(_sampled_checks, spec, sample_count, seed, phase="validating the assumptions")
+
+
+def _sampled_checks(spec: ProblemSpec, sample_count: int, seed: int) -> ValidationReport:
     rng = np.random.default_rng([seed, 1])
     m = sample_count
     n, d, k = spec.n, spec.d, spec.k
@@ -538,7 +548,7 @@ def validate_assumptions(
     def to_finite(name, arr):
         arr = np.asarray(arr, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise QsmpError(f"evaluator {name} returned non-finite values")
+            raise SolverError(f"evaluator {name} returned non-finite values")
         return arr
 
     def ratio_check(name, lhs, rhs):

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ExplosionError
+from .errors import ExplosionError, located
 
 if TYPE_CHECKING:  # annotations only: model imports this module, for abs_max
     from .model import ProblemSpec
@@ -134,7 +134,7 @@ class FeedbackControl(Control):
     k: int
 
     def values(self, i, t, states):
-        out = np.asarray(self.fn(t, states), dtype=np.float64)
+        out = np.asarray(located(self.fn, t, states, step=i), dtype=np.float64)
         if out.shape != (states.shape[0], self.k):
             raise ValueError(f"feedback returned shape {out.shape}, expected (M, {self.k})")
         return out
@@ -184,8 +184,8 @@ def solve_forward_sde(
         x_i = states[:, i]
         u_i = control.values(i, times[i], x_i)
         controls[:, i] = u_i
-        drift = np.asarray(co.b(times[i], x_i, u_i), dtype=np.float64)
-        diff = np.asarray(co.sigma(times[i], x_i, u_i), dtype=np.float64)
+        drift = np.asarray(located(co.b, times[i], x_i, u_i, step=i), dtype=np.float64)
+        diff = np.asarray(located(co.sigma, times[i], x_i, u_i, step=i), dtype=np.float64)
         nxt = x_i + drift * dt + np.einsum("mnd,md->mn", diff, increments[:, i])
         if not abs_max(nxt) <= EXPLOSION_GUARD:  # also NaN and infinities
             raise ExplosionError("forward state left the admissible range", step=i)

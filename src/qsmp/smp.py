@@ -32,6 +32,7 @@ import numpy as np
 from . import adjoint as adjoint_mod
 from . import bmo
 from .bsde import RegressionBasis, forked_calls, linear_equation, processes_for, solve_quadratic_bsde
+from .errors import located
 from .model import ProblemSpec, Zero
 from .paths import (
     DEFAULT_EPSILONS,
@@ -167,14 +168,17 @@ def _derivative_sweep(spec, grid, noise, forward, uhat_at, basis, width=2):
     """One state-costate sweep that also solves the auxiliary equation for
     the direction ``uhat_at(i)`` (M, k): zero terminal value, slopes f_y and
     f_z, and forcing phi = H_u . uhat. Returns the quadratic solution, the
-    auxiliary solution (both at ``width``), phi (M, N) and Gamma (M, N+1)."""
+    auxiliary solution (both at ``width``), phi (M, N) and Gamma (M, N+1).
+    Where Gamma is identically one (:func:`_unit_gamma`), no log Gamma is
+    formed and Gamma is a read-only view of one value, 1.0."""
     phi = step_major((noise.M, grid.N))
-    log_gamma = step_major((noise.M, grid.N + 1), fill=0.0)
+    log_gamma = None if _unit_gamma(spec) else step_major((noise.M, grid.N + 1), fill=0.0)
     visited = []
 
     def visit(point):
         np.einsum("mk,mk->m", adjoint_mod.control_gradient(spec, point), uhat_at(point.i), out=phi[:, point.i])
-        log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
+        if log_gamma is not None:
+            log_gamma[:, point.i + 1] = adjoint_mod.gamma_log_increment(point, noise, grid.dt)
         visited[:] = [point]
 
     def coefficients_at(i):
@@ -186,6 +190,8 @@ def _derivative_sweep(spec, grid, noise, forward, uhat_at, basis, width=2):
     backward, _ = adjoint_mod.solve_state_and_costate(
         spec, grid, noise, forward, basis, width=width, visit=visit, after=[aux]
     )
+    if log_gamma is None:
+        return backward, aux.scalar_solution(), phi, np.broadcast_to(1.0, (noise.M, grid.N + 1))
     return backward, aux.scalar_solution(), phi, bmo.cumulate_log_exponential(log_gamma, adjoint_mod.GAMMA_NAME)
 
 
@@ -499,7 +505,7 @@ def check_maximum_principle(
 
     def base_fields():
         points = _query_points(spec, grid, noise, forward, basis, check_steps, query_paths)
-        return [adjoint_mod.control_gradient(spec, point) for point in points]
+        return [located(adjoint_mod.control_gradient, spec, point, step=point.i) for point in points]
 
     def replicate(g):
         return partial(_replicate_fields, spec, grid, noise, forward, slice(g * size, (g + 1) * size), basis, queries)

@@ -426,7 +426,6 @@ class TestSchema:
             else:
                 docs[section] += " " + line.strip()
         accepted = {name: {f.name for f in dataclasses.fields(schema)} for name, schema in config._SCHEMAS.items()}
-        accepted.update({name: keys for name, keys in config._SECTION_KEYS.items() if keys is not None})
         accepted["problem"] = {"family", *config._INLINE_KEYS}
         assert set(docs) == set(accepted)
         for section, keys in accepted.items():

@@ -9,7 +9,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from qsmp import adjoint, paths, smp
+from qsmp import adjoint, config, paths, smp
 
 M, N = 300, 6
 
@@ -175,10 +175,7 @@ UNSET_OPTIONS_ALLOWED = {
     "families.build_controlled_geometric": _FAMILY_REASON,
     "paths.simulate_brownian(stream_id)": "fresh-stream draws for the out-of-sample estimates of ROADMAP items 5 and 8",
     "smp._derivative_sweep(width)": "the full-storage test references sweep at width N+1",
-    "config.DescentParams": _SCHEMA_REASON,
-    "config.CheckParams": _SCHEMA_REASON,
-    "config.BmoParams": _SCHEMA_REASON,
-    "config.Overrides": _SCHEMA_REASON,
+    **{f"config.{schema.__name__}": _SCHEMA_REASON for schema in config._SCHEMAS.values()},
 }
 
 

@@ -3,6 +3,8 @@ second column depends on the state, and a generator quadratic in z. The
 built-in families are all one-dimensional, so this is where the vector
 shapes and the costate's matrix solve are exercised."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,26 @@ def test_singular_costate_step_names_the_step():
     forward = solve_forward_sde(spec, grid, noise, constant_control([0.0]))
     with pytest.raises(SolverError, match=r"implicit costate step is singular \(step 9\)"):
         adjoint.solve_state_and_costate(spec, grid, noise, forward)
+
+
+def test_costate_at_time_zero_is_the_x0_derivative_of_y0(spec):
+    # Under a constant open-loop control the pair is Markovian, so
+    # p_0 = dY_0/dx_0: central differences of Y_0 in x0 on common noise.
+    # The state-dependent second diffusion column makes sigma_x nonzero, so
+    # this watches the costate's sigma_x^T q term (dropping it moves x1's gap
+    # to about -5.5 SE; transposing sigma_x in it, to about +4.4 SE).
+    grid, h = TimeGrid(50, 1.0), 1e-3
+    noise = simulate_brownian(grid, 20000, 2, 5)
+    control = constant_control([0.3, -0.2])
+
+    def solve(x0):
+        shifted = dataclasses.replace(spec, x0=x0)
+        return bsde.solve_quadratic_bsde(shifted, grid, noise, solve_forward_sde(shifted, grid, noise, control))
+
+    _, costate = adjoint.solve_state_and_costate(spec, grid, noise, solve_forward_sde(spec, grid, noise, control))
+    p0 = costate.p[:, 0].mean(axis=0)
+    for j, step in enumerate(h * np.eye(2)):
+        up, down = solve(spec.x0 + step), solve(spec.x0 - step)
+        slope = (up.y0 - down.y0) / (2 * h)
+        se = ((up.pathwise_targets - down.pathwise_targets) / (2 * h)).std() / np.sqrt(noise.M)
+        assert abs(p0[j] - slope) <= 3 * se, (j, p0[j], slope, se)

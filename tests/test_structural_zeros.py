@@ -222,6 +222,31 @@ def test_unit_gamma_stores_no_log_gamma():
     assert smp._gradient_storage(exp_utility, grid, noise)[2].shape == (100, grid.N + 1)
 
 
+def test_unit_gamma_forms_no_log_gamma_in_the_derivative_sweep(monkeypatch):
+    # The gradient check's sweep allocates its (M, N+1) log Gamma through
+    # smp.step_major; where Gamma is identically one it allocates none and
+    # returns a read-only view of one value.
+    grid = paths.TimeGrid(5, 1.0)
+    noise = paths.simulate_brownian(grid, 100, 1, seed=113)
+    allocated = []
+
+    def recording_step_major(shape, **kwargs):
+        allocated.append(shape)
+        return paths.step_major(shape, **kwargs)
+
+    monkeypatch.setattr(smp, "step_major", recording_step_major)
+    lq = families.build_linear_quadratic()
+    for spec, unit in ((lq, True), (unmarked(lq), False), (families.build_exponential_utility(), False)):
+        allocated.clear()
+        forward = paths.solve_forward_sde(spec, grid, noise, paths.ConstantControl((0.2,)))
+        uhat_at = smp._direction(paths.ConstantControl((0.5,)), grid, forward)
+        gamma = smp._derivative_sweep(spec, grid, noise, forward, uhat_at, None)[3]
+        assert ((100, grid.N + 1) in allocated) is not unit
+        assert gamma.shape == (100, grid.N + 1)
+        if unit:
+            assert gamma.strides == (0, 0) and not gamma.flags.writeable and np.all(gamma == 1.0)
+
+
 @pytest.mark.parametrize(
     "lower, upper",
     [((-1.0, 0.0), (1.0, 0.5)), ((0.25, -2.0), (0.25, -2.0)), ((-math.inf, 0.0), (0.0, math.inf))],
