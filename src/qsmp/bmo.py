@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import SolverError, located
 from .paths import abs_max
 from .regression import RegressionBasis, StepRegressor
 
@@ -168,7 +168,7 @@ def _tail_sup_profile(integrand, grid, features, basis, ridge, quantile=None):
         if features is None:
             fitted = np.full(m_paths, tail.mean())
         else:
-            fitted, _ = StepRegressor(basis, features[:, j], ridge).fit(tail)
+            fitted, _ = located(lambda: StepRegressor(basis, features[:, j], ridge), step=j).fit(tail)
         fitted = np.maximum(fitted, 0.0)
         top = float(fitted.max())
         if not math.isfinite(top):

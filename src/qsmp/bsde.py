@@ -205,7 +205,7 @@ def backward_sweep(
             one_sweep.sweep(equations)
     else:
         for i in range(grid.N - 1, -1, -1):
-            reg = StepRegressor(basis, states[:, i], ridge)
+            reg = located(lambda: StepRegressor(basis, states[:, i], ridge), step=i)
             for eq in equations:
                 _solve_step(eq, i, reg, noise.increments[:, i], grid.dt)
 
@@ -219,8 +219,9 @@ def _solve_step(eq: BackwardEquation, i: int, reg: StepRegressor, increments: np
     # Martingale control variate: centering the target leaves the
     # conditional expectation unchanged but removes the O(1/dt) variance
     # the conditional mean would otherwise inject into the Z estimate.
-    z_target = ((nxt - cond)[:, :, None] * increments[:, None, :] / dt).reshape(m_paths, -1)
-    z_flat, _ = reg.fit(z_target)
+    z_target = (nxt - cond)[:, :, None] * increments[:, None, :]
+    z_target /= dt
+    z_flat, _ = reg.fit(z_target.reshape(m_paths, -1))
     z_i = z_flat.reshape(m_paths, -1, d)
     at_step(eq.values, i)[...], at_step(eq.integrands, i)[...] = located(eq.step, i, cond, z_i, reg, step=i)
 
@@ -457,7 +458,8 @@ def _partner(partner: Partner, states, ridge, first: BackwardEquation) -> None:
         if i + _RING_SLOTS < n_steps and _read(partner._inbox, 1) != b"\0":
             return  # the sweep ended without this step
         try:
-            reg = StepRegressor(partner.basis, states[:, i], ridge, out=partner._features[slot])
+            out = partner._features[slot]
+            reg = located(lambda: StepRegressor(partner.basis, states[:, i], ridge, out=out), step=i)
             _solve_step(first, i, reg, noise.increments[:, i], grid.dt)
         except Exception as err:
             _send(partner._outbox, b"\1" + _framed(_pickled(err, i)))

@@ -401,10 +401,10 @@ def _build_domain(section: dict, k: int):
         if key.startswith("domain_") and key not in _DOMAIN_KEYS[kind]:
             raise ConfigError(f"a {kind} domain has no key {key!r}", f"[problem] {key}")
     if kind == "box":
-        lower = _vector(section, "domain_lower", k, "[-1.0]" if k == 1 else "")
-        return BoxDomain(lower, _vector(section, "domain_upper", k, "[1.0]" if k == 1 else ""))
+        lower = _vector(section, "domain_lower", k, "[-1.0]" if k == 1 else "", "k")
+        return BoxDomain(lower, _vector(section, "domain_upper", k, "[1.0]" if k == 1 else "", "k"))
     if kind == "ball":
-        center = _vector(section, "domain_center", k, "[0.0]")
+        center = _vector(section, "domain_center", k, "[0.0]", "k")
         return BallDomain(center, _scalar(float, "problem", "domain_radius", section.get("domain_radius", "1.0")))
     if "domain_normals" not in section or "domain_offsets" not in section:
         raise ConfigError("halfspace domain needs domain_normals and domain_offsets", "[problem] domain")
@@ -415,18 +415,18 @@ def _build_domain(section: dict, k: int):
     return HalfspaceDomain(tuple(map(tuple, normals)), tuple(offsets))
 
 
-def _vector(section: dict, key: str, length: int, default: str) -> tuple:
+def _vector(section: dict, key: str, length: int, default: str, dim: str) -> tuple:
     """The [problem] key ``key``, ``default`` where it is absent, as a flat
-    list of ``length`` numbers."""
+    list of ``length`` numbers, the value of the [problem] key ``dim``."""
     values = _numeric_list("problem", key, section.get(key, default))
     if len(values) != length or any(isinstance(v, list) for v in values):
-        raise ConfigError(f"{key} must be a list of {length} numbers", f"[problem] {key}")
+        raise ConfigError(f"{key} must be a list of {length} numbers ([problem] {dim} = {length})", f"[problem] {key}")
     return tuple(values)
 
 
 def _build_constants(section: dict, d: int) -> AssumptionConstants:
     values = {key: _scalar(float, "problem", key, section.get(key, "0.0")) for key in _CONSTANT_KEYS}
-    sigma_x = _vector(section, "sigma_x_sup", d, "[" + ", ".join(["0.0"] * d) + "]")
+    sigma_x = _vector(section, "sigma_x_sup", d, "[" + ", ".join(["0.0"] * d) + "]", "d")
     for key, value in [*values.items(), *(("sigma_x_sup", s) for s in sigma_x)]:
         if not (math.isfinite(value) and value >= 0):
             raise ConfigError(f"{key} must be finite and nonnegative", f"[problem] {key}")
@@ -449,25 +449,26 @@ def _vector_asts(ast, length: int, key: str):
     shape = expr.list_shape(ast)
     items = list(ast.items) if shape else [ast]
     if len(shape) > 1 or len(items) != length:
-        raise ConfigError(f"{key} must be a list of length {length}", f"[problem] {key}")
+        raise ConfigError(f"{key} must be a list of length {length} ([problem] n = {length})", f"[problem] {key}")
     return items
 
 
 def _matrix_asts(ast, rows: int, cols: int, key: str):
     shape = expr.list_shape(ast)
+    dims = f" ([problem] n = {rows}, [problem] d = {cols})"
     if shape == ():
         if rows != 1 or cols != 1:
-            raise ConfigError(f"{key} must be a {rows}x{cols} matrix", f"[problem] {key}")
+            raise ConfigError(f"{key} must be a {rows}x{cols} matrix{dims}", f"[problem] {key}")
         return [[ast]]
     if len(shape) == 1:
         if rows == 1 and shape[0] == cols:
             return [list(ast.items)]
         if cols == 1 and shape[0] == rows:
             return [[item] for item in ast.items]
-        raise ConfigError(f"{key} must be a {rows}x{cols} matrix", f"[problem] {key}")
+        raise ConfigError(f"{key} must be a {rows}x{cols} matrix{dims}", f"[problem] {key}")
     if shape != (rows, cols):
         raise ConfigError(
-            f"{key} has shape {shape[0]}x{shape[1]}, expected {rows}x{cols}", f"[problem] {key}"
+            f"{key} has shape {shape[0]}x{shape[1]}, expected {rows}x{cols}{dims}", f"[problem] {key}"
         )
     return [list(row.items) for row in ast.items]
 
@@ -578,7 +579,7 @@ def build_expression_problem(n, d, k, T, x0, sources, domain, constants) -> Prob
     )
     x0_arr = np.asarray(x0, dtype=np.float64)
     if x0_arr.shape != (n,):
-        raise ConfigError(f"x0 must have length n={n}", "[problem] x0")
+        raise ConfigError(f"x0 must have length {n} ([problem] n = {n})", "[problem] x0")
     try:
         return ProblemSpec(n=n, d=d, k=k, T=T, x0=x0_arr, coeffs=coeffs, domain=domain, constants=constants)
     except ValueError as err:

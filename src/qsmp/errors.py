@@ -17,22 +17,23 @@ class SolverError(QsmpError):
 
 def located(fn, *args, step=None, phase=None):
     """``fn(*args)``, where a :class:`SolverError` that names no step (an
-    expression coefficient that fails to evaluate) is raised again at
-    ``step``, or in ``phase``."""
+    expression coefficient that fails to evaluate, a regression that cannot
+    be built) is raised again, of the same type, at ``step`` or in ``phase``."""
     try:
         return fn(*args)
     except SolverError as err:
         if err.step is not None:
             raise
-        raise SolverError(err.reason, step=step, phase=phase) from None
+        raise type(err)(err.reason, step=step, phase=phase) from None
 
 
 class ExplosionError(SolverError):
     """A simulated state left the admissible range (blow-up guard)."""
 
 
-class IllConditionedBasisError(QsmpError):
-    """Regression features are rank deficient and no ridge was requested."""
+class IllConditionedBasisError(SolverError):
+    """A step's regression cannot be built: fewer paths than features, or
+    features that are rank deficient where no ridge was requested."""
 
 
 class ConfigError(QsmpError):

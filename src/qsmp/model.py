@@ -206,16 +206,27 @@ class BoxDomain(ControlDomain):
 def clip_rows(rows: np.ndarray, radius: float) -> np.ndarray:
     """``rows`` with every row longer than ``radius`` scaled back to that
     length; the rows themselves when the radius is infinite or no row is
-    longer."""
+    longer. A finite row whose squared norm overflows is scaled by its
+    largest entry first, so it too ends at the radius in its own direction."""
     if not math.isfinite(radius):
+        return rows
+    # One entry a row: its norm sqrt(fl(z^2)) is |z| exactly, so no row is longer.
+    if rows.shape[-1] == 1 and abs_max(rows) <= radius:
         return rows
     # numpy's own formula for the 2-norm over the last axis, without the
     # overhead of ``np.linalg.norm``: the same bits.
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
     over = norms > radius
     if not over.any():
         return rows
-    return rows * np.where(over, radius / np.where(norms > 0, norms, 1.0), 1.0)
+    factor = np.where(over, radius / np.where(norms > 0, norms, 1.0), 1.0)
+    huge = np.isinf(norms) & np.isfinite(rows).all(axis=-1, keepdims=True)
+    if huge.any():
+        peak = np.where(huge, np.maximum(rows.max(axis=-1, keepdims=True), -rows.min(axis=-1, keepdims=True)), 1.0)
+        unit = np.sqrt(np.add.reduce(np.square(rows / peak), axis=-1, keepdims=True))
+        factor = np.where(huge, radius / peak / unit, factor)
+    return rows * factor
 
 
 @dataclass(frozen=True)

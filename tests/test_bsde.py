@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -331,3 +332,28 @@ def test_truncation_matches_linalg_norm_bits(d):
     assert np.array_equal(model.clip_rows(z, radius), expected)
     # The ball's projection clips with the same rows.
     assert np.array_equal(model.BallDomain((0.0,) * d, radius).project(z), expected)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[1e300], [3.0], [-1e300], [1.0]], [[2.0], [2.0], [-2.0], [1.0]]),
+    ([[1e200, 1e200], [3.0, 0.0], [0.5, -0.5]], [[math.sqrt(2.0), math.sqrt(2.0)], [2.0, 0.0], [0.5, -0.5]]),
+])
+def test_a_row_whose_squared_norm_overflows_is_clipped_in_its_direction(rows, expected):
+    # Its squared norm is inf, which once scaled the row to zero.
+    rows = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped = model.clip_rows(rows, 2.0)
+    assert np.allclose(clipped, expected, rtol=1e-15, atol=0.0)
+    # Every row whose squared norm is finite keeps the bits of the plain formula.
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.sum(rows * rows, axis=-1))
+    norms = np.linalg.norm(rows[finite], axis=-1, keepdims=True)
+    assert np.array_equal(clipped[finite], rows[finite] * np.where(norms > 2.0, 2.0 / norms, 1.0))
+
+
+def test_rows_of_one_entry_inside_the_radius_are_returned_as_they_are():
+    z = np.random.default_rng(9).uniform(-2.0, 2.0, size=(1000, 1))
+    assert model.clip_rows(z, 2.0) is z
+    z[17, 0] = np.nextafter(2.0, 3.0)
+    assert model.clip_rows(z, 2.0) is not z

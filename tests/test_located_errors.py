@@ -3,7 +3,7 @@
 The table sets each key of each shipped config, in turn, to each of a fixed
 list of bad values, and runs the config's pipeline through ``cli.main`` in
 this process. The configs are shrunk to M = 640 paths and N = 8 steps, with
-3 descent iterations: 85 keys, 12 values, 1020 runs, 5 to 7 s on 2 cores.
+3 descent iterations: 85 keys, 14 values, 1190 runs, about 10 s on 2 cores.
 Every run must exit 0, 1, 2 or 3 with no exception; an exit 2 names its
 section and key, an exit 1 a step or a phase, and an exit-0 summary holds
 no NaN or infinity."""
@@ -26,7 +26,7 @@ _tool.loader.exec_module(artifact_hashes)
 #: Shipped config stem -> the pipeline that runs it.
 PIPELINES = artifact_hashes.PIPELINES
 
-BAD_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e300", "", "abc", "1e-300", "[nan]", "2.5", "[[0]]")
+BAD_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e300", "", "abc", "1e-300", "[nan]", "2.5", "[[0]]", "3", "100")
 
 #: How an exit 1 names where it failed: a step, or a phase without steps.
 WHERE = re.compile(r"\((step \d+|deriving the constants|validating the assumptions)\)$")

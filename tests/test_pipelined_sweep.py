@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qsmp import adjoint, bsde, paths, smp
-from qsmp.errors import SolverError
+from qsmp.errors import IllConditionedBasisError, SolverError
 from test_streamed_checks import PROBLEMS
 from test_worker_checks import _check, needs_two_cpus, worker_pids  # noqa: F401 (a fixture)
 
@@ -233,3 +233,23 @@ def test_check_workers_fork_no_partner(which, monkeypatch, partners, worker_pids
     pids = worker_pids()
     assert pids and os.getpid() not in pids
     assert partners() == []
+
+
+@pytest.mark.parametrize("m_paths, ridge, message", [
+    (3, None, "need more samples (3) than features (4) (step 19)"),
+    # Every path starts at x0, so without a ridge step 0 has a singular Gram.
+    (600, 0.0, "feature Gram matrix is not positive definite (step 0)"),
+])
+def test_a_regression_that_cannot_be_built_names_its_step(lq_spec, m_paths, ridge, message, monkeypatch, partners):
+    grid = paths.TimeGrid(20, 1.0)
+    noise = paths.simulate_brownian(grid, m_paths, 1, seed=99)
+    forward = paths.solve_forward_sde(lq_spec, grid, noise, paths.ConstantControl((0.2,)))
+    errors = []
+    for pipelined in (False, True):
+        _set_pipelined(monkeypatch, pipelined)
+        with pytest.raises(IllConditionedBasisError) as raised:
+            adjoint.solve_state_and_costate(lq_spec, grid, noise, forward, ridge=ridge, width=2)
+        errors.append(raised.value)
+    assert [str(err) for err in errors] == [message, message]
+    assert errors[0].step == errors[1].step == int(message.split()[-1][:-1])
+    _assert_reaped(partners())

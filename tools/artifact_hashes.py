@@ -20,11 +20,20 @@ config. Two checkouts are byte-identical on the shipped configs when
     python3 tools/artifact_hashes.py . before.txt   # at the parent commit
     python3 tools/artifact_hashes.py . after.txt    # with the change
     diff before.txt after.txt
+
+With ``--keep DIR`` the artifacts stay in ``DIR/<config>/``, DIR a new
+directory, instead of a temporary one, so that ``tools/artifact_diff.py`` can say how far each
+changed artifact moved:
+
+    python3 tools/artifact_hashes.py --keep before . before.txt
+    python3 tools/artifact_hashes.py --keep after . after.txt
+    python3 tools/artifact_diff.py before after
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import signal
@@ -75,11 +84,18 @@ def _run(cmd: list, env: dict, cwd: str) -> tuple:
     return proc.returncode, peak_rss_mb, usage.ru_utime + usage.ru_stime, usage.ru_stime, usage.ru_minflt, left
 
 
-def artifact_lines(checkout: str) -> list:
+def artifact_lines(checkout: str, keep: str | None = None) -> list:
+    """The hash lines of ``checkout``'s artifacts, which are kept under
+    ``keep`` if given, else in a temporary directory that is removed."""
     checkout = os.path.abspath(checkout)
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
     lines = []
-    with tempfile.TemporaryDirectory() as work:
+    if keep is None:
+        place = tempfile.TemporaryDirectory()
+    else:
+        os.makedirs(keep)  # a new directory: no artifact of an earlier run is left in it
+        place = contextlib.nullcontext(os.path.abspath(keep))
+    with place as work:
         for config, pipeline in sorted(PIPELINES.items()):
             out_dir = os.path.join(work, config)
             cmd = [
@@ -102,8 +118,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", help="root of a qsmp checkout")
     parser.add_argument("out", help="file to write the hash lines to")
+    parser.add_argument("--keep", metavar="DIR", help="keep each config's artifacts under DIR/<config>/")
     args = parser.parse_args(argv)
-    lines = artifact_lines(args.checkout)
+    lines = artifact_lines(args.checkout, args.keep)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     return 0
